@@ -46,11 +46,8 @@ from .nullstellensatz import (
     MAX_GRID_POINTS_ENV,
     Grid,
     GridPoint,
-    GridWeights,
     boolean_sum,
     grid_weighted_sum,
-    grid_weights,
-    iter_points,
     lagrange_denominator,
     lagrange_interpolate,
     second_nonvanish,

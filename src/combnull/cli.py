@@ -4,11 +4,12 @@ Every subcommand reads flags (optionally topped up from a line-oriented
 ``key value`` document given with --input FILE, or on standard input when
 --input is absent and stdin is piped) and writes one structured document to
 standard output: ``key value`` lines, or JSON with --format json.  Output is
-deterministic except for the trailing time_ms line.  Witnesses are re-checked
-against their defining property before they are printed.
+deterministic except for the trailing time_ms line.  Every solver re-checks
+its witness against the defining property before returning it.
 
 Exit codes: 0 success, 1 witness searched for but absent, 2 invalid input,
-3 resource limit exceeded.
+3 resource limit exceeded, 4 internal error (a guaranteed identity or a
+witness re-check failed, which only broken arithmetic can cause).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .combinatorics import (
     symdiff_check,
     vandermonde_sq_coefficient,
 )
-from .errors import InputError, ResourceLimit, SchemaError
+from .errors import InputError, ResourceLimit, SchemaError, TheoremViolation
 from .field import FieldSpec, PrimeField, RationalField
 from .mpoly import MultiPoly, format_poly, parse_poly
 from .nullstellensatz import (
@@ -59,6 +60,7 @@ EXIT_OK = 0
 EXIT_NO_WITNESS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 # ------------------------------------------------------------------ value text
@@ -268,7 +270,7 @@ def _cmd_coeff(req: Request) -> tuple[dict, int]:
     if applies:
         direct = f.coefficient_of(target)
         if direct != value:
-            raise AssertionError(
+            raise TheoremViolation(
                 f"coefficient identity broken: sum {value} vs expansion {direct}"
             )
         out["coefficient"] = direct
@@ -363,8 +365,6 @@ def _cmd_egz(req: Request) -> tuple[dict, int]:
     nums = _parse_int_list(req.require("nums"), "nums")
     indices = egz_solve(nums, p)
     chosen_sum = sum(nums[i] for i in indices)
-    if len(indices) != p or chosen_sum % p != 0:
-        raise AssertionError(f"EGZ witness failed re-validation: {indices}")
     out = {
         "p": p,
         "nums": _fmt_list(nums),
@@ -423,9 +423,6 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
     if subset is None:
         out["witness"] = None
         return out, EXIT_NO_WITNESS
-    sums = [sum(vectors[i][j] for i in subset) % p for j in range(k)]
-    if not subset or any(s != 0 for s in sums):
-        raise AssertionError(f"zero-sum witness failed re-validation: {subset}")
     out["witness"] = _fmt_list(subset)
     return out, EXIT_OK
 
@@ -436,7 +433,7 @@ def _cmd_planes(req: Request) -> tuple[dict, int]:
         planes = plane_cover_construct(n)
         report = plane_cover_verify(planes, n)
         if not (report.covers and report.origin_free):
-            raise AssertionError("constructed plane family failed re-validation")
+            raise TheoremViolation("constructed plane family failed re-validation")
         out = {
             "n": n,
             "count": len(planes),
@@ -482,8 +479,6 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
     if selection is None:
         out["selection"] = None
         return out, EXIT_NO_WITNESS
-    if any(selection[i] == selection[(i + 1) % n] for i in range(n)):
-        raise AssertionError("cycle selection failed re-validation")
     out["selection"] = _fmt_list(selection)
     if n % 2 == 0 and n <= 10:
         out["certificate"] = cycle_selection_certificate(labels)
@@ -545,8 +540,6 @@ def _cmd_snevily(req: Request) -> tuple[dict, int]:
             return out, EXIT_NO_WITNESS
         values = [(a[i] + sigma[i]) % n for i in range(len(a))]
         modulus = n
-    if len(set(values)) != len(values) or sorted(sigma) != list(range(1, len(a) + 1)):
-        raise AssertionError(f"distinct-sum witness failed re-validation: {sigma}")
     out["sigma"] = _fmt_list(sigma)
     out["sums"] = _fmt_list(values)
     out["modulus"] = modulus
@@ -587,7 +580,7 @@ def _cmd_lagrange(req: Request) -> tuple[dict, int]:
     poly = lagrange_interpolate(field, points, values)
     for x, y in zip(points, values):
         if poly.evaluate((x,)) != y:
-            raise AssertionError("interpolant failed re-validation")
+            raise TheoremViolation("interpolant failed re-validation")
     out = {
         "points": _fmt_list(points),
         "values": _fmt_list(values),
@@ -797,6 +790,10 @@ def run(argv: list[str] | None = None) -> int:
         print(f"combnull {command}: {exc}", file=sys.stderr)
         _emit(command, {"error": f"DivisionByZero: {exc}"}, "input-error", fmt, started)
         return EXIT_INPUT_ERROR
+    except TheoremViolation as exc:
+        print(f"combnull {command}: internal error: {exc}", file=sys.stderr)
+        _emit(command, {"error": f"{type(exc).__name__}: {exc}"}, "internal-error", fmt, started)
+        return EXIT_INTERNAL_ERROR
     if command == "selftest":
         status = "ok" if code == EXIT_OK else "fail"
     elif code == EXIT_NO_WITNESS:

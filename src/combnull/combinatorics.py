@@ -39,12 +39,7 @@ from .errors import (
 )
 from .field import PrimeField, RationalField, Scalar, is_prime
 from .mpoly import MultiPoly
-from .nullstellensatz import (
-    Grid,
-    _weighted_sum_of_values,
-    grid_weighted_sum,
-    resolve_max_points,
-)
+from .nullstellensatz import Grid, _points, _weighted_sum_of_values, grid_weighted_sum
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -107,13 +102,11 @@ def common_roots(
     claim the divisibility guarantee for systems it does not cover.
     """
     fld = system.field
-    cap = resolve_max_points(max_points)
-    if fld.p ** system.n_vars > cap:
-        raise GridTooLarge(f"Z_{fld.p}^{system.n_vars} exceeds the {cap}-point cap")
-    roots = []
-    for point in itertools.product(range(fld.p), repeat=system.n_vars):
-        if all(fld.is_zero(f.evaluate(point)) for f in system.polys):
-            roots.append(point)
+    roots = [
+        point
+        for point in _points([range(fld.p)] * system.n_vars, max_points)
+        if all(fld.is_zero(f.evaluate(point)) for f in system.polys)
+    ]
     degree_sum = sum(f.total_degree() for f in system.polys if f.terms)
     if degree_sum < system.n_vars:
         if len(roots) % fld.p != 0 or len(roots) == 1:
@@ -360,8 +353,8 @@ def olson_solve(
             state = nxt
             if state == zero:
                 break
-    if not chosen or state != zero:
-        raise TheoremViolation("zero-sum reconstruction lost a known witness")
+    if not chosen or any(sum(vecs[i][j] for i in chosen) % p for j in range(k)):
+        raise TheoremViolation(f"zero-sum witness {chosen} failed re-validation")
     return tuple(chosen)
 
 
@@ -490,28 +483,23 @@ def cycle_selection(
     if n % 2 == 1 and not force_search:
         raise OddCycle(f"cycle length {n} is odd; pass force_search to try anyway")
     chosen: list[Fraction] = []
-
-    def ok(i: int, v: Fraction) -> bool:
-        if i > 0 and chosen[i - 1] == v:
-            return False
-        if i == n - 1:
-            # the cycle closes here; a 1-cycle makes a vertex its own neighbor
-            if n == 1 or chosen[0] == v:
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for v in labels.pairs[i]:
-            if ok(i, v):
+    # Depth-first search on an explicit stack, so a cycle of any length fits:
+    # untried[i] yields the labels of vertex i not tried yet.
+    untried = [iter(labels.pairs[0])]
+    while untried and len(chosen) < n:
+        i = len(chosen)
+        for v in untried[-1]:
+            # the cycle closes at vertex n - 1; a 1-cycle is its own neighbor
+            if (i == 0 or chosen[-1] != v) and (i < n - 1 or (n > 1 and chosen[0] != v)):
                 chosen.append(v)
-                if backtrack(i + 1):
-                    return True
+                if i + 1 < n:
+                    untried.append(iter(labels.pairs[i + 1]))
+                break
+        else:
+            untried.pop()
+            if chosen:
                 chosen.pop()
-        return False
-
-    if backtrack(0):
+    if len(chosen) == n:
         witness = tuple(chosen)
         if any(witness[i] == witness[(i + 1) % n] for i in range(n)):
             raise TheoremViolation("cycle selection produced equal neighbors")
@@ -525,8 +513,8 @@ def cycle_selection(
 
 def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
     """Recompute the coefficient of x_1*...*x_n in prod(x_i - x_{i+1}) as the
-    alternating sum of the factored product over the label pairs, divided by
-    prod(a_i0 - a_i1); direct expansion is the independent second route.
+    weighted sum of the factored product over the grid of label pairs; direct
+    expansion is the independent second route.
 
     Must equal 2 for an even cycle, independently of the labels.  The two
     routes share nothing but scalar arithmetic: the first never expands the
@@ -537,18 +525,15 @@ def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
         raise OddCycle(f"certificate is for even cycles, got length {n}")
     if n > 10:
         raise ResourceLimit(f"certificate recomputation capped at 10 vertices, got {n}")
-    signed = Fraction(0)
-    for selector in itertools.product((0, 1), repeat=n):
-        point = [labels.pairs[i][s] for i, s in enumerate(selector)]
+
+    def product_at(point: tuple[Scalar, ...]) -> Fraction:
         value = Fraction(1)
         for i in range(n):
             value *= point[i] - point[(i + 1) % n]
-        signed += -value if sum(selector) % 2 else value
-    denom = Fraction(1)
-    for lo, hi in labels.pairs:
-        denom *= lo - hi
-    via_sum = signed / denom
+        return value
+
     fld = RationalField()
+    via_sum = _weighted_sum_of_values(product_at, Grid(fld, labels.pairs))
     f = MultiPoly.constant(fld, n, fld.one)
     for i in range(n):
         xi = MultiPoly.variable(fld, n, i)
@@ -557,7 +542,7 @@ def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
     via_expansion = f.coefficient_of((1,) * n)
     if via_sum != via_expansion or via_sum != 2:
         raise TheoremViolation(
-            f"even-cycle coefficient must be 2: alternating sum gave {via_sum}, "
+            f"even-cycle coefficient must be 2: weighted sum gave {via_sum}, "
             f"expansion gave {via_expansion}"
         )
     return via_sum
@@ -744,7 +729,7 @@ def snevily_solve(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]
         raise TheoremViolation(
             f"Snevily guarantee violated for a = {ares}, b = {bres} over Z_{p}"
         )
-    return perm
+    return _check_distinct_sums(perm, ares, bres, p)
 
 
 def snevily_mod_n(
@@ -764,14 +749,25 @@ def snevily_mod_n(
     if not hypothesis and not force_search:
         raise BadInput(f"need 2k <= n + 1, got k = {k}, n = {n}")
     ares = [x % n for x in a]
-    perm = _distinct_sum_permutation(ares, list(range(1, k + 1)), n)
+    b = list(range(1, k + 1))
+    perm = _distinct_sum_permutation(ares, b, n)
     if perm is None:
         if hypothesis:
             raise TheoremViolation(
                 f"distinct-sum guarantee violated for a = {ares} mod {n}"
             )
         return None
-    return perm
+    return _check_distinct_sums(perm, ares, b, n)
+
+
+def _check_distinct_sums(sigma, a: list[int], b: list[int], modulus: int) -> tuple[int, ...]:
+    """sigma, once it is a permutation of 1..k with a_i + b[sigma(i)-1]
+    pairwise distinct mod the modulus; TheoremViolation otherwise."""
+    k = len(a)
+    is_perm = sorted(sigma) == list(range(1, k + 1))
+    if not is_perm or len({(x + b[j - 1]) % modulus for x, j in zip(a, sigma)}) != k:
+        raise TheoremViolation(f"distinct-sum permutation {sigma} failed re-validation")
+    return sigma
 
 
 def _distinct_sum_permutation(

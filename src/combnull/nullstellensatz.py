@@ -13,9 +13,12 @@ here, for f a polynomial in n variables:
 * the previous point still holds whenever no monomial of f other than x^d
   dominates d coordinatewise (``is_restricted``), regardless of total degree.
 
-Specializations with their own entry points: sums over all of Z_2^n
-(weights are all 1), sums over all of Z_p^n (every weight is (-1)^n by
-Wilson's theorem), and alternating sums over two-element grids.
+Every grid point is drawn from one capped iterator, ``_points``, and every
+weighted sum runs through one loop, ``_weighted_sum_of_values``.  The
+specializations with their own entry points are exact reductions to that
+weighted sum: over all of Z_2^n every weight is 1; over all of Z_p^n every
+weight is (-1)^n by Wilson's theorem; over two-element grids the alternating
+sum is the weighted sum times the product of (a_i0 - a_i1).
 
 Everything is a pure function of its arguments, so grid enumerations may be
 partitioned freely across workers; results never depend on iteration order.
@@ -24,8 +27,11 @@ partitioned freely across workers; results never depend on iteration order.
 from __future__ import annotations
 
 import itertools
+import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -45,6 +51,10 @@ from .mpoly import MultiPoly
 
 DEFAULT_MAX_GRID_POINTS = 1 << 24
 MAX_GRID_POINTS_ENV = "COMBNULL_MAX_GRID_POINTS"
+# Longest run of tail weights the weighted sum tabulates, unless the last
+# coordinate set alone is longer: about 2 multiplications per entry to build,
+# against one head product per run.
+_MAX_RUN_TABLE = 1 << 8
 
 # Test hook: when nonzero, every Lagrange denominator is scaled by 1 + offset.
 # Used by the self-test command to demonstrate that a corrupted arithmetic
@@ -134,11 +144,18 @@ class GridPoint:
     value: tuple[Scalar, ...]
 
 
-def iter_points(grid: Grid) -> Iterator[GridPoint]:
-    """Mixed-radix enumeration of the grid, last coordinate varying fastest."""
-    index_ranges = [range(len(s)) for s in grid.sets]
-    for idx in itertools.product(*index_ranges):
-        yield GridPoint(idx, tuple(grid.sets[i][j] for i, j in enumerate(idx)))
+def _points(sets: Sequence[Sequence], max_points: int | None = None) -> Iterator[tuple]:
+    """Every point of sets[0] x ... x sets[-1], last coordinate varying fastest.
+
+    The one grid-size cap.  The point count is taken from len() alone, so a
+    range can stand for all of Z_p and a grid above the cap is refused before
+    anything of its size is built.
+    """
+    count = math.prod(len(s) for s in sets)
+    cap = resolve_max_points(max_points)
+    if count > cap:
+        raise GridTooLarge(f"grid has {count} points, cap is {cap}")
+    return itertools.product(*sets)
 
 
 def lagrange_denominator(field: FieldSpec, elements: Sequence[Scalar], a: Scalar) -> Scalar:
@@ -156,42 +173,6 @@ def lagrange_denominator(field: FieldSpec, elements: Sequence[Scalar], a: Scalar
     if _FAULT_OFFSET:
         out = field.mul(out, field.element(1 + _FAULT_OFFSET))
     return out
-
-
-class GridWeights:
-    """Per-point weights P(alpha), stored as per-coordinate denominator tables.
-
-    Storage is sum(|A_i|) scalars instead of the full product; P(alpha) and
-    1/P(alpha) are reassembled on demand.
-    """
-
-    __slots__ = ("grid", "denominators")
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        fld = grid.field
-        self.denominators = tuple(
-            tuple(lagrange_denominator(fld, s, a) for a in s) for s in grid.sets
-        )
-
-    def weight(self, index: Sequence[int]) -> Scalar:
-        fld = self.grid.field
-        out = fld.one
-        for table, j in zip(self.denominators, index):
-            out = fld.mul(out, table[j])
-        return out
-
-    def inverse_tables(self) -> list[list[Scalar]]:
-        fld = self.grid.field
-        return [[fld.inv(d) for d in table] for table in self.denominators]
-
-
-def grid_weights(grid: Grid, max_points: int | None = None) -> GridWeights:
-    """Weights for every grid point; refuses grids above the point cap."""
-    cap = resolve_max_points(max_points)
-    if grid.point_count() > cap:
-        raise GridTooLarge(f"grid has {grid.point_count()} points, cap is {cap}")
-    return GridWeights(grid)
 
 
 def weighted_power_sum(field: FieldSpec, elements: Sequence[Scalar], m: int) -> Scalar:
@@ -249,23 +230,46 @@ def _check_poly_grid(f: MultiPoly, grid: Grid) -> None:
         )
 
 
+def _inverse_denominators(fld: FieldSpec, elems: tuple[Scalar, ...]) -> list[Scalar]:
+    """1/denom(A, a) for each a in the sorted set A, in order."""
+    if isinstance(fld, PrimeField) and len(elems) == fld.p:
+        # all of Z_p is invariant under translation, so every denominator is
+        # (p - 1)! (= -1 by Wilson's theorem); one stands for all p of them
+        return [fld.inv(lagrange_denominator(fld, elems, elems[0]))] * fld.p
+    return [fld.inv(lagrange_denominator(fld, elems, a)) for a in elems]
+
+
 def _weighted_sum_of_values(
     value_at: Callable[[tuple[Scalar, ...]], Scalar],
     grid: Grid,
     max_points: int | None = None,
 ) -> Scalar:
-    """Sum of value_at(alpha) / P(alpha) over the grid, by direct enumeration."""
-    weights = grid_weights(grid, max_points)
-    inv_tables = weights.inverse_tables()
+    """Sum of value_at(alpha) / P(alpha) over the grid, by direct enumeration.
+
+    1/P(alpha) is a product of per-coordinate inverse denominators.  Its
+    products over a tail of the coordinates are tabulated once, and the
+    product over the other (head) coordinates is applied once per run through
+    the tail, so the weight costs a point one multiplication.
+    """
+    points = _points(grid.sets, max_points)
     fld = grid.field
-    paired = [list(zip(s, table)) for s, table in zip(grid.sets, inv_tables)]
+    mul, add = fld.mul, fld.add
+    inverse = {s: _inverse_denominators(fld, s) for s in set(grid.sets)}
+    tables = [inverse[s] for s in grid.sets]
+    cut, run_length = len(tables) - 1, len(tables[-1])
+    while cut and run_length * len(tables[cut - 1]) <= _MAX_RUN_TABLE:
+        cut -= 1
+        run_length *= len(tables[cut])
+    tail = [fld.one]
+    for table in tables[cut:]:
+        tail = [mul(w, d) for w in tail for d in table]
     total = fld.zero
-    for combo in itertools.product(*paired):
-        w = fld.one
-        for _, inv_d in combo:
-            w = fld.mul(w, inv_d)
-        point = tuple(v for v, _ in combo)
-        total = fld.add(total, fld.mul(value_at(point), w))
+    for head in itertools.product(*tables[:cut]):
+        run = fld.zero
+        # `tail` first: zip stops on it without drawing a point of the next run
+        for w, point in zip(tail, points):
+            run = add(run, mul(value_at(point), w))
+        total = add(total, reduce(mul, head, run))
     return total
 
 
@@ -283,34 +287,30 @@ def grid_weighted_sum(f: MultiPoly, grid: Grid, max_points: int | None = None) -
 def boolean_sum(f: MultiPoly) -> Scalar:
     """Sum of f over all of {0,1}^n; the field must be Z_2.
 
-    Over Z_2 every grid weight is 1, so this is the weighted sum in disguise:
-    for total_degree(f) <= n it equals the coefficient of x_1*...*x_n.
+    Over Z_2 every grid weight is 1, so this is the weighted sum over
+    {0,1}^n: for total_degree(f) <= n it equals the coefficient of
+    x_1*...*x_n.
     """
     if not isinstance(f.field, PrimeField) or f.field.p != 2:
         raise FieldMismatch("boolean_sum needs a polynomial over Z_2")
-    total = 0
-    for point in itertools.product((0, 1), repeat=f.n_vars):
-        total ^= f.evaluate(point)
-    return total
+    return _weighted_sum_of_values(f.evaluate, Grid(f.field, [(0, 1)] * f.n_vars))
 
 
 def zp_full_sum(f: MultiPoly, max_points: int | None = None) -> Scalar:
     """Sum of f over all of Z_p^n.
 
-    Every weight of the full grid Z_p^n is (-1)^n by Wilson's theorem, so
-    (-1)^n times this sum is the coefficient of x_1^{p-1}*...*x_n^{p-1}
-    whenever total_degree(f) <= n(p-1).
+    Every weight of the full grid Z_p^n is (-1)^n by Wilson's theorem, so this
+    is (-1)^n times the weighted sum over Z_p^n, and (-1)^n times this sum is
+    the coefficient of x_1^{p-1}*...*x_n^{p-1} whenever
+    total_degree(f) <= n(p-1).
     """
     if not isinstance(f.field, PrimeField):
         raise FieldMismatch("zp_full_sum needs a polynomial over a prime field")
     fld = f.field
-    cap = resolve_max_points(max_points)
-    if fld.p ** f.n_vars > cap:
-        raise GridTooLarge(f"Z_{fld.p}^{f.n_vars} exceeds the {cap}-point cap")
-    total = fld.zero
-    for point in itertools.product(range(fld.p), repeat=f.n_vars):
-        total = fld.add(total, f.evaluate(point))
-    return total
+    full = [range(fld.p)] * f.n_vars
+    _points(full, max_points)  # refuse before building p elements per coordinate
+    sign = fld.element((-1) ** f.n_vars)
+    return fld.mul(sign, _weighted_sum_of_values(f.evaluate, Grid(fld, full), max_points))
 
 
 def signed_two_element_sum(f: MultiPoly, grid: Grid) -> Scalar:
@@ -318,21 +318,17 @@ def signed_two_element_sum(f: MultiPoly, grid: Grid) -> Scalar:
 
     With A_i = {a_i0, a_i1} (sorted, a_i0 < a_i1), returns the sum over all
     selectors s in {0,1}^n of (-1)^(s_1+...+s_n) * f(a_1s_1, ..., a_ns_n).
-    Dividing by the product of (a_i0 - a_i1) gives the weighted grid sum: the
-    denominator of a_i1 is the negative of the denominator of a_i0, so each
-    selector's weight contributes exactly the matching sign.
+    The denominator of a_i1 is the negative of the denominator a_i0 - a_i1 of
+    a_i0, so this is the weighted grid sum times the product of (a_i0 - a_i1).
     """
     _check_poly_grid(f, grid)
     if any(len(s) != 2 for s in grid.sets):
         raise BadGridShape("signed sum needs every coordinate set of size exactly 2")
     fld = f.field
-    minus_one = fld.neg(fld.one)
-    total = fld.zero
-    for selector in itertools.product((0, 1), repeat=grid.n_vars):
-        point = tuple(grid.sets[i][s] for i, s in enumerate(selector))
-        sign = minus_one if sum(selector) % 2 else fld.one
-        total = fld.add(total, fld.mul(sign, f.evaluate(point)))
-    return total
+    scale = fld.one
+    for lo, hi in grid.sets:
+        scale = fld.mul(scale, fld.sub(lo, hi))
+    return fld.mul(scale, _weighted_sum_of_values(f.evaluate, grid))
 
 
 def second_nonvanish(
@@ -346,10 +342,12 @@ def second_nonvanish(
     one in that regime therefore raises TheoremViolation.
     """
     _check_poly_grid(f, grid)
-    cap = resolve_max_points(max_points)
-    if grid.point_count() > cap:
-        raise GridTooLarge(f"grid has {grid.point_count()} points, cap is {cap}")
-    hits = [pt for pt in iter_points(grid) if not f.field.is_zero(f.evaluate(pt.value))]
+    is_zero = f.field.is_zero
+    hits = [
+        GridPoint(tuple(map(bisect_left, grid.sets, point)), point)
+        for point in _points(grid.sets, max_points)
+        if not is_zero(f.evaluate(point))
+    ]
     if len(hits) == 1 and f.total_degree() < grid.degree_bound():
         raise TheoremViolation(
             "vanishing-sum identity violated: a polynomial of total degree "

@@ -111,12 +111,16 @@ def _suite_coefficients() -> None:
     h = parse_poly("x1*x2*x3 + x1*x2 + x3", f2, 3)
     _expect(boolean_sum(h) == grid_weighted_sum(h, g2),
             "boolean shortcut disagrees with the general sum")
+    _expect(boolean_sum(h) == h.coefficient_of((1, 1, 1)),
+            "boolean shortcut disagrees with the expanded top coefficient")
     f3 = PrimeField(3)
     g3 = Grid(f3, [[0, 1, 2]] * 2)
     q = parse_poly("x1^2*x2^2 + x1 + 2", f3, 2)
     sign = f3.element((-1) ** 2)
     _expect(zp_full_sum(q) == f3.mul(sign, grid_weighted_sum(q, g3)),
             "full-grid shortcut disagrees with the general sum")
+    _expect(f3.mul(sign, zp_full_sum(q)) == q.coefficient_of((2, 2)),
+            "full-grid shortcut disagrees with the expanded top coefficient")
     fq = RationalField()
     gq = Grid(fq, [[0, 1], [2, 5]])
     r = parse_poly("x1*x2 + 3", fq, 2)
@@ -126,6 +130,8 @@ def _suite_coefficients() -> None:
         denom *= lo - hi
     _expect(signed / denom == grid_weighted_sum(r, gq),
             "two-element alternating sum disagrees with the general sum")
+    _expect(signed / denom == r.coefficient_of((1, 1)),
+            "two-element alternating sum disagrees with the expanded top coefficient")
     pts = [0, 1, 3]
     vals = [1, 2, 0]
     poly = lagrange_interpolate(f5, pts, vals)

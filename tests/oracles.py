@@ -59,6 +59,27 @@ def weighted_sum_q(terms: dict, sets) -> Fraction:
     return total
 
 
+def boolean_sum(terms: dict, n: int) -> int:
+    """Sum of f over all of {0,1}^n, mod 2."""
+    return sum(eval_terms(terms, pt) for pt in itertools.product((0, 1), repeat=n)) % 2
+
+
+def zp_full_sum(terms: dict, n: int, p: int) -> int:
+    """Sum of f over all of Z_p^n, mod p."""
+    return sum(eval_terms(terms, pt) for pt in itertools.product(range(p), repeat=n)) % p
+
+
+def signed_two_element_sum(terms: dict, pairs, p: int | None = None):
+    """Sum over selectors s of (-1)^(s_1+...+s_n) f(a_1s_1, ..., a_ns_n), each
+    pair sorted ascending; mod p when p is given, an exact Fraction otherwise."""
+    pairs = [sorted(pair) for pair in pairs]
+    total = 0
+    for selector in itertools.product((0, 1), repeat=len(pairs)):
+        value = eval_terms(terms, [pair[s] for pair, s in zip(pairs, selector)])
+        total += -value if sum(selector) % 2 else value
+    return total % p if p else Fraction(total)
+
+
 def power_sum_direct(p: int, k: int) -> int:
     # 0^0 = 1 convention
     return sum((x**k if k else 1) for x in range(p)) % p

@@ -126,27 +126,33 @@ def test_03_power_sum_kernel(report):
 
 
 def test_04_special_case_sums(report, rng):
+    # each shortcut against its brute-force oracle, and against the top
+    # coefficient of the expansion wherever the degree allows
     with criterion(report, 4, "boolean, full-residue and signed sums consistent"):
         fld2 = PrimeField(2)
         for _ in range(200):
             n = rng.randint(1, 8)
-            f = MultiPoly(fld2, n, oracles.random_terms_zp(rng, n, 2, 2 * n))
-            full = Grid(fld2, [[0, 1]] * n)
-            assert boolean_sum(f) == grid_weighted_sum(f, full)
+            terms = oracles.random_terms_zp(rng, n, 2, 2 * n)
+            f = MultiPoly(fld2, n, terms)
+            assert boolean_sum(f) == oracles.boolean_sum(terms, n)
+            if f.total_degree() <= n:
+                assert boolean_sum(f) == f.coefficient_of((1,) * n)
         for _ in range(200):
             p = rng.choice((2, 3, 5))
             n = rng.randint(1, {2: 8, 3: 5, 5: 3}[p])
             fld = PrimeField(p)
-            f = MultiPoly(fld, n, oracles.random_terms_zp(rng, n, p, n * (p - 1)))
-            full = Grid(fld, [range(p)] * n)
-            expected = fld.mul(fld.element((-1) ** n), zp_full_sum(f))
-            assert grid_weighted_sum(f, full) == expected
+            terms = oracles.random_terms_zp(rng, n, p, n * (p - 1))
+            f = MultiPoly(fld, n, terms)
+            assert zp_full_sum(f) == oracles.zp_full_sum(terms, n, p)
+            sign = fld.element((-1) ** n)
+            assert fld.mul(sign, zp_full_sum(f)) == f.coefficient_of((p - 1,) * n)
         for _ in range(200):
             n = rng.randint(1, 7)
             if rng.random() < 0.5:
                 fld = PrimeField(rng.choice((3, 5, 7)))
                 sets = [rng.sample(range(fld.p), 2) for _ in range(n)]
                 terms = oracles.random_terms_zp(rng, n, fld.p, n + 2)
+                expected = oracles.signed_two_element_sum(terms, sets, fld.p)
             else:
                 fld = Q
                 sets = []
@@ -154,14 +160,15 @@ def test_04_special_case_sums(report, rng):
                     lo = Fraction(rng.randint(-6, 5), rng.randint(1, 4))
                     sets.append([lo, lo + rng.randint(1, 3)])
                 terms = oracles.random_terms_q(rng, n, n + 2)
+                expected = oracles.signed_two_element_sum(terms, sets)
             f = MultiPoly(fld, n, terms)
             grid = Grid(fld, sets)
-            scale = fld.one
-            for lo, hi in grid.sets:
-                scale = fld.mul(scale, fld.sub(lo, hi))
-            assert signed_two_element_sum(f, grid) == fld.mul(
-                grid_weighted_sum(f, grid), scale
-            )
+            assert signed_two_element_sum(f, grid) == expected
+            if f.total_degree() <= n:
+                scale = fld.one
+                for lo, hi in grid.sets:
+                    scale = fld.mul(scale, fld.sub(lo, hi))
+                assert expected == fld.mul(f.coefficient_of((1,) * n), scale)
 
 
 def test_05_chevalley_warning(report, rng):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from combnull import PrimeField, combinatorics, parse_poly
+from combnull import cli as cli_mod
 from combnull.cli import run
 
 PYTHON = [sys.executable, "-m", "combnull.cli"]
@@ -235,6 +237,16 @@ def test_olson_check_round_trip(cli):
     assert bad[0] == 2 and bad[1]["check_valid"] == "false"
 
 
+def test_cycle_labels_long_cycle(cli):
+    # 1200 vertices: deeper than the default recursion limit
+    pairs = ";".join(["1,2"] * 1200)
+    code, doc, _ = cli("cycle-labels", "--pairs", pairs)
+    assert code == 0
+    assert doc["status"] == "ok"
+    assert doc["selection"] == ",".join(["1,2"] * 600)
+    assert "certificate" not in doc
+
+
 def test_cycle_check_round_trip(cli):
     good = cli("cycle-labels", "--pairs", "1,2;1,2;1,2;1,2", "--check", "1,2,1,2")
     assert good[0] == 0 and good[1]["check_valid"] == "true"
@@ -292,6 +304,32 @@ def test_resource_limit_exit_three(cli, monkeypatch):
     assert code == 3
     assert doc["status"] == "resource-limit"
     assert "GridTooLarge" in doc["error"]
+
+
+def test_internal_error_exit_four(cli, monkeypatch):
+    # a solver whose witness fails its own re-check, and a CLI re-check that
+    # fails, both end as status internal-error with exit 4, never exit 1
+    monkeypatch.setattr(combinatorics, "_distinct_sum_permutation", lambda a, b, m: (1, 1, 2))
+    code, doc, err = cli("snevily", "--p", "7", "--a", "0,0,0", "--b", "1,2,3")
+    assert code == 4
+    assert doc["status"] == "internal-error"
+    assert doc["error"].startswith("TheoremViolation: ")
+    assert list(doc) == ["command", "status", "error", "time_ms"]
+    assert len(err.splitlines()) == 1 and "internal error" in err
+
+    code, doc, err = cli("snevily", "--n", "5", "--a", "0,0,0", "--format", "json")
+    assert code == 4
+    parsed = json.loads(" ".join(f"{k} {v}".strip() for k, v in doc.items()))
+    assert parsed["status"] == "internal-error"
+    assert parsed["error"].startswith("TheoremViolation: ")
+    assert sorted(parsed) == ["command", "error", "status", "time_ms"]
+    assert len(err.splitlines()) == 1
+
+    fld = PrimeField(5)
+    monkeypatch.setattr(cli_mod, "lagrange_interpolate", lambda *args: parse_poly("x1", fld, 1))
+    code, doc, _ = cli("lagrange", "--p", "5", "--points", "0,1", "--values", "2,3")
+    assert code == 4
+    assert doc["status"] == "internal-error"
 
 
 def test_flag_overrides_env_cap(cli, monkeypatch):

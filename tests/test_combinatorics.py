@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from combnull import (
     RequiresDistinctSets,
     ResourceLimit,
     SizeMismatch,
+    TheoremViolation,
     cauchy_davenport_check,
     cycle_selection,
     cycle_selection_certificate,
@@ -52,6 +54,7 @@ from combnull import (
     vandermonde_sq_coefficient,
 )
 from combnull.errors import ArityMismatch
+from combnull import combinatorics
 from combnull.combinatorics import _min_mask_zero_degrees, _scan_exact_degrees
 
 F2 = PrimeField(2)
@@ -157,6 +160,14 @@ def test_common_roots_grid_cap():
     system = PolySystem(F3, 3, [parse_poly("x1", F3, 3)])
     with pytest.raises(GridTooLarge):
         common_roots(system, max_points=10)
+    # Z_(2^31 - 1)^2 is refused from its size alone, before any coordinate
+    # range is enumerated or stored
+    big = PrimeField(2**31 - 1)
+    system = PolySystem(big, 2, [parse_poly("x1 + x2", big, 2)])
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge):
+        common_roots(system)
+    assert time.perf_counter() - start < 1.0
 
 
 # -------------------------------------------------------------------- sumsets
@@ -486,6 +497,20 @@ def test_cycle_selection_matches_oracle(seed):
         assert got[i] != got[(i + 1) % n]
 
 
+def test_cycle_selection_long_cycles():
+    # far deeper than the interpreter's recursion limit
+    n = 3000
+    assert cycle_selection(CycleLabels([(1, 2)] * n)) == (1, 2) * (n // 2)
+    # the closing vertex rejects both of its labels until vertex n - 2 takes
+    # its second one, so the search has to back up from depth n
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 2)]
+    assert cycle_selection(CycleLabels(pairs)) == (*range(n - 2), n - 1, n - 2)
+    rng = random.Random(11)
+    pairs = [tuple(rng.sample(range(4), 2)) for _ in range(n)]
+    got = cycle_selection(CycleLabels(pairs))
+    assert all(got[i] in pairs[i] and got[i] != got[(i + 1) % n] for i in range(n))
+
+
 def test_cycle_certificate_is_two():
     rng = random.Random(5)
     for n in (2, 4, 6, 8):
@@ -644,6 +669,22 @@ def test_snevily_validation():
         snevily_solve([0] * 5, [0, 1, 2, 3, 4], 5)  # k = p
     with pytest.raises(BadInput):
         snevily_solve([0, 0], [1, 6], 5)  # 1 and 6 collide mod 5
+
+
+def test_distinct_sum_witnesses_are_revalidated(monkeypatch):
+    # a search that returns a broken permutation must not get past its solver
+    for bad in ((1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)):  # not permutations of 1..3
+        monkeypatch.setattr(combinatorics, "_distinct_sum_permutation", lambda a, b, m, bad=bad: bad)
+        with pytest.raises(TheoremViolation):
+            snevily_solve([0, 0, 0], [1, 2, 3], 7)
+        with pytest.raises(TheoremViolation):
+            snevily_mod_n([0, 0, 0], 5)
+    # the identity permutation, but a_1 + b_1 = a_2 + b_2 in both cases
+    monkeypatch.setattr(combinatorics, "_distinct_sum_permutation", lambda a, b, m: (1, 2, 3))
+    with pytest.raises(TheoremViolation):
+        snevily_solve([1, 0, 0], [1, 2, 3], 7)
+    with pytest.raises(TheoremViolation):
+        snevily_mod_n([1, 0, 2], 5)
 
 
 @given(st.integers(0, 150))

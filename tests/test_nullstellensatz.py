@@ -1,6 +1,8 @@
 """Grid machinery and the coefficient/vanishing identities."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,8 +24,6 @@ from combnull import (
     TheoremViolation,
     boolean_sum,
     grid_weighted_sum,
-    grid_weights,
-    iter_points,
     lagrange_denominator,
     lagrange_interpolate,
     parse_poly,
@@ -68,10 +68,17 @@ def test_grid_canonicalizes_and_validates():
 
 
 def test_iter_points_order():
+    # the constant 1 vanishes nowhere, so its witness list is every grid
+    # point in enumeration order, last coordinate fastest
     g = Grid(F5, [[0, 1], [2, 3]])
-    pts = list(iter_points(g))
+    pts = second_nonvanish(parse_poly("1", F5, 2), g)
     assert [p.value for p in pts] == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert [p.index for p in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # indices are positions in the sorted sets, over Q as well
+    gq = Grid(Q, [[Fraction(1, 2), -1], [3]])
+    pts = second_nonvanish(parse_poly("1", Q, 2), gq)
+    assert [p.value for p in pts] == [(-1, 3), (Fraction(1, 2), 3)]
+    assert [p.index for p in pts] == [(0, 0), (1, 0)]
 
 
 def test_resolve_max_points(monkeypatch):
@@ -91,10 +98,10 @@ def test_resolve_max_points(monkeypatch):
 
 def test_grid_cap_enforced(monkeypatch):
     g = Grid(F5, [[0, 1, 2], [0, 1, 2]])  # 9 points
-    with pytest.raises(GridTooLarge):
-        grid_weights(g, 8)
-    monkeypatch.setenv(MAX_GRID_POINTS_ENV, "8")
     f = parse_poly("x1*x2", F5, 2)
+    with pytest.raises(GridTooLarge):
+        grid_weighted_sum(f, g, 8)
+    monkeypatch.setenv(MAX_GRID_POINTS_ENV, "8")
     with pytest.raises(GridTooLarge):
         grid_weighted_sum(f, g)
     assert grid_weighted_sum(f, g, 9) is not None  # explicit override unblocks
@@ -127,25 +134,26 @@ def test_lagrange_denominator_known_values():
 
 
 def test_singleton_grid_weights_are_one():
+    # a one-point grid has the empty product as its only weight
     g = Grid(F5, [[2], [4], [1]])
-    w = grid_weights(g)
-    assert w.weight((0, 0, 0)) == 1
+    assert grid_weighted_sum(parse_poly("1", F5, 3), g) == 1
+    assert grid_weighted_sum(parse_poly("3", F5, 3), g) == 3
 
 
 def test_grid_weights_tables():
-    g = Grid(F7, [[0, 1, 3], [2, 5]])
-    w = grid_weights(g)
-    for pt in iter_points(g):
-        expected = 1
-        for i, a in enumerate(pt.value):
-            for b in g.sets[i]:
-                if b != a:
-                    expected = expected * (a - b) % 7
-        assert w.weight(pt.index) == expected
-    inv = w.inverse_tables()
-    for i, table in enumerate(inv):
-        for j, v in enumerate(table):
-            assert F7.mul(v, w.denominators[i][j]) == 1
+    # The Lagrange indicator of alpha, prod_i prod_{b != alpha_i} (x_i - b),
+    # is P(alpha) at alpha and 0 at every other grid point, so its weighted
+    # sum is 1 exactly when the weight of alpha is 1/P(alpha).
+    for g in (Grid(F7, [[0, 1, 3], [2, 5]]),
+              Grid(Q, [[Fraction(-1, 2), 0, 4], [1, 3], [Fraction(2, 3)]])):
+        fld, n = g.field, g.n_vars
+        for alpha in itertools.product(*g.sets):
+            indicator = MultiPoly.constant(fld, n, fld.one)
+            for i, a in enumerate(alpha):
+                for b in g.sets[i]:
+                    if b != a:
+                        indicator = indicator * (MultiPoly.variable(fld, n, i) - b)
+            assert grid_weighted_sum(indicator, g) == 1
 
 
 # ------------------------------------------------------------------ the kernel
@@ -310,8 +318,7 @@ def test_boolean_sum_consistency(seed):
     n = rng.randint(1, 4)
     terms = oracles.random_terms_zp(rng, n, 2, max_total=n + 2)
     f = MultiPoly(F2, n, terms)
-    full = Grid(F2, [[0, 1]] * n)
-    assert boolean_sum(f) == grid_weighted_sum(f, full)
+    assert boolean_sum(f) == oracles.boolean_sum(terms, n)
     if f.total_degree() <= n:
         assert boolean_sum(f) == f.coefficient_of((1,) * n)
 
@@ -330,9 +337,8 @@ def test_zp_full_sum_consistency(seed):
     field = PrimeField(p)
     terms = oracles.random_terms_zp(rng, n, p, max_total=n * (p - 1))
     f = MultiPoly(field, n, terms)
-    full = Grid(field, [list(range(p))] * n)
     sign = field.element((-1) ** n)
-    assert zp_full_sum(f) == field.mul(sign, grid_weighted_sum(f, full))
+    assert zp_full_sum(f) == oracles.zp_full_sum(terms, n, p)
     # and the coefficient form within the degree window
     assert field.mul(sign, zp_full_sum(f)) == f.coefficient_of((p - 1,) * n)
 
@@ -342,6 +348,29 @@ def test_zp_full_sum_validation():
         zp_full_sum(parse_poly("x1", Q))
     with pytest.raises(GridTooLarge):
         zp_full_sum(parse_poly("x1*x2*x3", F7, 3), max_points=300)
+    # Z_(2^31 - 1) is refused from its size alone, before its residues are built
+    big = PrimeField(2**31 - 1)
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge):
+        zp_full_sum(parse_poly("x1", big, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_shortcut_sums_obey_the_environment_cap(monkeypatch):
+    # every shortcut is a weighted grid sum, so every one is capped
+    cube = parse_poly("x1*x2*x3", F2, 3)
+    pairs = Grid(Q, [[0, 1], [2, 5], [-1, 3]])
+    cubic = parse_poly("x1*x2*x3", Q, 3)
+    monkeypatch.setenv(MAX_GRID_POINTS_ENV, "7")
+    with pytest.raises(GridTooLarge):
+        boolean_sum(cube)
+    with pytest.raises(GridTooLarge):
+        signed_two_element_sum(cubic, pairs)
+    with pytest.raises(GridTooLarge):
+        zp_full_sum(parse_poly("x1*x2", F3, 2))
+    monkeypatch.setenv(MAX_GRID_POINTS_ENV, "8")  # exactly the grid size
+    assert boolean_sum(cube) == 1
+    assert signed_two_element_sum(cubic, pairs) == (0 - 1) * (2 - 5) * (-1 - 3)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -354,10 +383,12 @@ def test_signed_two_element_sum_consistency(seed):
     f = MultiPoly(Q, n, terms)
     grid = Grid(Q, sets)
     signed = signed_two_element_sum(f, grid)
-    denom = Fraction(1)
-    for lo, hi in grid.sets:
-        denom *= lo - hi
-    assert signed == grid_weighted_sum(f, grid) * denom
+    assert signed == oracles.signed_two_element_sum(terms, sets)
+    if f.total_degree() <= n:
+        denom = Fraction(1)
+        for lo, hi in grid.sets:
+            denom *= lo - hi
+        assert signed == f.coefficient_of((1,) * n) * denom
 
 
 def test_signed_sum_needs_pairs():
