@@ -36,7 +36,6 @@ from .field import (
     RationalField,
     Scalar,
     is_prime,
-    make_field,
     power_sum,
     primitive_root,
 )
@@ -67,13 +66,17 @@ from .combinatorics import (
     common_roots,
     cycle_selection,
     cycle_selection_certificate,
+    cycle_selection_valid,
     egz_solve,
+    egz_valid,
     erdos_heilbronn_check,
     olson_lower_witness,
     olson_solve,
+    olson_valid,
     plane_cover_construct,
     plane_cover_verify,
     regular_subgraph_find,
+    regular_subgraph_valid,
     restricted_sumset,
     snevily_mod_n,
     snevily_solve,

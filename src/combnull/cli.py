@@ -1,11 +1,15 @@
-"""Command-line interface.
+"""Command-line interface (``combnull <cmd>`` or ``python -m combnull <cmd>``).
 
-Every subcommand reads flags (optionally topped up from a line-oriented
-``key value`` document given with --input FILE, or on standard input when
---input is absent and stdin is piped) and writes one structured document to
-standard output: ``key value`` lines, or JSON with --format json.  Output is
-deterministic except for the trailing time_ms line.  Every solver re-checks
-its witness against the defining property before returning it.
+Every subcommand reads flags, optionally topped up from a line-oriented
+``key value`` document given with --input FILE or --input -.  Without
+--input, piped standard input is read as the document only when no flag of
+the command itself is given (--format and --max-grid-points do not count), so
+a silent pipe never blocks a fully flagged call.  Each subcommand writes one
+structured document to standard output: ``key value`` lines, or JSON with
+--format json.  Output is deterministic except for the trailing time_ms line;
+a reader that closes the pipe early does not change the exit code.  Every
+solver re-checks its witness against the defining property before returning
+it, and each --check calls the same predicate from combinatorics.
 
 Exit codes: 0 success, 1 witness searched for but absent, 2 invalid input,
 3 resource limit exceeded, 4 internal error (a guaranteed identity or a
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -31,13 +36,17 @@ from .combinatorics import (
     common_roots,
     cycle_selection,
     cycle_selection_certificate,
+    cycle_selection_valid,
     egz_solve,
+    egz_valid,
     erdos_heilbronn_check,
     olson_lower_witness,
     olson_solve,
+    olson_valid,
     plane_cover_construct,
     plane_cover_verify,
     regular_subgraph_find,
+    regular_subgraph_valid,
     restricted_sumset,
     snevily_mod_n,
     snevily_solve,
@@ -114,13 +123,12 @@ def _parse_edges(text: str, what: str) -> list[tuple[int, int]]:
     return out
 
 
-def _parse_point_list(text: str, what: str) -> list[tuple[int, ...]]:
+def _parse_point_list(text: str, field: FieldSpec, what: str) -> list[tuple]:
     out = []
     for tok in _split(text, ";"):
-        tok = tok.strip()
         if not (tok.startswith("(") and tok.endswith(")")):
             raise SchemaError(f"{what}: a point looks like (0,1), got {tok!r}")
-        out.append(tuple(_parse_int_list(tok[1:-1], what)))
+        out.append(tuple(_parse_scalar_list(tok[1:-1], field, what)))
     return out
 
 
@@ -163,18 +171,17 @@ def _fmt_edges(edges) -> str:
 # ------------------------------------------------------------------- plumbing
 
 
-def _read_document(path: str | None) -> dict[str, str]:
-    """key value lines; blank lines and #-comments skipped."""
-    if path is not None and path != "-":
+def _read_document(path: str) -> dict[str, str]:
+    """key value lines from a file, or from stdin for '-'; blank lines and
+    #-comments skipped."""
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise SchemaError(f"cannot read input file {path!r}: {exc}") from exc
-    elif path == "-" or (not sys.stdin.isatty()):
-        raw = sys.stdin.read()
-    else:
-        return {}
     doc: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), 1):
         line = line.strip()
@@ -187,27 +194,28 @@ def _read_document(path: str | None) -> dict[str, str]:
     return doc
 
 
+# argparse destinations shared by every command; the rest are its own flags
+_COMMON_DESTS = {"command", "handler", "input", "format", "max_grid_points"}
+
+
 class Request:
     """Parsed args merged with any structured input document."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        self._source = args.input
+        own_flags = [v for k, v in vars(args).items() if k not in _COMMON_DESTS]
+        if self._source is None and not sys.stdin.isatty() and all(v is None for v in own_flags):
+            self._source = "-"
         self._doc: dict[str, str] | None = None
-
-    def _document(self) -> dict[str, str]:
-        if self._doc is None:
-            self._doc = _read_document(getattr(self.args, "input", None))
-        return self._doc
 
     def get(self, name: str, default=None) -> str | None:
         value = getattr(self.args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if getattr(self.args, "input", None) is not None or not sys.stdin.isatty():
-            doc_value = self._document().get(name)
-            if doc_value is not None:
-                return doc_value
-        return default
+        if value is None and self._source is not None:
+            if self._doc is None:
+                self._doc = _read_document(self._source)
+            value = self._doc.get(name)
+        return default if value is None else value
 
     def require(self, name: str) -> str:
         value = self.get(name)
@@ -250,6 +258,12 @@ def _poly_and_grid(req: Request) -> tuple[MultiPoly, Grid]:
     return f, grid
 
 
+def _checked(out: dict, ok: bool) -> tuple[dict, int]:
+    """The --check answer: exit 0 for a valid claim, 2 otherwise."""
+    out["check_valid"] = ok
+    return out, EXIT_OK if ok else EXIT_INPUT_ERROR
+
+
 # --------------------------------------------------------------- subcommands
 
 
@@ -288,15 +302,8 @@ def _cmd_witness(req: Request) -> tuple[dict, int]:
     }
     check = req.get("check")
     if check is not None:
-        claimed = _parse_point_list(check, "check")
-        actual = [pt.value for pt in points]
-        field = grid.field
-        claimed = [tuple(field.element(x) for x in pt) for pt in claimed]
-        ok = all(pt in actual for pt in claimed) and bool(claimed)
-        out["check_valid"] = ok
-        if not ok:
-            return out, EXIT_INPUT_ERROR
-        return out, EXIT_OK
+        claimed = set(_parse_point_list(check, grid.field, "check"))
+        return _checked(out, claimed <= {pt.value for pt in points})
     if not points:
         return out, EXIT_NO_WITNESS
     return out, EXIT_OK
@@ -374,15 +381,7 @@ def _cmd_egz(req: Request) -> tuple[dict, int]:
     }
     check = req.get("check")
     if check is not None:
-        claimed = _parse_int_list(check, "check")
-        ok = (
-            len(claimed) == p
-            and len(set(claimed)) == p
-            and all(0 <= i < len(nums) for i in claimed)
-            and sum(nums[i] for i in claimed) % p == 0
-        )
-        out["check_valid"] = ok
-        return out, EXIT_OK if ok else EXIT_INPUT_ERROR
+        return _checked(out, egz_valid(nums, p, _parse_int_list(check, "check")))
     return out, EXIT_OK
 
 
@@ -410,16 +409,7 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
     }
     check = req.get("check")
     if check is not None:
-        claimed = _parse_int_list(check, "check")
-        sums = [sum(vectors[i][j] for i in claimed) % p for j in range(k)]
-        ok = (
-            bool(claimed)
-            and len(set(claimed)) == len(claimed)
-            and all(0 <= i < len(vectors) for i in claimed)
-            and all(s == 0 for s in sums)
-        )
-        out["check_valid"] = ok
-        return out, EXIT_OK if ok else EXIT_INPUT_ERROR
+        return _checked(out, olson_valid(vectors, p, _parse_int_list(check, "check")))
     if subset is None:
         out["witness"] = None
         return out, EXIT_NO_WITNESS
@@ -467,14 +457,7 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
     check = req.get("check")
     if check is not None:
         claimed = [_parse_fraction(tok, "check") for tok in _split(check, ",")]
-        ok = (
-            len(claimed) == n
-            and all(claimed[i] in labels.pairs[i] for i in range(n))
-            and all(claimed[i] != claimed[(i + 1) % n] for i in range(n))
-            and n > 1
-        )
-        out["check_valid"] = ok
-        return out, EXIT_OK if ok else EXIT_INPUT_ERROR
+        return _checked(out, cycle_selection_valid(labels, claimed))
     selection = cycle_selection(labels, force_search=req.flag("force-search"))
     if selection is None:
         out["selection"] = None
@@ -497,19 +480,7 @@ def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
     }
     check = req.get("check")
     if check is not None:
-        claimed = _parse_edges(check, "check")
-        claimed = [(min(u, v), max(u, v)) for u, v in claimed]
-        degs = [0] * n_vertices
-        ok = bool(claimed) and len(set(claimed)) == len(claimed)
-        for u, v in claimed:
-            if (u, v) not in graph.edges:
-                ok = False
-                break
-            degs[u] += 1
-            degs[v] += 1
-        ok = ok and all(d in (0, p) for d in degs) and any(degs)
-        out["check_valid"] = ok
-        return out, EXIT_OK if ok else EXIT_INPUT_ERROR
+        return _checked(out, regular_subgraph_valid(graph, p, _parse_edges(check, "check")))
     subset = regular_subgraph_find(graph, p, force_search=req.flag("force-search"))
     if subset is None:
         out["witness"] = None
@@ -608,24 +579,6 @@ def _cmd_selftest(req: Request) -> tuple[dict, int]:
     return out, EXIT_OK if failures == 0 else 1
 
 
-_HANDLERS = {
-    "coeff": _cmd_coeff,
-    "witness": _cmd_witness,
-    "chevalley": _cmd_chevalley,
-    "sumset": _cmd_sumset,
-    "egz": _cmd_egz,
-    "olson": _cmd_olson,
-    "planes": _cmd_planes,
-    "cycle-labels": _cmd_cycle_labels,
-    "regular-subgraph": _cmd_regular_subgraph,
-    "snevily": _cmd_snevily,
-    "vandermonde": _cmd_vandermonde,
-    "symdiff": _cmd_symdiff,
-    "lagrange": _cmd_lagrange,
-    "selftest": _cmd_selftest,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combnull",
@@ -633,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *flags: tuple) -> None:
+    def add(name: str, handler, help_text: str, *flags: tuple) -> None:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--input", help="key-value document file ('-' for stdin)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--max-grid-points", help="override the grid enumeration cap")
@@ -647,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         f("--rational", action="store_true", default=None, help="work over the rationals"),
     ]
     add(
-        "coeff",
+        "coeff", _cmd_coeff,
         "coefficient of the top grid monomial via the weighted sum",
         *field_flags,
         f("--poly", help="polynomial text, e.g. 2*x1^2*x2 - x3 + 5"),
@@ -655,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         f("--nvars", help="variable count (default: one per grid set)"),
     )
     add(
-        "witness",
+        "witness", _cmd_witness,
         "grid points where the polynomial does not vanish",
         *field_flags,
         f("--poly", help="polynomial text"),
@@ -664,14 +618,14 @@ def build_parser() -> argparse.ArgumentParser:
         f("--check", help="verify these points instead, e.g. (1,1);(0,1)"),
     )
     add(
-        "chevalley",
+        "chevalley", _cmd_chevalley,
         "common roots of a system over Z_p and the divisibility guarantee",
         f("--p", help="prime modulus"),
         f("--nvars", help="variable count"),
         f("--polys", help="system members separated by ';'"),
     )
     add(
-        "sumset",
+        "sumset", _cmd_sumset,
         "sumsets and the Cauchy-Davenport / Erdos-Heilbronn bounds",
         f("--p", help="prime modulus"),
         f("--a", help="set A, e.g. 0,1,2"),
@@ -680,14 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
         f("--restricted", action="store_true", default=None, help="restricted sumset (x != y)"),
     )
     add(
-        "egz",
+        "egz", _cmd_egz,
         "p indices out of 2p-1 integers summing to 0 mod p",
         f("--p", help="prime modulus"),
         f("--nums", help="2p-1 integers, e.g. 1,1,1,2,2"),
         f("--check", help="verify these indices instead"),
     )
     add(
-        "olson",
+        "olson", _cmd_olson,
         "nonempty zero-sum subset of vectors in Z_p^k",
         f("--p", help="prime modulus"),
         f("--k", help="dimension"),
@@ -697,21 +651,21 @@ def build_parser() -> argparse.ArgumentParser:
         f("--check", help="verify these indices instead"),
     )
     add(
-        "planes",
+        "planes", _cmd_planes,
         "plane families covering {0..n}^3 minus the origin",
         f("--n", help="grid parameter"),
         f("--construct", action="store_true", default=None, help="emit the 3n-plane family"),
         f("--planes", help="planes a,b,c,d separated by ';' (verify mode)"),
     )
     add(
-        "cycle-labels",
+        "cycle-labels", _cmd_cycle_labels,
         "pick one of two labels per cycle vertex with neighbors distinct",
         f("--pairs", help="label pairs, e.g. 1,2;3,4;1,2;3,4"),
         f("--force-search", action="store_true", default=None),
         f("--check", help="verify this selection instead, e.g. 1,3,1,4"),
     )
     add(
-        "regular-subgraph",
+        "regular-subgraph", _cmd_regular_subgraph,
         "nonempty p-regular edge subset of a graph",
         f("--p", help="prime modulus"),
         f("--vertices", help="vertex count"),
@@ -720,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         f("--check", help="verify this edge subset instead"),
     )
     add(
-        "snevily",
+        "snevily", _cmd_snevily,
         "permutation making pairwise sums distinct",
         f("--p", help="odd prime (two-sequence form, needs --b)"),
         f("--n", help="modulus (adds 1..k form)"),
@@ -729,19 +683,19 @@ def build_parser() -> argparse.ArgumentParser:
         f("--force-search", action="store_true", default=None),
     )
     add(
-        "vandermonde",
+        "vandermonde", _cmd_vandermonde,
         "coefficient of the balanced monomial in the squared Vandermonde product",
         f("--k", help="number of variables"),
         f("--closed-only", action="store_true", default=None, help="skip the verification paths"),
     )
     add(
-        "symdiff",
+        "symdiff", _cmd_symdiff,
         "distinct symmetric differences across a two-coloring of 2^n+1 sets",
         f("--sets", help="sets of integers, ';'-separated; empty piece = empty set"),
         f("--colors", help="one color label per set, e.g. 0,1,1"),
     )
     add(
-        "lagrange",
+        "lagrange", _cmd_lagrange,
         "interpolate values on distinct points (univariate)",
         *field_flags,
         f("--points", help="distinct sample points"),
@@ -749,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         f("--power-sum", help="also report sum of a^m / denom(A, a) for this m"),
     )
     add(
-        "selftest",
+        "selftest", _cmd_selftest,
         "run the bundled invariant suites at reduced scale",
         f("--suite", help="run only this suite"),
         f("--inject-fault", action="store_true", default=None,
@@ -763,21 +717,28 @@ def _emit(command: str, payload: dict, status: str, fmt: str, started: float) ->
     doc.update(payload)
     doc["time_ms"] = int((time.monotonic() - started) * 1000)
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, default=str))
-        return
-    for key, value in doc.items():
-        print(f"{key} {_fmt(value)}")
+        text = json.dumps(doc, sort_keys=True, default=str) + "\n"
+    else:
+        text = "".join(f"{key} {_fmt(value)}\n" for key, value in doc.items())
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again; the exit code stays the
+        # command's own.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    fmt = getattr(args, "format", "text")
+    fmt = args.format
     command = args.command
     req = Request(args)
     try:
-        payload, code = _HANDLERS[command](req)
+        payload, code = args.handler(req)
     except InputError as exc:
         print(f"combnull {command}: {exc}", file=sys.stderr)
         _emit(command, {"error": f"{type(exc).__name__}: {exc}"}, "input-error", fmt, started)

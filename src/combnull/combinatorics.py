@@ -254,6 +254,19 @@ def erdos_heilbronn_check(
 # ------------------------------------------------------------------- zero sums
 
 
+def _distinct_indices(indices: Sequence[int], size: int) -> bool:
+    return len(set(indices)) == len(indices) and all(0 <= i < size for i in indices)
+
+
+def egz_valid(nums: Sequence[int], p: int, indices: Sequence[int]) -> bool:
+    """True iff indices name p distinct positions of nums summing to 0 mod p."""
+    return (
+        len(indices) == p > 0
+        and _distinct_indices(indices, len(nums))
+        and sum(nums[i] for i in indices) % p == 0
+    )
+
+
 def egz_solve(nums: Sequence[int], p: int) -> tuple[int, ...]:
     """Erdos-Ginzburg-Ziv: among 2p - 1 integers, p of them sum to 0 mod p.
 
@@ -288,11 +301,21 @@ def egz_solve(nums: Sequence[int], p: int) -> tuple[int, ...]:
             target = (target - res[i]) % p
         if not need:
             break
-    if need or sum(nums[i] for i in chosen) % p != 0:
+    if not egz_valid(nums, p, chosen):
         raise TheoremViolation(
             f"EGZ guarantee violated: no p-subset with zero sum among {nums} mod {p}"
         )
     return tuple(chosen)
+
+
+def olson_valid(vectors: Sequence[Sequence[int]], p: int, indices: Sequence[int]) -> bool:
+    """True iff indices name a nonempty set of distinct vectors whose sum is
+    0 mod p in every coordinate."""
+    return (
+        bool(indices)
+        and _distinct_indices(indices, len(vectors))
+        and not any(sum(column) % p for column in zip(*(vectors[i] for i in indices)))
+    )
 
 
 def olson_solve(
@@ -353,7 +376,7 @@ def olson_solve(
             state = nxt
             if state == zero:
                 break
-    if not chosen or any(sum(vecs[i][j] for i in chosen) % p for j in range(k)):
+    if not olson_valid(vecs, p, chosen):
         raise TheoremViolation(f"zero-sum witness {chosen} failed re-validation")
     return tuple(chosen)
 
@@ -469,6 +492,18 @@ class CycleLabels:
         return len(self.pairs)
 
 
+def cycle_selection_valid(labels: CycleLabels, selection: Sequence) -> bool:
+    """True iff selection takes one label of each vertex's pair and no two
+    neighbors on the cycle (of length at least 2) share a label."""
+    n = len(labels)
+    return (
+        n > 1
+        and len(selection) == n
+        and all(x in pair for x, pair in zip(selection, labels.pairs))
+        and all(selection[i - 1] != selection[i] for i in range(n))
+    )
+
+
 def cycle_selection(
     labels: CycleLabels, force_search: bool = False
 ) -> Optional[tuple[Fraction, ...]]:
@@ -500,10 +535,9 @@ def cycle_selection(
             if chosen:
                 chosen.pop()
     if len(chosen) == n:
-        witness = tuple(chosen)
-        if any(witness[i] == witness[(i + 1) % n] for i in range(n)):
-            raise TheoremViolation("cycle selection produced equal neighbors")
-        return witness
+        if not cycle_selection_valid(labels, chosen):
+            raise TheoremViolation(f"cycle selection {chosen} failed re-validation")
+        return tuple(chosen)
     if n % 2 == 0:
         raise TheoremViolation(
             f"even-cycle selection guarantee violated for labels {labels.pairs}"
@@ -590,6 +624,15 @@ class Graph:
         return out
 
 
+def regular_subgraph_valid(graph: Graph, p: int, edges: Iterable[Sequence[int]]) -> bool:
+    """True iff edges are distinct edges of graph, in either orientation, and
+    form a nonempty subgraph in which every vertex has degree 0 or p."""
+    claimed = [tuple(sorted(e)) for e in edges]
+    if not claimed or len(set(claimed)) != len(claimed) or not set(claimed) <= set(graph.edges):
+        return False
+    return all(d in (0, p) for d in Graph(graph.n_vertices, claimed).degrees())
+
+
 _DP_STATE_CAP = 1 << 18
 
 
@@ -641,11 +684,7 @@ def regular_subgraph_find(
         return None
 
     selected = tuple(graph.edges[j] for j in range(m) if mask >> j & 1)
-    sub = [0] * graph.n_vertices
-    for u, v in selected:
-        sub[u] += 1
-        sub[v] += 1
-    if not selected or any(d not in (0, p) for d in sub):
+    if not regular_subgraph_valid(graph, p, selected):
         raise TheoremViolation(
             f"selected edge subset {selected} is not {p}-regular on its support"
         )

@@ -195,24 +195,6 @@ class RationalField:
 
 FieldSpec = Union[PrimeField, RationalField]
 
-_PRIME_KINDS = {"prime", "zp", "z_p", "finite"}
-_RATIONAL_KINDS = {"rational", "q", "exact", "fraction"}
-
-
-def make_field(kind: str, p: int | None = None) -> FieldSpec:
-    """Build a field from a textual kind, e.g. ``make_field("prime", 7)``."""
-    key = str(kind).strip().lower()
-    if key in _PRIME_KINDS:
-        if p is None:
-            raise BadInput("a prime field needs a modulus p")
-        return PrimeField(p)
-    if key in _RATIONAL_KINDS:
-        if p is not None:
-            raise BadInput("the rational field takes no modulus")
-        return RationalField()
-    raise BadInput(f"unknown field kind {kind!r}")
-
-
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group of Z_p.
 

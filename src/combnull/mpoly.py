@@ -194,10 +194,6 @@ class MultiPoly:
             total = fld.add(total, term)
         return total
 
-    def is_incomplete(self) -> bool:
-        """True iff every monomial skips at least one variable."""
-        return all(any(e == 0 for e in exps) for exps in self.terms)
-
     def is_restricted(self, d: Sequence[int]) -> bool:
         """True iff no monomial other than x^d itself dominates d coordinatewise."""
         d = tuple(d)

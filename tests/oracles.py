@@ -121,6 +121,42 @@ def lex_min_zero_sum(vectors, p: int, k: int):
     return min(subsets) if subsets else None
 
 
+# -------------------------------------------------------- witness definitions
+# Each lists every witness of a small instance, as sets (or, for cycles, as
+# label tuples), found by trying all candidates against the theorem's wording.
+
+
+def egz_witnesses(nums, p: int) -> set:
+    """Every p-set of positions whose entries sum to 0 mod p."""
+    return {
+        frozenset(combo)
+        for combo in itertools.combinations(range(len(nums)), p)
+        if sum(nums[i] for i in combo) % p == 0
+    }
+
+
+def proper_selections(pairs) -> set:
+    """Every choice of one label per vertex in which no two cycle neighbours
+    agree; a cycle of one vertex is its own neighbour and has none."""
+    n = len(pairs)
+    return {
+        choice
+        for choice in itertools.product(*pairs)
+        if n > 1 and all(choice[i] != choice[(i + 1) % n] for i in range(n))
+    }
+
+
+def regular_edge_sets(edges, n_vertices: int, p: int) -> set:
+    """Every nonempty set of edges in which each vertex meets 0 or p of them."""
+    out = set()
+    for r in range(1, len(edges) + 1):
+        for combo in itertools.combinations(edges, r):
+            degrees = [sum(v in e for e in combo) for v in range(n_vertices)]
+            if all(d in (0, p) for d in degrees):
+                out.add(frozenset(combo))
+    return out
+
+
 # ---------------------------------------------------------------- root counts
 
 

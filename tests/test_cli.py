@@ -237,6 +237,26 @@ def test_olson_check_round_trip(cli):
     assert bad[0] == 2 and bad[1]["check_valid"] == "false"
 
 
+def test_olson_check_out_of_range_index(cli):
+    # an index past the end is a failed check, not a crash
+    code, doc, err = cli("olson", "--p", "3", "--k", "2", "--vectors", "1,0;0,1;1,1;2,2;1,2",
+                         "--check", "0,1,99")
+    assert code == 2
+    assert doc["status"] == "check-failed"
+    assert doc["check_valid"] == "false"
+    assert err == ""
+
+
+def test_witness_check_rational_coordinates(cli):
+    args = ("witness", "--rational", "--poly", "x1 + x2", "--sets", "0,1/2;0,1")
+    code, doc, _ = cli(*args, "--check", "(1/2,1);(0,1)")
+    assert code == 0
+    assert doc["check_valid"] == "true"
+    code, doc, _ = cli(*args, "--check", "(1/3,1)")
+    assert code == 2
+    assert doc["status"] == "check-failed"
+
+
 def test_cycle_labels_long_cycle(cli):
     # 1200 vertices: deeper than the default recursion limit
     pairs = ";".join(["1,2"] * 1200)
@@ -379,6 +399,28 @@ def test_stdin_document_implicit(cli):
     code, doc, _ = cli("vandermonde", stdin_text="k 2\n")
     assert code == 0
     assert doc["coefficient"] == "-2"
+    # --format and --max-grid-points are not flags of the command itself
+    code, doc, _ = cli("vandermonde", "--max-grid-points", "10", stdin_text="k 3\n")
+    assert code == 0
+    assert doc["coefficient"] == "-6"
+
+
+class _UnreadableStdin(io.StringIO):
+    """A piped stdin that fails the test when anything reads it."""
+
+    def isatty(self):
+        return False
+
+    def read(self, *args):
+        raise AssertionError("stdin was read although the command was given its own flags")
+
+    readline = readlines = read
+
+
+def test_flagged_command_ignores_piped_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    assert run(["egz", "--p", "3", "--nums", "1,1,1,2,2"]) == 0
+    assert "indices 0,1,2" in capsys.readouterr().out
 
 
 def test_malformed_document_rejected(cli, tmp_path):
@@ -490,17 +532,18 @@ def test_entry_point_installed(monkeypatch):
 
 
 def test_subprocess_runs_and_is_deterministic():
-    args = PYTHON + ["egz", "--p", "3", "--nums", "9,4,7,1,2"]
+    # twice through the module, once through the package (python -m combnull)
+    args = ["egz", "--p", "3", "--nums", "9,4,7,1,2"]
     runs = [
-        subprocess.run(args, capture_output=True, text=True, stdin=subprocess.DEVNULL)
-        for _ in range(2)
+        subprocess.run(prefix + args, capture_output=True, text=True, stdin=subprocess.DEVNULL)
+        for prefix in (PYTHON, PYTHON, [sys.executable, "-m", "combnull"])
     ]
-    assert all(r.returncode == 0 for r in runs)
+    assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
     stripped = [
         [ln for ln in r.stdout.splitlines() if not ln.startswith("time_ms")]
         for r in runs
     ]
-    assert stripped[0] == stripped[1]
+    assert stripped[0] == stripped[1] == stripped[2]
 
 
 def _status(result: subprocess.CompletedProcess) -> str:
@@ -536,3 +579,41 @@ def test_subprocess_exit_codes():
     assert capped.returncode == 3, capped.stderr
     assert _status(capped) == "resource-limit", capped.stderr
     assert "GridTooLarge" in capped.stdout, capped.stderr
+
+
+def test_silent_stdin_pipe_does_not_block():
+    # stdin stays open and silent: a fully flagged call must not wait for it
+    proc = subprocess.Popen(
+        PYTHON + ["egz", "--p", "3", "--nums", "1,1,1,2,2"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        code = proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        pytest.fail("the command blocked on an open, silent stdin pipe")
+    finally:
+        proc.stdin.close()
+    out, err = proc.stdout.read(), proc.stderr.read()
+    proc.stdout.close()
+    proc.stderr.close()
+    assert code == 0, err
+    assert "indices 0,1,2" in out
+
+
+def test_reader_closing_early_keeps_exit_code():
+    # about 450 kB of output, far more than a pipe buffers, so writes after
+    # the reader has gone must fail with a broken pipe
+    sets = ";".join([",".join(map(str, range(211)))] * 2)
+    proc = subprocess.Popen(
+        PYTHON + ["witness", "--p", "211", "--poly", "1", "--sets", sets],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert head == b"command wi"
+    assert err == ""

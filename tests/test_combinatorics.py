@@ -36,16 +36,20 @@ from combnull import (
     cauchy_davenport_check,
     cycle_selection,
     cycle_selection_certificate,
+    cycle_selection_valid,
     chevalley_g,
     common_roots,
     egz_solve,
+    egz_valid,
     erdos_heilbronn_check,
     olson_lower_witness,
     olson_solve,
+    olson_valid,
     parse_poly,
     plane_cover_construct,
     plane_cover_verify,
     regular_subgraph_find,
+    regular_subgraph_valid,
     restricted_sumset,
     snevily_mod_n,
     snevily_solve,
@@ -812,3 +816,93 @@ def test_symdiff_matches_oracle_and_bound(seed):
     diffs = symdiff_check(sets, colors)
     assert diffs == oracles.cross_symdiffs(sets, colors)
     assert len(diffs) >= (1 << n)
+
+
+# ------------------------------------------------------------ witness predicates
+
+
+def _index_subsets(size):
+    for r in range(size + 1):
+        yield from itertools.combinations(range(size), r)
+
+
+def _malformed(claim, size):
+    """Claims built from a valid-looking one that no predicate may accept:
+    a repeated entry, a negative index, an index past the end."""
+    return [claim + claim[:1], claim + (-1,), claim + (size,), (-1,) + claim[1:]]
+
+
+def test_egz_valid_matches_brute_force():
+    rng = random.Random(41)
+    for p in (3, 5):
+        m = 2 * p - 1
+        inputs = [[0] * m] + [[rng.randrange(-20, 20) for _ in range(m)] for _ in range(12)]
+        for nums in inputs:
+            witnesses = oracles.egz_witnesses(nums, p)
+            for claim in _index_subsets(m):
+                expected = frozenset(claim) in witnesses
+                assert egz_valid(nums, p, claim) == expected, (nums, claim)
+                assert egz_valid(nums, p, claim[::-1]) == expected
+                for bad in _malformed(claim, m):
+                    assert not egz_valid(nums, p, bad), (nums, bad)
+            assert frozenset(egz_solve(nums, p)) in witnesses
+
+
+def test_olson_valid_matches_brute_force():
+    rng = random.Random(43)
+    free = list(olson_lower_witness(2, 3))
+    families = [free + [(1, 2)], free + [(0, 0)]]
+    families += [[(rng.randrange(3), rng.randrange(3)) for _ in range(5)] for _ in range(40)]
+    for vectors in families:
+        witnesses = set(oracles.zero_sum_subsets(vectors, 3, 2))
+        for claim in _index_subsets(5):
+            assert olson_valid(vectors, 3, claim) == (claim in witnesses), (vectors, claim)
+            assert olson_valid(vectors, 3, claim[::-1]) == (claim in witnesses)
+            for bad in _malformed(claim, 5):
+                assert not olson_valid(vectors, 3, bad), (vectors, bad)
+
+
+def test_cycle_selection_valid_matches_brute_force():
+    rng = random.Random(47)
+    for n in range(1, 7):
+        for _ in range(6):
+            labels = CycleLabels(rng.sample(range(4), 2) for _ in range(n))
+            witnesses = oracles.proper_selections(labels.pairs)
+            # each vertex's two labels plus one outside every pair
+            for claim in itertools.product(*(pair + (9,) for pair in labels.pairs)):
+                assert cycle_selection_valid(labels, claim) == (claim in witnesses), (labels, claim)
+                assert not cycle_selection_valid(labels, claim + claim[:1])
+                assert not cycle_selection_valid(labels, claim[:-1])
+            if n % 2 == 0:
+                assert cycle_selection(labels) in witnesses
+
+
+def test_regular_subgraph_valid_matches_brute_force():
+    for n, p in itertools.product((4, 5), (2, 3)):
+        graph = _complete_graph(n)
+        witnesses = oracles.regular_edge_sets(graph.edges, n, p)
+        for mask in range(1 << len(graph.edges)):
+            claim = [e for j, e in enumerate(graph.edges) if mask >> j & 1]
+            expected = frozenset(claim) in witnesses
+            assert regular_subgraph_valid(graph, p, claim) == expected, (n, p, claim)
+            flipped = [(v, u) for u, v in reversed(claim)]
+            assert regular_subgraph_valid(graph, p, flipped) == expected
+            if claim:
+                assert not regular_subgraph_valid(graph, p, claim + flipped[:1])
+                assert not regular_subgraph_valid(graph, p, claim + [(0, n)])
+                assert not regular_subgraph_valid(graph, p, claim + [(-1, 0)])
+    # an edge missing from the graph, in either orientation
+    path = Graph(3, [(0, 1), (1, 2)])
+    assert not regular_subgraph_valid(path, 1, [(0, 2)])
+    assert not regular_subgraph_valid(path, 1, [(2, 0)])
+    assert regular_subgraph_valid(path, 1, [(1, 0)])
+
+
+@given(st.lists(st.integers(-8, 12), max_size=12))
+def test_witness_predicates_never_raise(claim):
+    vectors = [(1, 0), (0, 1), (1, 1), (2, 2), (1, 2)]
+    assert isinstance(egz_valid([1, 1, 1, 2, 2], 3, claim), bool)
+    assert isinstance(olson_valid(vectors, 3, claim), bool)
+    assert isinstance(cycle_selection_valid(CycleLabels([(1, 2), (3, 4)] * 2), claim), bool)
+    edges = list(zip(claim[::2], claim[1::2]))
+    assert isinstance(regular_subgraph_valid(_complete_graph(4), 2, edges), bool)

@@ -13,7 +13,6 @@ from combnull import (
     PrimeField,
     RationalField,
     is_prime,
-    make_field,
     power_sum,
     primitive_root,
 )
@@ -158,19 +157,6 @@ def test_power_sum_known_values():
     assert power_sum(2, 1) == 1
     assert power_sum(3, 0) == 0  # three ones
     assert power_sum(7, 0) == 0
-
-
-def test_make_field_aliases():
-    assert make_field("prime", 5) == PrimeField(5)
-    assert make_field("zp", 5) == PrimeField(5)
-    assert make_field("rational") == RationalField()
-    assert make_field("q") == RationalField()
-    with pytest.raises(InputError):
-        make_field("octonion")
-    with pytest.raises(InputError):
-        make_field("rational", 5)
-    with pytest.raises(InputError):
-        make_field("prime")
 
 
 def test_field_equality_and_format():

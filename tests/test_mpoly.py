@@ -185,21 +185,6 @@ def test_evaluate_zero_power_convention():
         f.evaluate((0, 0))
 
 
-def test_is_incomplete():
-    assert parse_poly("x1 + x2", F5).is_incomplete()
-    assert not parse_poly("x1*x2 + x1", F5).is_incomplete()
-    assert parse_poly("x1*x2 + x2*x3", F5, 3).is_incomplete()
-    assert not parse_poly("x1*x2*x3", F5, 3).is_incomplete()
-    assert MultiPoly.zero(F5, 2).is_incomplete()
-
-
-@given(f=poly_strategy(F5, 3, max_exp=2))
-def test_low_degree_implies_incomplete(f):
-    # a monomial touching all n variables has total degree at least n
-    if f.total_degree() < 3:
-        assert f.is_incomplete()
-
-
 def test_is_restricted():
     f = parse_poly("x1^2*x2 + x1^5 + x2^4", F5)
     # neither x1^5 nor x2^4 dominates (2, 1) in both coordinates
