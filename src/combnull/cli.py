@@ -40,6 +40,7 @@ from .combinatorics import (
     egz_solve,
     egz_valid,
     erdos_heilbronn_check,
+    olson_inputs,
     olson_lower_witness,
     olson_solve,
     olson_valid,
@@ -399,7 +400,13 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
         }
         return out, EXIT_OK
     vectors = _parse_vectors(req.require("vectors"), "vectors")
-    subset = olson_solve(vectors, p, k)
+    check = req.get("check")
+    if check is None:
+        subset = olson_solve(vectors, p, k)
+    else:
+        # a claim is decided by the predicate alone: the solver's input
+        # errors still apply, its search and state cap do not
+        olson_inputs(vectors, p, k)
     out = {
         "p": p,
         "k": k,
@@ -407,7 +414,6 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
         "vectors": _fmt_points(vectors),
         "threshold": k * (p - 1) + 1,
     }
-    check = req.get("check")
     if check is not None:
         return _checked(out, olson_valid(vectors, p, _parse_int_list(check, "check")))
     if subset is None:

@@ -318,6 +318,29 @@ def olson_valid(vectors: Sequence[Sequence[int]], p: int, indices: Sequence[int]
     )
 
 
+def olson_inputs(
+    vectors: Sequence[Sequence[int]], p: int, k: int | None = None
+) -> tuple[list[tuple[int, ...]], int | None]:
+    """The input checks of olson_solve: (vectors as tuples, dimension).
+
+    The modulus must be prime; a nonempty family needs k >= 1 (taken from
+    the first vector when omitted) and every vector of length k.
+    """
+    if not is_prime(p):
+        raise NotPrime(f"zero-sum search needs a prime modulus, got {p!r}")
+    vecs = [tuple(v) for v in vectors]
+    if not vecs:
+        return vecs, k
+    if k is None:
+        k = len(vecs[0])
+    if k < 1:
+        raise BadInput(f"dimension must be >= 1, got {k}")
+    for v in vecs:
+        if len(v) != k:
+            raise SizeMismatch(f"vector {v} does not have dimension {k}")
+    return vecs, k
+
+
 def olson_solve(
     vectors: Sequence[Sequence[int]], p: int, k: int | None = None
 ) -> Optional[tuple[int, ...]]:
@@ -327,18 +350,9 @@ def olson_solve(
     constant of Z_p^k); below that threshold None is a legitimate answer.
     Returns the lexicographically smallest index subset.
     """
-    if not is_prime(p):
-        raise NotPrime(f"zero-sum search needs a prime modulus, got {p!r}")
-    vecs = [tuple(v) for v in vectors]
+    vecs, k = olson_inputs(vectors, p, k)
     if not vecs:
         return None
-    if k is None:
-        k = len(vecs[0])
-    if k < 1:
-        raise BadInput(f"dimension must be >= 1, got {k}")
-    for v in vecs:
-        if len(v) != k:
-            raise SizeMismatch(f"vector {v} does not have dimension {k}")
     if p**k > (1 << 20):
         raise ResourceLimit(f"state space Z_{p}^{k} too large to search")
     vecs = [tuple(x % p for x in v) for v in vecs]
@@ -747,7 +761,8 @@ def snevily_solve(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]
     Given a_1..a_k (arbitrary) and pairwise distinct b_1..b_k with k < p,
     returns the lexicographically smallest permutation sigma (1-based, as
     positions into b) making a_i + b_sigma(i) pairwise distinct.  Existence
-    is guaranteed, so exhausting the search raises TheoremViolation.
+    is guaranteed, so exhausting the search raises TheoremViolation; a search
+    that outgrows its node budget raises ResourceLimit.
     """
     if not is_prime(p) or p == 2:
         raise BadInput(f"need an odd prime, got {p!r}")
@@ -777,7 +792,8 @@ def snevily_mod_n(
     """Permutation sigma of {1..k} with a_i + sigma(i) pairwise distinct mod n.
 
     Guaranteed whenever 2k <= n + 1; inputs beyond that are rejected unless
-    force_search is set, in which case None reports a fruitless search.
+    force_search is set, in which case None reports a fruitless search.  A
+    search that outgrows its node budget raises ResourceLimit.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadInput(f"modulus must be a positive integer, got {n!r}")
@@ -809,37 +825,51 @@ def _check_distinct_sums(sigma, a: list[int], b: list[int], modulus: int) -> tup
     return sigma
 
 
+# Steps the distinct-sum search may take, counting each candidate position
+# it tests and each level it backs out of, before giving up with
+# ResourceLimit (about a second of search).
+_SEARCH_NODE_CAP = 1 << 24
+
+
 def _distinct_sum_permutation(
     a: list[int], b: list[int], modulus: int
 ) -> Optional[tuple[int, ...]]:
-    """Backtracking core: smallest sigma with a_i + b[sigma(i)-1] distinct."""
+    """Backtracking core: smallest sigma with a_i + b[sigma(i)-1] distinct.
+
+    Depth-first over an explicit stack of chosen positions, trying positions
+    in ascending order, so the first complete sigma is the lexicographically
+    smallest.  None when the search is exhausted; ResourceLimit once it has
+    taken more than _SEARCH_NODE_CAP steps.
+    """
     k = len(a)
     used_pos = [False] * k
     used_val: set[int] = set()
-    sigma: list[int] = []
-
-    def backtrack(i: int) -> bool:
-        if i == k:
-            return True
-        for j in range(k):
-            if used_pos[j]:
-                continue
-            val = (a[i] + b[j]) % modulus
-            if val in used_val:
-                continue
+    stack: list[int] = []  # 0-based positions into b, one per placed a_i
+    j = 0  # next candidate position for a[len(stack)]
+    tried = 0
+    while len(stack) < k:
+        ai = a[len(stack)]
+        first = j
+        while j < k and (used_pos[j] or (ai + b[j]) % modulus in used_val):
+            j += 1
+        tried += j - first + 1
+        if tried > _SEARCH_NODE_CAP:
+            raise ResourceLimit(
+                f"distinct-sum search passed its budget of {_SEARCH_NODE_CAP} steps"
+            )
+        if j < k:
             used_pos[j] = True
-            used_val.add(val)
-            sigma.append(j + 1)
-            if backtrack(i + 1):
-                return True
-            sigma.pop()
-            used_val.remove(val)
+            used_val.add((ai + b[j]) % modulus)
+            stack.append(j)
+            j = 0
+        elif not stack:
+            return None
+        else:
+            j = stack.pop()
             used_pos[j] = False
-        return False
-
-    if backtrack(0):
-        return tuple(sigma)
-    return None
+            used_val.remove((a[len(stack)] + b[j]) % modulus)
+            j += 1
+    return tuple(j + 1 for j in stack)
 
 
 # --------------------------------------------------- Vandermonde-squared check

@@ -3,7 +3,18 @@
 A polynomial is a dict from exponent tuples to nonzero coefficients, with the
 variable count fixed at construction.  Zero coefficients are pruned eagerly so
 the invariant "every stored coefficient is nonzero" holds after every
-operation.  The textual format is a sum of terms ``c*x1^e1*...*xn^en`` with
+operation.  ``terms`` must not be changed once a polynomial is built:
+``__hash__`` and the evaluation memo both assume it never changes.
+
+Evaluation is partial.  Each polynomial keeps a memo of its last evaluation:
+a trie of its terms keyed by leading exponents (built once), the coordinates,
+the products of the fixed leading powers at each depth of the trie, and the
+polynomial in the last variable that those products collapse the terms to.
+A call redoes only the depths from the first coordinate that differs from the
+previous call, then runs Horner in the last coordinate.  In grid order (last
+coordinate fastest) most points therefore cost one Horner pass.
+
+The textual format is a sum of terms ``c*x1^e1*...*xn^en`` with
 ``+`` / ``-`` separators; variables are 1-based in the text and 0-based in the
 programmatic API.
 """
@@ -25,7 +36,9 @@ _TermsLike = Union[Mapping[tuple, Scalar], Iterable[tuple]]
 class MultiPoly:
     """Polynomial in ``n_vars`` variables with exact coefficients."""
 
-    __slots__ = ("field", "n_vars", "terms")
+    # _memo: the evaluation memo (see ``evaluate``); not part of the value, so
+    # __eq__, __hash__ and __repr__ ignore it
+    __slots__ = ("field", "n_vars", "terms", "_memo")
 
     def __init__(self, field: FieldSpec, n_vars: int, terms: _TermsLike = ()):
         if not isinstance(n_vars, int) or isinstance(n_vars, bool) or n_vars < 1:
@@ -51,6 +64,7 @@ class MultiPoly:
         self.field = field
         self.n_vars = n_vars
         self.terms = clean
+        self._memo = None
 
     # ---------------------------------------------------------------- builders
 
@@ -161,6 +175,7 @@ class MultiPoly:
         p.field = self.field
         p.n_vars = self.n_vars
         p.terms = terms
+        p._memo = None
         return p
 
     # ---------------------------------------------------------------- queries
@@ -180,19 +195,64 @@ class MultiPoly:
         return self.terms.get(exps, self.field.zero)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        """Value at a point, using the 0**0 = 1 convention."""
+        """Value at a point, using the 0**0 = 1 convention.
+
+        Partial evaluation against the previous call's memo: the products of
+        leading powers are recomputed only from the first coordinate that
+        differs (after coercion into the field, so x and x + p are the same
+        coordinate over Z_p), and the last coordinate costs one Horner pass
+        over the collapsed polynomial, reduced mod p once per step.  The memo
+        is O(terms * n_vars), is replaced by one attribute store and never
+        mutated, so a concurrent call on a shared polynomial at worst
+        recomputes.  ``terms`` must not be mutated in place.
+        """
         if len(point) != self.n_vars:
             raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
         fld = self.field
-        vals = [fld.element(v) for v in point]
-        total = fld.zero
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exps):
-                if e:
-                    term = fld.mul(term, fld.power(v, e))
-            total = fld.add(total, term)
-        return total
+        # a list: tuple(map(...)) allocates ten slots and shrinks them, which
+        # strands one tuple per call on CPython's per-length free list
+        vals = list(map(fld.element, point))
+        last = self.n_vars - 1
+        memo = self._memo
+        if memo is None:
+            plan, start, levels, coeffs = _eval_plan(self), 0, [], None
+        else:
+            plan, previous, levels, coeffs, value = memo
+            if vals[:last] == previous[:last]:  # the usual case in grid order
+                if vals[last] == previous[last]:
+                    return value
+                start = last
+            else:
+                start = 0
+                while vals[start] == previous[start]:
+                    start += 1
+        mod, depths, leaf, gaps = plan
+        if start < last or coeffs is None:
+            levels = levels[:start]
+            prods = levels[-1] if levels else (fld.one,)
+            for depth in range(start, last):
+                exponents, parents, picks = depths[depth]
+                x = vals[depth]
+                powers = [pow(x, e, mod) for e in exponents]
+                prods = [prods[a] * powers[b] for a, b in zip(parents, picks)]
+                if mod:
+                    prods = [v % mod for v in prods]
+                levels.append(prods)
+            coeffs = [fld.zero] * len(gaps)
+            for node, slot, c in zip(*leaf):
+                coeffs[slot] += c * prods[node]
+            if mod:
+                coeffs = [v % mod for v in coeffs]
+        x = vals[last]
+        value = fld.zero
+        if mod:
+            for gap, c in zip(gaps, coeffs):
+                value = (value * (x if gap == 1 else pow(x, gap, mod)) + c) % mod
+        else:
+            for gap, c in zip(gaps, coeffs):
+                value = value * (x if gap == 1 else x**gap) + c
+        self._memo = (plan, vals, levels, coeffs, value)
+        return value
 
     def is_restricted(self, d: Sequence[int]) -> bool:
         """True iff no monomial other than x^d itself dominates d coordinatewise."""
@@ -233,6 +293,45 @@ def sorted_terms(f: MultiPoly) -> list[tuple[tuple[int, ...], Scalar]]:
     return [
         (e, f.terms[e]) for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
     ]
+
+
+def _eval_plan(f: MultiPoly) -> tuple:
+    """The static half of the evaluation memo, built once per polynomial.
+
+    The terms form a trie keyed by their leading exponents: a node at depth
+    k stands for one prefix (e_0, ..., e_k); depth -1 is a single root, node
+    0.  Depth k is stored as (its distinct exponents, each node's parent at
+    depth k - 1, each node's exponent as an index into the first tuple).  A
+    term is a leaf: its node at depth n - 2, its slot, its coefficient, where
+    the slot is the position of its last exponent among the distinct last
+    exponents E_0 > E_1 > ... .  ``gaps`` holds the Horner steps
+    E_(j-1) - E_j (the first is arbitrary, since Horner starts from 0), plus
+    a final step E_last with no term when the lowest last exponent is not 0.
+    Flat tuples keep the memo to a few objects per depth.  Returns (modulus
+    or None, depths, leaves as three tuples, gaps).
+    """
+    n = f.n_vars
+    index: list[dict] = [{} for _ in range(n - 1)]
+    top = sorted({exps[-1] for exps in f.terms}, reverse=True)
+    slot = {e: j for j, e in enumerate(top)}
+    gaps = [1] + [hi - lo for hi, lo in zip(top, top[1:])]
+    if top and top[-1]:
+        gaps.append(top[-1])
+    leaf = []
+    for exps, c in f.terms.items():
+        node = 0
+        for depth in range(n - 1):
+            level = index[depth]
+            node = level.setdefault((node, exps[depth]), len(level))
+        leaf.append((node, slot[exps[-1]], c))
+    depths = []
+    for level in index:
+        # a dict keeps insertion order, so its keys are listed by node number
+        exponents = tuple(sorted({e for _, e in level}))
+        pick = {e: j for j, e in enumerate(exponents)}
+        depths.append((exponents, tuple(a for a, _ in level), tuple(pick[e] for _, e in level)))
+    mod = f.field.p if isinstance(f.field, PrimeField) else None
+    return mod, tuple(depths), tuple(zip(*leaf)) or ((), (), ()), tuple(gaps if top else ())
 
 
 # --------------------------------------------------------------------- text IO

@@ -4,6 +4,7 @@ import importlib.metadata
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -245,6 +246,40 @@ def test_olson_check_out_of_range_index(cli):
     assert doc["status"] == "check-failed"
     assert doc["check_valid"] == "false"
     assert err == ""
+
+
+
+def test_olson_check_skips_the_search(cli):
+    # Z_3^13 is past the solver's state cap, but a claim needs no search
+    units = ";".join(",".join("1" if i == j else "0" for j in range(13)) for i in range(13))
+    code, doc, err = cli("olson", "--p", "3", "--k", "13", "--vectors", units, "--check", "0,1")
+    assert (code, doc["status"], doc["check_valid"]) == (2, "check-failed", "false")
+    assert err == ""
+    code, doc, _ = cli("olson", "--p", "3", "--k", "13", "--vectors", f"{units};1{',0' * 12};1{',0' * 12}",
+                       "--check", "0,13,14")
+    assert (code, doc["status"], doc["check_valid"]) == (0, "ok", "true")
+    code, doc, _ = cli("olson", "--p", "3", "--k", "13", "--vectors", units)
+    assert (code, doc["status"]) == (3, "resource-limit")
+    # the solver's input checks still apply to a claim
+    for args, error in ((("--p", "4", "--k", "2", "--vectors", "1,0"), "NotPrime"),
+                        (("--p", "3", "--k", "2", "--vectors", "1,0;1"), "SizeMismatch"),
+                        (("--p", "3", "--k", "0", "--vectors", "1,0"), "BadInput")):
+        code, doc, _ = cli("olson", *args, "--check", "0")
+        assert (code, doc["status"]) == (2, "input-error")
+        assert doc["error"].startswith(error)
+
+
+def test_snevily_search_budget_exit_three(cli):
+    # k close to p: the distinct-sum search backtracks without end in sight;
+    # it stops at its budget with exit 3 instead of a RecursionError
+    rng = random.Random(1)
+    p, k = 1201, 1100
+    a = ",".join(str(rng.randrange(p)) for _ in range(k))
+    b = ",".join(map(str, rng.sample(range(p), k)))
+    code, doc, err = cli("snevily", "--p", str(p), "--a", a, "--b", b)
+    assert (code, doc["status"]) == (3, "resource-limit")
+    assert doc["error"].startswith("ResourceLimit: distinct-sum search")
+    assert len(err.splitlines()) == 1
 
 
 def test_witness_check_rational_coordinates(cli):

@@ -705,6 +705,31 @@ def test_snevily_matches_oracle(seed):
     assert len(set(sums)) == k
 
 
+
+def test_snevily_deep_search_is_iterative():
+    # 1500 levels of search depth, past the interpreter's recursion limit
+    k = 1500
+    assert snevily_solve([0] * k, list(range(k)), 1511) == tuple(range(1, k + 1))
+    assert snevily_mod_n([0] * k, 2 * k - 1) == tuple(range(1, k + 1))
+
+
+def test_distinct_sum_search_budget(monkeypatch):
+    # sigma = (1, 2, 3), (1, 3, 2) and (2, 1, 3) all collide before (2, 3, 1):
+    # the search takes 22 steps (candidates tested plus levels backed out of)
+    monkeypatch.setattr(combinatorics, "_SEARCH_NODE_CAP", 22)
+    assert snevily_solve([0, 0, 4], [1, 2, 3], 5) == (2, 3, 1)
+    monkeypatch.setattr(combinatorics, "_SEARCH_NODE_CAP", 21)
+    with pytest.raises(ResourceLimit):
+        snevily_solve([0, 0, 4], [1, 2, 3], 5)
+    # six sums in Z_5 cannot be distinct: a fruitless search that is
+    # exhausted within the budget reports None, one that is not raises
+    monkeypatch.undo()
+    assert snevily_mod_n([0] * 6, 5, force_search=True) is None
+    monkeypatch.setattr(combinatorics, "_SEARCH_NODE_CAP", 100)
+    with pytest.raises(ResourceLimit):
+        snevily_mod_n([0] * 6, 5, force_search=True)
+
+
 def test_snevily_mod_n_known_values():
     assert snevily_mod_n([0], 1) == (1,)
     assert snevily_mod_n([0, 0, 0], 5) == (1, 2, 3)

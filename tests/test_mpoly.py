@@ -1,5 +1,10 @@
 """Sparse polynomial layer: construction, ring ops, text round-trips."""
 
+import itertools
+import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -183,6 +188,132 @@ def test_evaluate_zero_power_convention():
     assert f.evaluate((0,)) == 3
     with pytest.raises(ArityMismatch):
         f.evaluate((0, 0))
+
+
+def _oracle_value(f, point):
+    """oracles.eval_terms reduced into f's field (exact over Q)."""
+    value = Fraction(oracles.eval_terms(f.terms, point))
+    if isinstance(f.field, PrimeField):
+        p = f.field.p
+        return value.numerator * oracles.inv_mod(value.denominator, p) % p
+    return value
+
+
+def _assert_evaluations_match_oracle(f, points):
+    for point in points:
+        assert f.evaluate(point) == _oracle_value(f, point), (f, point)
+
+
+@given(data=st.data())
+def test_evaluate_memo_matches_oracle_on_point_sequences(data):
+    # one polynomial, many calls in a row: every value must be what the
+    # term-by-term oracle gives, whatever the previous call left in the memo
+    field = data.draw(st.sampled_from([F5, PrimeField(7), Q]), label="field")
+    n = data.draw(st.integers(1, 4), label="n_vars")
+    f = data.draw(poly_strategy(field, n, max_exp=4, max_terms=8), label="f")
+    sets = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True),
+                              min_size=n, max_size=n), label="sets")
+    points = list(itertools.product(*sets))
+    order = data.draw(st.sampled_from(["product", "shuffled", "repeated", "alternating"]),
+                      label="order")
+    if order == "shuffled":
+        points = data.draw(st.permutations(points))
+    elif order == "repeated":
+        points = [pt for pt in points for _ in range(2)]
+    elif order == "alternating":
+        heads = [data.draw(st.sampled_from(points))[:-1] for _ in range(2)]
+        points = [head + (v,) for v in sets[-1] for head in heads]
+    rnd = data.draw(st.randoms(use_true_random=False))
+    form = data.draw(st.sampled_from(["canonical", "shifted", "fraction"]), label="form")
+    if form == "shifted" and isinstance(field, PrimeField):
+        # x and x + k*p are the same coordinate of Z_p
+        points = [tuple(x + field.p * rnd.randint(-1, 2) for x in pt) for pt in points]
+    elif form == "fraction":
+        points = [tuple(Fraction(x, rnd.randint(1, 4)) for x in pt) for pt in points]
+    _assert_evaluations_match_oracle(f, points)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=["Z5", "Q"])
+@pytest.mark.parametrize(
+    "text, n_vars",
+    [
+        ("0", 3),  # the zero polynomial
+        ("3", 2),  # a constant
+        ("1/2", 1),
+        ("x1^3 + 2*x1 + 1", 1),  # one variable
+        ("x1^2*x2 + 3", 2),  # 0**0 = 1 keeps the constant at the origin
+        ("x1*x2^3 + x2^5", 2),  # lowest last exponent above 0
+        ("x1*x3 + x2^2*x3 + x1^4 + 2", 3),
+    ],
+)
+def test_evaluate_memo_named_cases(field, text, n_vars):
+    f = parse_poly(text, field, n_vars)
+    coords = [0, 1, -2, Fraction(1, 3), 5]
+    points = list(itertools.product(coords, repeat=n_vars))
+    _assert_evaluations_match_oracle(f, points + points[::-1] + points)
+
+
+def test_evaluate_huge_sparse_exponents():
+    # the last variable's polynomial is kept sparse: Horner steps by the gaps
+    # between exponents, so a degree of 10^9 costs a few steps, not 10^9
+    f = parse_poly("x1^1000000000*x2^999999999 + 4*x2^3 + x1", F5, 2)
+    started = time.perf_counter()
+    for point in [(2, 3), (2, 4), (3, 4), (0, 0), (0, 0)]:
+        x, y = point
+        want = (pow(x, 10**9, 5) * pow(y, 10**9 - 1, 5) + 4 * y**3 + x) % 5
+        assert f.evaluate(point) == want
+    assert time.perf_counter() - started < 1.0
+
+
+def test_evaluate_two_thousand_variables():
+    # the memo is built without recursion, whatever the variable count
+    n = 2000
+    f = MultiPoly(F5, n, {(1,) * n: 1, (0,) * (n - 1) + (2,): 3})
+    for point in [(2,) * n, (2,) * (n - 1) + (3,), (3,) + (2,) * (n - 1), (3,) * n]:
+        want = (math.prod(point) + 3 * point[-1] ** 2) % 5
+        assert f.evaluate(point) == want
+
+
+def test_evaluate_shared_polynomial_across_threads():
+    # two threads walk one grid in opposite directions through one shared
+    # polynomial; a memo updated in place instead of replaced whole would
+    # let one thread read the other's products half-way through
+    f = parse_poly("x1^3*x2*x6 + 2*x1*x2^2*x3*x5 + x2*x3^4*x4 + x4^2*x5^3*x6"
+                   " + 3*x1*x5 + x3*x4*x6^2 + 1", PrimeField(101), 6)
+    grid = list(itertools.product([1, 2], range(3), range(3), range(3), range(3), range(4)))
+    start = threading.Barrier(2, timeout=60)
+    wrong: list = []
+
+    def work(points):
+        start.wait()
+        try:
+            for _ in range(10):
+                for point in points:
+                    if f.evaluate(point) != _oracle_value(f, point):
+                        wrong.append(point)
+        except Exception as exc:  # a thread's exception would only warn
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(g,)) for g in (grid, grid[::-1])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_evaluate_memo_is_not_part_of_the_value():
+    f = parse_poly("x1*x2 + 1", F5)
+    g = parse_poly("1 + x1*x2", F5)
+    text, code = repr(f), hash(f)
+    f.evaluate((1, 2))
+    assert f == g and hash(f) == code == hash(g) and repr(f) == text
 
 
 def test_is_restricted():

@@ -107,6 +107,39 @@ def test_grid_cap_enforced(monkeypatch):
     assert grid_weighted_sum(f, g, 9) is not None  # explicit override unblocks
 
 
+
+@pytest.mark.parametrize(
+    "name, call, points",
+    [
+        ("grid_weighted_sum", lambda f: grid_weighted_sum(f, Grid(F7, [[0, 1, 3], [2, 5], [1, 4, 6]])), 18),
+        ("second_nonvanish", lambda f: second_nonvanish(f, Grid(F7, [[0, 1, 3], [2, 5], [1, 4, 6]])), 18),
+        ("zp_full_sum", lambda f: zp_full_sum(f), 7**3),
+        ("signed_two_element_sum", lambda f: signed_two_element_sum(f, Grid(F7, [[0, 1]] * 3)), 8),
+    ],
+)
+def test_one_evaluate_call_per_grid_point(monkeypatch, name, call, points):
+    # the grid kernels evaluate each point through MultiPoly.evaluate exactly
+    # once; a value stream that bypasses it, or evaluates twice, breaks this
+    calls = []
+    evaluate = MultiPoly.evaluate
+
+    def counted(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counted)
+    call(parse_poly("x1^2*x2 + 3*x1*x3 + x2*x3^2 + 1", F7, 3))
+    assert len(calls) == points, name
+
+
+def test_weighted_sum_over_two_thousand_singleton_coordinates():
+    # one grid point in 2000 coordinates: nothing in the sum or in the
+    # evaluation may recurse per coordinate
+    n = 2000
+    f = MultiPoly(F7, n, {(1,) * n: 1, (0,) * n: 3})
+    assert grid_weighted_sum(f, Grid(F7, [[2]] * n)) == (pow(2, n, 7) + 3) % 7
+
+
 # ---------------------------------------------------------------- denominators
 
 
