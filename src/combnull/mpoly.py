@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ArityMismatch, BadInput, FieldMismatch, SchemaError
+from .errors import ArityMismatch, BadInput, FieldMismatch, ResourceLimit, SchemaError
 from .field import FieldSpec, PrimeField, Scalar
 
 NEG_INF = float("-inf")
@@ -340,6 +340,13 @@ _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _NUM_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
 
+def _literal(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # past Python's int/str digit limit
+        raise SchemaError(f"number too long in polynomial text: {exc}") from exc
+
+
 def parse_poly(text: str, field: FieldSpec, n_vars: int | None = None) -> MultiPoly:
     """Parse the ``c*x1^e1*...*xn^en`` sum-of-terms format.
 
@@ -373,17 +380,17 @@ def parse_poly(text: str, field: FieldSpec, n_vars: int | None = None) -> MultiP
         for factor in body.split("*"):
             m = _VAR_RE.match(factor)
             if m:
-                idx = int(m.group(1))
+                idx = _literal(m.group(1))
                 if idx < 1:
                     raise SchemaError(f"variable indices start at x1, got {factor!r}")
-                e = int(m.group(2)) if m.group(2) is not None else 1
+                e = _literal(m.group(2)) if m.group(2) is not None else 1
                 exps[idx] = exps.get(idx, 0) + e
                 max_index = max(max_index, idx)
                 continue
             m = _NUM_RE.match(factor)
             if m:
-                num = int(m.group(1))
-                den = int(m.group(2)) if m.group(2) is not None else 1
+                num = _literal(m.group(1))
+                den = _literal(m.group(2)) if m.group(2) is not None else 1
                 if den == 0:
                     raise SchemaError(f"zero denominator in {factor!r}")
                 coeff = coeff * Fraction(num, den)
@@ -406,9 +413,12 @@ def parse_poly(text: str, field: FieldSpec, n_vars: int | None = None) -> MultiP
 
 def _format_coeff(field: FieldSpec, c: Scalar) -> tuple[str, str]:
     """(sign, magnitude-text); prime-field residues are always nonnegative."""
-    if isinstance(field, PrimeField):
-        return "+", str(c)
-    return ("-", str(-c)) if c < 0 else ("+", str(c))
+    try:
+        if isinstance(field, PrimeField):
+            return "+", str(c)
+        return ("-", str(-c)) if c < 0 else ("+", str(c))
+    except ValueError as exc:  # past Python's int/str digit limit
+        raise ResourceLimit(f"coefficient too long to print: {exc}") from exc
 
 
 def format_poly(f: MultiPoly) -> str:

@@ -355,3 +355,19 @@ def second_nonvanish(
             "nonvanishing grid point"
         )
     return hits
+
+
+def nonvanishing_valid(f: MultiPoly, grid: Grid, points: Sequence[Sequence[Scalar]]) -> bool:
+    """True iff every claimed point lies on the grid and f is nonzero there.
+
+    Decided by evaluating f at the claimed points alone, so unlike
+    ``second_nonvanish`` it enumerates nothing and has no grid cap.
+    Coordinates are field elements, as ``Grid`` stores them.
+    """
+    _check_poly_grid(f, grid)
+    return all(
+        len(pt) == grid.n_vars
+        and all(x in s for x, s in zip(pt, grid.sets))
+        and not f.field.is_zero(f.evaluate(pt))
+        for pt in points
+    )

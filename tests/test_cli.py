@@ -8,9 +8,13 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combnull import PrimeField, combinatorics, parse_poly
 from combnull import cli as cli_mod
@@ -652,3 +656,178 @@ def test_reader_closing_early_keeps_exit_code():
     assert proc.wait(timeout=60) == 0, err
     assert head == b"command wi"
     assert err == ""
+
+
+# ------------------------------------------------------- witness --check, limits
+
+
+def test_witness_check_decides_without_enumerating(cli):
+    # 101^4 points is past the grid cap; a claim is decided at its own points
+    sets = ";".join([",".join(map(str, range(101)))] * 3 + [",".join(map(str, range(100)))])
+    args = ("witness", "--p", "101", "--poly", "x1*x2 + x3 + x4 + 1", "--sets", sets)
+    started = time.monotonic()
+    code, doc, err = cli(*args, "--check", "(1,2,3,4)")
+    assert time.monotonic() - started < 1.0
+    assert (code, doc["status"], doc["check_valid"], err) == (0, "ok", "true", "")
+    assert "count" not in doc and "points" not in doc
+    for claim in ("(1,2,3,4);(0,0,0,100)",  # off the grid: 100 is not in the last set
+                  "(1,2,3)",                 # wrong arity
+                  "(0,0,99,1)"):             # a zero of f: 0 + 99 + 1 + 1 = 0 mod 101
+        code, doc, _ = cli(*args, "--check", claim)
+        assert (code, doc["status"], doc["check_valid"]) == (2, "check-failed", "false"), claim
+
+
+def _run_raw(argv, stdin_text=""):
+    """run() in-process with its standard streams redirected; returns
+    (exit code, stdout, stderr).  Usable inside hypothesis tests, which
+    cannot take function-scoped fixtures."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
+    try:
+        code = run(list(argv))
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+def _flag_args(command, values):
+    # a switch takes no value on the command line
+    flags = cli_mod.COMMANDS[command][2]
+    return [f"--{k}" if k in flags and flags[k][0] is cli_mod._switch else f"--{k}={v}"
+            for k, v in values.items()]
+
+
+def _document(values):
+    return "".join(f"{k} {'true' if v is True else v}\n" for k, v in values.items())
+
+
+def _parsed(fmt, out):
+    if fmt == "json":
+        return json.loads(out)
+    return dict(line.split(" ", 1) for line in out.splitlines())
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_digit_limit_literal_is_input_error(fmt):
+    huge = "1" * 5000
+    for argv in (["coeff", "--p", "7", "--poly", f"{huge}*x1", "--sets", "0,1"],
+                 ["coeff", "--p", "7", "--poly", f"x1^{huge}", "--sets", "0,1"]):
+        code, out, err = _run_raw(argv + ["--format", fmt])
+        doc = _parsed(fmt, out)
+        assert (code, doc["status"]) == (2, "input-error")
+        assert doc["error"].startswith("SchemaError: number too long")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_digit_limit_result_is_resource_limit(fmt):
+    # the sum is computed in milliseconds but has about 30,000 digits; a
+    # product of two 3000-digit literals is a coefficient too long to print
+    big = "7" * 3000
+    for argv in (["coeff", "--rational", "--poly", "x1^100000", "--sets", "0,1/2"],
+                 ["coeff", "--rational", "--poly", f"{big}*{big}*x1", "--sets", "0,1"]):
+        code, out, err = _run_raw(argv + ["--format", fmt])
+        doc = _parsed(fmt, out)
+        assert (code, doc["status"]) == (3, "resource-limit")
+        assert doc["error"].startswith("ResourceLimit: ")
+        assert "too long to print" in doc["error"]
+        assert len(err.splitlines()) == 1
+
+
+# ------------------------------------------------------ one parser, two forms
+
+# one valid request per command, switches given as True
+_EXAMPLES = {
+    "coeff": {"p": "3", "poly": "x1*x2", "sets": "0,1;0,1"},
+    "witness": {"rational": True, "poly": "x1 + x2", "sets": "0,1/2;0,1"},
+    "chevalley": {"p": "3", "nvars": "2", "polys": "x1 + x2 + 1"},
+    "sumset": {"p": "5", "a": "0,1,2", "b": "0,1,2", "restricted": True},
+    "egz": {"p": "3", "nums": "0,1,2,4,5", "check": "0,1,2"},
+    "olson": {"p": "2", "k": "2", "vectors": "1,0;0,1;1,1"},
+    "planes": {"n": "2", "construct": True},
+    "cycle-labels": {"pairs": "1,2;3,4;1,2;3,4", "force-search": True},
+    "regular-subgraph": {"p": "2", "vertices": "4", "edges": "0-1,0-2,0-3,1-2,1-3,2-3"},
+    "snevily": {"n": "7", "a": "0,0,1"},
+    "vandermonde": {"k": "3", "closed-only": True},
+    "symdiff": {"sets": "0;1;0,1", "colors": "a,b,b"},
+    "lagrange": {"p": "5", "points": "0,1,2", "values": "1,2,3", "power-sum": "2"},
+    "selftest": {"suite": "fields"},
+}
+
+
+def test_examples_cover_every_command():
+    assert sorted(_EXAMPLES) == sorted(cli_mod.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_EXAMPLES))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_flag_and_document_forms_agree(command, fmt):
+    values = _EXAMPLES[command]
+    by_flags = _run_raw([command, "--format", fmt, *_flag_args(command, values)])
+    by_document = _run_raw([command, "--format", fmt, "--input", "-"], _document(values))
+    assert by_flags[0] == by_document[0] == 0, (by_flags, by_document)
+    docs = [_parsed(fmt, result[1]) for result in (by_flags, by_document)]
+    for doc in docs:
+        doc.pop("time_ms")
+    assert docs[0] == docs[1]
+    assert docs[0]["status"] == "ok"
+
+
+# ---------------------------------------------------------------------- fuzz
+
+_ALPHABET = "0123456789,;-/()x^*abnpz"
+# drawn as small integers, so the fuzz stays fast while still reaching the
+# solvers: vandermonde's verification takes seconds at k = 6, and the work of
+# planes (about n^4) and chevalley (g = 1 - f^(p-1)) has no cap yet
+_SMALL = {("vandermonde", "k"): 4, ("planes", "n"): 4, ("chevalley", "p"): 7}
+_EXIT_STATUS = {0: {"ok"}, 1: {"no-witness", "fail"}, 2: {"input-error", "check-failed"},
+                3: {"resource-limit"}, 4: {"internal-error"}}
+
+
+@st.composite
+def _requests(draw):
+    """A command and some of its flags: each absent, short text from the
+    alphabet, or (most often) the value from the command's valid example, so
+    that requests reach the solvers as well as the parsers."""
+    command = draw(st.sampled_from(sorted(cli_mod.COMMANDS)))
+    flags = {**cli_mod._SHARED, **cli_mod.COMMANDS[command][2]}
+    example = {"max-grid-points": "64", **_EXAMPLES[command]}
+    values = {}
+    for name in flags:
+        pick = draw(st.integers(0, 5))  # 0 absent, 1 any text, else the example's value
+        if command == "selftest" and name == "suite":  # one suite, never the whole run
+            values[name] = draw(st.sampled_from(["fields", "graphs", "x"]))
+        elif pick == 0 or (pick > 1 and name not in example):
+            continue
+        elif (command, name) in _SMALL:
+            values[name] = str(draw(st.integers(-1, _SMALL[command, name])))
+        elif pick == 1:
+            values[name] = draw(st.text(_ALPHABET, max_size=6))
+        else:
+            values[name] = example[name]
+    return command, values, draw(st.booleans()), draw(st.sampled_from(["text", "json"]))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_requests())
+def test_fuzz_flags_and_documents_never_crash(request):
+    command, values, as_document, fmt = request
+    if as_document:
+        argv, stdin = [command, "--format", fmt, "--input", "-"], _document(values)
+    else:
+        argv, stdin = [command, "--format", fmt, *_flag_args(command, values)], ""
+    with mock.patch.dict(os.environ, {"COMBNULL_MAX_GRID_POINTS": "4096"}):
+        code, out, err = _run_raw(argv, stdin)
+    assert code in _EXIT_STATUS, (argv, stdin, code)
+    assert err == "" or (err.count("\n") == 1 and err.startswith(f"combnull {command}: ")), err
+    if fmt == "json":
+        doc = json.loads(out)
+    else:
+        lines = out.splitlines()
+        assert all(" " in line for line in lines), out
+        doc = dict(line.split(" ", 1) for line in lines)
+        assert list(doc)[:2] == ["command", "status"] and list(doc)[-1] == "time_ms"
+    assert doc["command"] == command and "time_ms" in doc
+    assert doc["status"] in _EXIT_STATUS[code], (argv, stdin, doc)

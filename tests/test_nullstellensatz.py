@@ -36,6 +36,7 @@ from combnull.errors import EmptyInput, NotAMember
 from combnull.nullstellensatz import (
     DEFAULT_MAX_GRID_POINTS,
     MAX_GRID_POINTS_ENV,
+    nonvanishing_valid,
     resolve_max_points,
     set_fault_injection,
 )
@@ -445,6 +446,26 @@ def test_second_nonvanish_lists_hits():
 
     zero = parse_poly("0", F3, 2)
     assert second_nonvanish(zero, Grid(F3, [[0, 1], [0, 1]])) == []
+
+
+@pytest.mark.parametrize("field, text, sets", [
+    (F3, "x1*x2 + x1 + 2", [[0, 1], [0, 2]]),
+    (F7, "x1^2 - x2*x3 + 3", [[0, 1, 5], [2, 6], [1, 3, 4]]),
+    (Q, "1/2*x1 - x2^2", [[0, Fraction(1, 2), 1], [-1, 0, 1]]),
+])
+def test_nonvanishing_valid_agrees_with_enumeration(field, text, sets):
+    # the --check predicate decides a claim at its own points; on every one-
+    # and two-point claim over a slightly larger box it must agree with the
+    # enumerated hits, and it rejects points off the grid or of wrong arity
+    grid = Grid(field, sets)
+    f = parse_poly(text, field, grid.n_vars)
+    hits = {h.value for h in second_nonvanish(f, grid)}
+    box = list(itertools.product(*[sorted(set(s) | {field.element(3)}) for s in grid.sets]))
+    for claim in itertools.chain(([pt] for pt in box), itertools.combinations(box, 2)):
+        assert nonvanishing_valid(f, grid, claim) == (set(claim) <= hits), claim
+    assert not nonvanishing_valid(f, grid, [box[-1][:-1]])
+    with pytest.raises(ArityMismatch):
+        nonvanishing_valid(parse_poly("x1", field, 1), grid, [box[0]])
 
 
 def test_second_nonvanish_guard_trips_on_inconsistency():
