@@ -30,6 +30,7 @@ from .combinatorics import (
     Graph,
     PlaneSet,
     PolySystem,
+    _check_plane_tests,
     cauchy_davenport_check,
     chevalley_g,
     common_roots,
@@ -427,10 +428,12 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_planes(req: Request) -> tuple[dict, int]:
-    n = req.require("n")
+    n, cap = req.require("n"), req.get("max-grid-points")
     construct = req.get("construct")
+    if construct:
+        _check_plane_tests(n, 3 * n, cap)  # before building the 3n planes
     planes = plane_cover_construct(n) if construct else PlaneSet(req.require("planes"))
-    report = plane_cover_verify(planes, n)
+    report = plane_cover_verify(planes, n, cap)
     if construct and not (report.covers and report.origin_free):
         raise TheoremViolation("constructed plane family failed re-validation")
     out = {

@@ -39,7 +39,8 @@ from .errors import (
 )
 from .field import PrimeField, RationalField, Scalar, is_prime
 from .mpoly import MultiPoly
-from .nullstellensatz import Grid, _points, _weighted_sum_of_values, grid_weighted_sum
+from .nullstellensatz import (Grid, _points, _weighted_sum_of_values, grid_weighted_sum,
+                              resolve_max_points)
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -270,8 +271,9 @@ def egz_valid(nums: Sequence[int], p: int, indices: Sequence[int]) -> bool:
 def egz_solve(nums: Sequence[int], p: int) -> tuple[int, ...]:
     """Erdos-Ginzburg-Ziv: among 2p - 1 integers, p of them sum to 0 mod p.
 
-    Returns the lexicographically smallest index set, found greedily against
-    a suffix feasibility table (exact count, residue target).
+    Returns the lexicographically smallest index set.  These are exactly the
+    nonempty zero-sum subsets of the vectors (1, a_i) in Z_p^2 (a count that
+    is 0 mod p and below 2p is p), so Olson's search finds it; p <= 1021.
     """
     if not is_prime(p):
         raise NotPrime(f"EGZ needs a prime modulus, got {p!r}")
@@ -279,33 +281,12 @@ def egz_solve(nums: Sequence[int], p: int) -> tuple[int, ...]:
     m = 2 * p - 1
     if len(nums) != m:
         raise BadLength(f"EGZ needs exactly {m} integers for p = {p}, got {len(nums)}")
-    res = [x % p for x in nums]
-
-    # feas[i][c][r]: some c-subset of indices i.. has residue sum r
-    feas = [[[False] * p for _ in range(p + 1)] for _ in range(m + 1)]
-    feas[m][0][0] = True
-    for i in range(m - 1, -1, -1):
-        for c in range(p + 1):
-            for r in range(p):
-                ok = feas[i + 1][c][r]
-                if not ok and c >= 1:
-                    ok = feas[i + 1][c - 1][(r - res[i]) % p]
-                feas[i][c][r] = ok
-
-    chosen: list[int] = []
-    need, target = p, 0
-    for i in range(m):
-        if need and feas[i + 1][need - 1][(target - res[i]) % p]:
-            chosen.append(i)
-            need -= 1
-            target = (target - res[i]) % p
-        if not need:
-            break
+    chosen = _lexmin_zero_sum([(1, x % p) for x in nums], p, 2)
     if not egz_valid(nums, p, chosen):
         raise TheoremViolation(
             f"EGZ guarantee violated: no p-subset with zero sum among {nums} mod {p}"
         )
-    return tuple(chosen)
+    return chosen
 
 
 def olson_valid(vectors: Sequence[Sequence[int]], p: int, indices: Sequence[int]) -> bool:
@@ -353,45 +334,60 @@ def olson_solve(
     vecs, k = olson_inputs(vectors, p, k)
     if not vecs:
         return None
-    if p**k > (1 << 20):
-        raise ResourceLimit(f"state space Z_{p}^{k} too large to search")
-    vecs = [tuple(x % p for x in v) for v in vecs]
-    m = len(vecs)
-    zero = (0,) * k
-
-    def vadd(s: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % p for a, b in zip(s, v))
-
-    # reach[i]: subset sums of the suffix i.. (nonempty_reach: nonempty subsets)
-    reach: list[set] = [set() for _ in range(m + 1)]
-    nonempty_reach: list[set] = [set() for _ in range(m + 1)]
-    reach[m] = {zero}
-    for i in range(m - 1, -1, -1):
-        shifted = {vadd(s, vecs[i]) for s in reach[i + 1]}
-        reach[i] = reach[i + 1] | shifted
-        nonempty_reach[i] = nonempty_reach[i + 1] | shifted
-
-    if zero not in nonempty_reach[0]:
-        if m >= k * (p - 1) + 1:
+    chosen = _lexmin_zero_sum([tuple(x % p for x in v) for v in vecs], p, k)
+    if not chosen:
+        if len(vecs) >= k * (p - 1) + 1:
             raise TheoremViolation(
-                f"Davenport bound violated: {m} >= {k * (p - 1) + 1} vectors in "
+                f"Davenport bound violated: {len(vecs)} >= {k * (p - 1) + 1} vectors in "
                 f"Z_{p}^{k} admit no nonempty zero-sum subset"
             )
         return None
-
-    chosen: list[int] = []
-    state = zero
-    for i in range(m):
-        nxt = vadd(state, vecs[i])
-        # completion may be empty once something is chosen
-        want = tuple((-x) % p for x in nxt)
-        if want in reach[i + 1]:
-            chosen.append(i)
-            state = nxt
-            if state == zero:
-                break
     if not olson_valid(vecs, p, chosen):
         raise TheoremViolation(f"zero-sum witness {chosen} failed re-validation")
+    return chosen
+
+
+def _lexmin_zero_sum(vecs: Sequence[tuple[int, ...]], p: int, k: int) -> tuple[int, ...]:
+    """Lexicographically smallest nonempty index set of vecs (residue
+    k-tuples) summing to zero in Z_p^k; () when there is none.
+
+    A set of states is one int of p^k bits, state s at bit sum_d s_d p^d, so
+    adding v rotates digit d by v_d inside its blocks of p^(d+1) bits: two
+    masked shifts.  reach[i] holds the subset sums of vecs[i:]; the forward
+    pass takes i whenever the state after it can still reach zero from i + 1.
+    """
+    size = p**k
+    if size > 1 << 20:  # 128 KiB per suffix set
+        raise ResourceLimit(f"state space Z_{p}^{k} too large to search")
+    steps = [p**d for d in range(k)]
+    low_masks: dict[tuple[int, int], int] = {}  # (d, x): digit d stays below p - x
+
+    def add(states: int, v: tuple[int, ...]) -> int:
+        for d, x in enumerate(v):
+            if x:
+                up, down = x * steps[d], (p - x) * steps[d]
+                if (d, x) not in low_masks:
+                    foot, block = 1, p * steps[d]  # a 1 at the foot of each block
+                    while block < size:
+                        foot, block = foot | foot << block, 2 * block
+                    low_masks[d, x] = (foot << down) - foot
+                stay = states & low_masks[d, x]
+                states = stay << up | (states ^ stay) >> down
+        return states
+
+    reach = [1]  # the empty sum, state 0
+    for v in reversed(vecs):
+        reach.append(reach[-1] | add(reach[-1], v))
+    reach.reverse()
+    chosen, state = [], (0,) * k
+    for i, v in enumerate(vecs):
+        nxt = tuple((a + b) % p for a, b in zip(state, v))
+        # completion may be empty once something is chosen
+        if reach[i + 1] >> sum(-x % p * step for x, step in zip(nxt, steps)) & 1:
+            chosen.append(i)
+            state = nxt
+            if not any(state):
+                break
     return tuple(chosen)
 
 
@@ -402,11 +398,8 @@ def olson_lower_witness(k: int, p: int) -> tuple[tuple[int, ...], ...]:
         raise NotPrime(f"need a prime modulus, got {p!r}")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise BadInput(f"dimension must be a positive integer, got {k!r}")
-    out = []
-    for i in range(k):
-        basis = tuple(1 if j == i else 0 for j in range(k))
-        out.extend([basis] * (p - 1))
-    return tuple(out)
+    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return tuple(e for e in basis for _ in range(p - 1))
 
 
 # ------------------------------------------------------------ plane coverings
@@ -445,17 +438,22 @@ def plane_cover_construct(n: int) -> PlaneSet:
     x = a, y = a, z = a for a = 1..n.  No smaller origin-free family works."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadInput(f"n must be a positive integer, got {n!r}")
-    planes = []
-    for axis in range(3):
-        for a in range(1, n + 1):
-            coeffs = [0, 0, 0, -a]
-            coeffs[axis] = 1
-            planes.append(tuple(coeffs))
-    return PlaneSet(planes)
+    axes = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    return PlaneSet(axis + (-a,) for axis in axes for a in range(1, n + 1))
 
 
-def plane_cover_verify(planes: PlaneSet, n: int) -> PlaneCoverReport:
-    """Check coverage of {0..n}^3 minus the origin.
+def _check_plane_tests(n: int, count: int, max_points: int | None) -> None:
+    """GridTooLarge past the grid cap of (n + 1)^3 * count point-plane tests."""
+    tests, cap = (n + 1) ** 3 * max(1, count), resolve_max_points(max_points)
+    if tests > cap:
+        raise GridTooLarge(f"{tests} point-plane tests exceed the cap of {cap}")
+
+
+def plane_cover_verify(
+    planes: PlaneSet, n: int, max_points: int | None = None
+) -> PlaneCoverReport:
+    """Check coverage of {0..n}^3 minus the origin, within the grid cap of
+    (n + 1)^3 * |planes| point-plane tests.
 
     Any origin-free family of fewer than 3n planes must miss a point; if one
     ever covered everything, that would contradict the lower bound and
@@ -463,14 +461,14 @@ def plane_cover_verify(planes: PlaneSet, n: int) -> PlaneCoverReport:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadInput(f"n must be a positive integer, got {n!r}")
+    _check_plane_tests(n, len(planes), max_points)
     origin_free = all(d != 0 for (_, _, _, d) in planes.planes)
-    missed = []
-    for point in itertools.product(range(n + 1), repeat=3):
-        if point == (0, 0, 0):
-            continue
-        x, y, z = point
-        if not any(a * x + b * y + c * z + d == 0 for (a, b, c, d) in planes.planes):
-            missed.append(point)
+    missed = [
+        (x, y, z)
+        for x, y, z in itertools.product(range(n + 1), repeat=3)
+        if (x, y, z) != (0, 0, 0)
+        and not any(a * x + b * y + c * z + d == 0 for (a, b, c, d) in planes.planes)
+    ]
     covers = not missed
     if origin_free and len(planes) < 3 * n and covers:
         raise TheoremViolation(

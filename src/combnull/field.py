@@ -21,19 +21,41 @@ Scalar = Union[int, Fraction]
 MAX_PRIME_EXCLUSIVE = 1 << 31
 
 
+# Miller-Rabin bases: the first 13 primes.  No composite below
+# _MILLER_RABIN_LIMIT is a strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 2017), so below it the test is exact; the first 12
+# alone are all fooled by 318665857834031151167461.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division, adequate for moduli below 2**31."""
+    """Deterministic Miller-Rabin, exact for n below about 3.3 * 10**24.
+
+    Larger n raise BadInput instead of risking a wrong answer.
+    """
     if n < 2:
         return False
-    if n < 4:
+    if n >= _MILLER_RABIN_LIMIT:
+        raise BadInput(f"primality is decided only below {_MILLER_RABIN_LIMIT}, got {n}")
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # a composite this small has a prime factor up to 41
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -60,10 +82,12 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int):
+        # the bound comes first, so a huge modulus is refused without a
+        # primality test
+        if isinstance(p, int) and p >= MAX_PRIME_EXCLUSIVE:
+            raise BadInput(f"prime modulus must be < 2**31, got {p}")
         if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
             raise NotPrime(f"modulus must be a prime >= 2, got {p!r}")
-        if p >= MAX_PRIME_EXCLUSIVE:
-            raise BadInput(f"prime modulus must be < 2**31, got {p}")
         self.p = p
 
     @property

@@ -4,13 +4,33 @@ Everything here recomputes answers from first principles with plain int or
 Fraction arithmetic and naive enumeration.  No code is shared with the
 package: polynomials are raw {exponents: coefficient} dicts, modular
 inverses go through Fermat exponentiation (the package uses extended
-Euclid), and searches are flat scans in lexicographic order.
+Euclid), primes come from trial division (the package uses Miller-Rabin),
+and searches are flat scans in lexicographic order.  The mid-size zero-sum
+oracles are the exception: greedy passes over suffix tables of lists or
+tuple sets, where the package packs its state sets into ints.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+
+# --------------------------------------------------------------------- primes
+
+
+def is_prime_trial(n: int) -> bool:
+    """Trial division by every odd d with d * d <= n."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 # ------------------------------------------------------------ raw polynomials
@@ -119,6 +139,66 @@ def zero_sum_subsets(vectors, p: int, k: int):
 def lex_min_zero_sum(vectors, p: int, k: int):
     subsets = zero_sum_subsets(vectors, p, k)
     return min(subsets) if subsets else None
+
+
+# Mid-size zero-sum oracles: table and tuple-set searches, polynomial in p,
+# for sizes where the brute force above (about p = 7) no longer finishes.
+# Both take the same greedy forward pass as the package's packed-int search,
+# over a different state representation.
+
+
+def egz_table(nums, p: int):
+    """First p-subset with zero sum, greedily against a suffix table:
+    feas[i][c][r] says some c-subset of positions i.. sums to r mod p."""
+    m = len(nums)
+    res = [x % p for x in nums]
+    feas = [[[False] * p for _ in range(p + 1)] for _ in range(m + 1)]
+    feas[m][0][0] = True
+    for i in range(m - 1, -1, -1):
+        for c in range(p + 1):
+            for r in range(p):
+                feas[i][c][r] = feas[i + 1][c][r] or (
+                    c >= 1 and feas[i + 1][c - 1][(r - res[i]) % p]
+                )
+    if not feas[0][p][0]:
+        return None
+    chosen, need, target = [], p, 0
+    for i in range(m):
+        if need and feas[i + 1][need - 1][(target - res[i]) % p]:
+            chosen.append(i)
+            need -= 1
+            target = (target - res[i]) % p
+    return tuple(chosen)
+
+
+def zero_sum_reach(vectors, p: int, k: int):
+    """First nonempty zero-sum index set, greedily against the suffix sets of
+    subset sums, each a set of k-tuples."""
+    vecs = [tuple(x % p for x in v) for v in vectors]
+    m = len(vecs)
+    zero = (0,) * k
+
+    def vadd(s, v):
+        return tuple((a + b) % p for a, b in zip(s, v))
+
+    reach = [set() for _ in range(m + 1)]
+    nonempty = [set() for _ in range(m + 1)]
+    reach[m] = {zero}
+    for i in range(m - 1, -1, -1):
+        shifted = {vadd(s, vecs[i]) for s in reach[i + 1]}
+        reach[i] = reach[i + 1] | shifted
+        nonempty[i] = nonempty[i + 1] | shifted
+    if zero not in nonempty[0]:
+        return None
+    chosen, state = [], zero
+    for i in range(m):
+        nxt = vadd(state, vecs[i])
+        if tuple(-x % p for x in nxt) in reach[i + 1]:
+            chosen.append(i)
+            state = nxt
+            if state == zero:
+                break
+    return tuple(chosen)
 
 
 # -------------------------------------------------------- witness definitions

@@ -677,6 +677,39 @@ def test_witness_check_decides_without_enumerating(cli):
         assert (code, doc["status"], doc["check_valid"]) == (2, "check-failed", "false"), claim
 
 
+_HUGE_PRIME = str((1 << 61) - 1)
+
+
+@pytest.mark.parametrize("args", [
+    ("coeff", "--p", _HUGE_PRIME, "--poly", "x1", "--sets", "0,1"),  # past 2^31
+    ("egz", "--p", _HUGE_PRIME, "--nums", "1"),                       # not 2p - 1 numbers
+    ("snevily", "--p", _HUGE_PRIME, "--a", "1,2", "--b", "1,1"),      # b repeats
+])
+def test_huge_prime_modulus_is_input_error(cli, args):
+    started = time.monotonic()
+    code, doc, err = cli(*args)
+    assert time.monotonic() - started < 1.0
+    assert (code, doc["status"], len(err.splitlines())) == (2, "input-error", 1)
+
+
+def test_zero_sum_and_plane_work_bounds_exit_three(cli):
+    started = time.monotonic()
+    # EGZ shares the 2^20-state cap of the zero-sum search, so p <= 1021
+    code, doc, err = cli("egz", "--p", "1031", "--nums", ",".join(["1"] * (2 * 1031 - 1)))
+    assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
+    # 61^3 points against 180 planes, over the default cap of 2^24 tests
+    code, doc, err = cli("planes", "--n", "60", "--construct")
+    assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
+    assert "GridTooLarge" in doc["error"]
+    code, doc, _ = cli("planes", "--n", "10000000", "--construct")
+    assert (code, doc["status"]) == (3, "resource-limit")
+    assert time.monotonic() - started < 1.0
+    # 4^3 points against 9 planes is 576 tests
+    assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "576")[0] == 0
+    assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "575")[0] == 3
+    assert cli("planes", "--n", "1", "--planes", "1,0,0,-1", "--max-grid-points", "7")[0] == 3
+
+
 def _run_raw(argv, stdin_text=""):
     """run() in-process with its standard streams redirected; returns
     (exit code, stdout, stderr).  Usable inside hypothesis tests, which
@@ -780,8 +813,8 @@ def test_flag_and_document_forms_agree(command, fmt):
 _ALPHABET = "0123456789,;-/()x^*abnpz"
 # drawn as small integers, so the fuzz stays fast while still reaching the
 # solvers: vandermonde's verification takes seconds at k = 6, and the work of
-# planes (about n^4) and chevalley (g = 1 - f^(p-1)) has no cap yet
-_SMALL = {("vandermonde", "k"): 4, ("planes", "n"): 4, ("chevalley", "p"): 7}
+# chevalley (g = 1 - f^(p-1)) has no cap yet
+_SMALL = {("vandermonde", "k"): 4, ("chevalley", "p"): 7}
 _EXIT_STATUS = {0: {"ok"}, 1: {"no-witness", "fail"}, 2: {"input-error", "check-failed"},
                 3: {"resource-limit"}, 4: {"internal-error"}}
 

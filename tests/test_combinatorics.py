@@ -331,6 +331,45 @@ def test_egz_larger_prime():
         assert chosen == oracles.egz_first(nums, 7)
 
 
+_PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@given(st.integers(0, 10**6))
+def test_egz_matches_table_oracle(seed):
+    rng = random.Random(seed)
+    p = rng.choice(_PRIMES_TO_31)
+    nums = [rng.randrange(-3 * p, 3 * p) for _ in range(2 * p - 1)]
+    assert egz_solve(nums, p) == oracles.egz_table(nums, p)
+
+
+@given(st.integers(0, 10**6))
+def test_olson_matches_reach_oracle(seed):
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 5, 7])
+    k = rng.randint(1, 4)
+    m = rng.randint(1, k * (p - 1) + 3)
+    zero_bias = rng.random()  # sparse families make long witnesses
+    vectors = [tuple(0 if rng.random() < zero_bias else rng.randrange(-p, 2 * p)
+                     for _ in range(k)) for _ in range(m)]
+    assert olson_solve(vectors, p, k) == oracles.zero_sum_reach(vectors, p, k)
+
+
+@given(st.integers(0, 10**6))
+def test_egz_is_olson_over_count_and_residue(seed):
+    rng = random.Random(seed)
+    p = rng.choice(_PRIMES_TO_31)
+    nums = [rng.randrange(-3 * p, 3 * p) for _ in range(2 * p - 1)]
+    assert egz_solve(nums, p) == olson_solve([(1, x) for x in nums], p, 2)
+
+
+def test_egz_state_cap():
+    assert len(egz_solve(list(range(2 * 31 - 1)), 31)) == 31
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        egz_solve([1] * (2 * 1031 - 1), 1031)  # 1031^2 states > 2^20
+    assert time.perf_counter() - start < 1
+
+
 def test_olson_known_witnesses():
     assert olson_solve([(1,), (1,)], 2) == (0, 1)
     assert olson_solve([(1,), (1,), (1,)], 3) == (0, 1, 2)
@@ -450,6 +489,19 @@ def test_plane_validation():
         plane_cover_construct(True)
     with pytest.raises(BadInput):
         plane_cover_verify(PlaneSet([]), 0)
+
+
+def test_plane_cover_verify_counts_tests_against_cap():
+    family = plane_cover_construct(3)  # 4^3 points times 9 planes = 576 tests
+    assert plane_cover_verify(family, 3, max_points=576).covers
+    with pytest.raises(GridTooLarge):
+        plane_cover_verify(family, 3, max_points=575)
+    with pytest.raises(GridTooLarge):  # the empty family still tests every point
+        plane_cover_verify(PlaneSet([]), 3, max_points=63)
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge):  # 61^3 * 180 tests, over the default 2^24
+        plane_cover_verify(plane_cover_construct(60), 60)
+    assert time.perf_counter() - start < 1
 
 
 # ------------------------------------------------------------- cycle labeling

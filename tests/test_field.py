@@ -33,6 +33,27 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == sieve[n], n
 
 
+def test_is_prime_against_trial_division():
+    for n in range(-2, 10**5):
+        assert is_prime(n) == oracles.is_prime_trial(n), n
+
+
+def test_is_prime_large():
+    # strong pseudoprimes to the bases 2..7, 2..13 and 2..23, and to all of
+    # 2..37: each base set alone would call it prime
+    for n in (3215031751, 3474749660383, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    for n in ((1 << 61) - 1, (1 << 31) - 1):
+        assert is_prime(n), n
+    assert not is_prime((1 << 61) + 1)
+    with pytest.raises(InputError):  # past the range where the test is exact
+        is_prime(3317044064679887385961981)
+    # the field refuses a large modulus before testing it
+    for p in ((1 << 61) - 1, 10**30):
+        with pytest.raises(InputError, match="2\\*\\*31"):
+            PrimeField(p)
+
+
 def test_prime_field_rejects_nonprimes():
     for bad in (-1, 0, 1, 4, 9, 100):
         with pytest.raises(NotPrime):
