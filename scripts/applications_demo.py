@@ -2,8 +2,8 @@
 """Guided tour: one worked instance per solver, each witness re-checked.
 
 Every section builds a concrete input, asks the library for a witness or a
-certificate, then re-verifies the claimed property by direct computation so
-the printout doubles as a smoke test.  Run with --seed to vary the random
+certificate, then re-verifies the claimed property (with the library's
+witness predicate where it has one) so the printout doubles as a smoke test.  Run with --seed to vary the random
 instances.
 
 Usage:
@@ -28,13 +28,16 @@ from combnull import (
     cycle_selection,
     cycle_selection_certificate,
     egz_solve,
+    egz_valid,
     grid_weighted_sum,
     olson_lower_witness,
     olson_solve,
+    olson_valid,
     parse_poly,
     plane_cover_construct,
     plane_cover_verify,
     regular_subgraph_find,
+    regular_subgraph_valid,
     second_nonvanish,
     snevily_solve,
     symdiff_check,
@@ -86,7 +89,7 @@ def demo_egz(cfg: DemoConfig, rng: random.Random) -> None:
     picked = [nums[i] for i in chosen]
     print(f"{2 * p - 1} integers: {nums}")
     print(f"indices {chosen} pick {picked}, sum {sum(picked)} = 0 mod {p}")
-    assert sum(picked) % p == 0
+    assert egz_valid(nums, p, chosen)
 
 
 def demo_olson(cfg: DemoConfig, rng: random.Random) -> None:
@@ -97,9 +100,7 @@ def demo_olson(cfg: DemoConfig, rng: random.Random) -> None:
     subset = olson_solve(vectors, p)
     print(f"{m} vectors in Z_{p}^{k}: {vectors}")
     print(f"nonempty zero-sum subset: indices {subset}")
-    assert subset is not None
-    for j in range(k):
-        assert sum(vectors[i][j] for i in subset) % p == 0
+    assert subset is not None and olson_valid(vectors, p, subset)
     extremal = olson_lower_witness(k, p)
     print(f"extremal family of size {len(extremal)} with no zero-sum subset:")
     print(f"  {extremal}  ->  olson_solve returns {olson_solve(extremal, p)}")
@@ -135,14 +136,10 @@ def demo_regular(cfg: DemoConfig) -> None:
     banner("2-regular subgraph in a dense small graph")
     graph = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     chosen = regular_subgraph_find(graph, 2)
-    degs = [0] * 4
-    for u, v in chosen:
-        degs[u] += 1
-        degs[v] += 1
     print(f"graph K4 minus one edge, edges = {graph.edges}")
     print(f"edge subset inducing a 2-regular subgraph: {chosen}")
-    print(f"induced degrees: {degs}")
-    assert all(d in (0, 2) for d in degs)
+    print(f"induced degrees: {Graph(4, chosen).degrees()}")
+    assert regular_subgraph_valid(graph, 2, chosen)
 
 
 def demo_snevily(cfg: DemoConfig, rng: random.Random) -> None:

@@ -37,7 +37,6 @@ from .field import (
     Scalar,
     is_prime,
     power_sum,
-    primitive_root,
 )
 from .mpoly import NEG_INF, MultiPoly, format_poly, parse_poly, sorted_terms
 from .nullstellensatz import (

@@ -37,6 +37,7 @@ from .combinatorics import (
     cycle_selection,
     cycle_selection_certificate,
     cycle_selection_valid,
+    egz_inputs,
     egz_solve,
     egz_valid,
     erdos_heilbronn_check,
@@ -385,18 +386,14 @@ def _cmd_sumset(req: Request) -> tuple[dict, int]:
 def _cmd_egz(req: Request) -> tuple[dict, int]:
     p = req.require("p")
     nums = req.require("nums")
+    out = {"p": p, "nums": _fmt_list(nums)}
+    if req.given("check"):
+        # decided by the predicate alone, after the solver's input checks
+        egz_inputs(nums, p)
+        return _checked(out, egz_valid(nums, p, req.get("check")))
     indices = egz_solve(nums, p)
     chosen_sum = sum(nums[i] for i in indices)
-    out = {
-        "p": p,
-        "nums": _fmt_list(nums),
-        "indices": _fmt_list(indices),
-        "sum": chosen_sum,
-        "sum_mod_p": chosen_sum % p,
-    }
-    check = req.get("check")
-    if check is not None:
-        return _checked(out, egz_valid(nums, p, check))
+    out.update(indices=_fmt_list(indices), sum=chosen_sum, sum_mod_p=chosen_sum % p)
     return out, EXIT_OK
 
 

@@ -13,6 +13,7 @@ sorted index (or position-by-position value) sequence.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -268,6 +269,16 @@ def egz_valid(nums: Sequence[int], p: int, indices: Sequence[int]) -> bool:
     )
 
 
+def egz_inputs(nums: Sequence[int], p: int) -> list[int]:
+    """The input checks of egz_solve: a prime p and exactly 2p - 1 integers."""
+    if not is_prime(p):
+        raise NotPrime(f"EGZ needs a prime modulus, got {p!r}")
+    nums = list(nums)
+    if len(nums) != 2 * p - 1:
+        raise BadLength(f"EGZ needs exactly {2 * p - 1} integers for p = {p}, got {len(nums)}")
+    return nums
+
+
 def egz_solve(nums: Sequence[int], p: int) -> tuple[int, ...]:
     """Erdos-Ginzburg-Ziv: among 2p - 1 integers, p of them sum to 0 mod p.
 
@@ -275,12 +286,7 @@ def egz_solve(nums: Sequence[int], p: int) -> tuple[int, ...]:
     nonempty zero-sum subsets of the vectors (1, a_i) in Z_p^2 (a count that
     is 0 mod p and below 2p is p), so Olson's search finds it; p <= 1021.
     """
-    if not is_prime(p):
-        raise NotPrime(f"EGZ needs a prime modulus, got {p!r}")
-    nums = list(nums)
-    m = 2 * p - 1
-    if len(nums) != m:
-        raise BadLength(f"EGZ needs exactly {m} integers for p = {p}, got {len(nums)}")
+    nums = egz_inputs(nums, p)
     chosen = _lexmin_zero_sum([(1, x % p) for x in nums], p, 2)
     if not egz_valid(nums, p, chosen):
         raise TheoremViolation(
@@ -347,43 +353,54 @@ def olson_solve(
     return chosen
 
 
+class _PackedStates:
+    """Sets of digit vectors, each one int with state s at bit s: digit d has
+    place value steps[d] and runs over 0..radices[d] - 1.  Adding x > 0 to a
+    digit is two masked shifts; a residue digit (wrap[d]) turns mod its
+    radix, an exact digit drops the states that would pass its top.
+    """
+
+    def __init__(self, radices: Sequence[int], wrap: Sequence[bool]):
+        self.radices, self.wrap = list(radices), list(wrap)
+        self.steps = [math.prod(self.radices[:d]) for d in range(len(self.radices))]
+        self.size = math.prod(self.radices)
+        self._low: dict[tuple[int, int], int] = {}  # (d, x): digit d below radix - x
+
+    def add(self, states: int, moves: Iterable[tuple[int, int]]) -> int:
+        """The set of s + x e_d over s in states, for each (d, x) in moves."""
+        for d, x in moves:
+            radix, step = self.radices[d], self.steps[d]
+            if (d, x) not in self._low:
+                foot, block = 1, radix * step  # a 1 at the foot of each block
+                while block < self.size:
+                    foot, block = foot | foot << block, 2 * block
+                self._low[d, x] = (foot << (radix - x) * step) - foot
+            stay = states & self._low[d, x]
+            wrapped = (states ^ stay) >> (radix - x) * step if self.wrap[d] else 0
+            states = stay << x * step | wrapped
+        return states
+
+
 def _lexmin_zero_sum(vecs: Sequence[tuple[int, ...]], p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest nonempty index set of vecs (residue
     k-tuples) summing to zero in Z_p^k; () when there is none.
 
-    A set of states is one int of p^k bits, state s at bit sum_d s_d p^d, so
-    adding v rotates digit d by v_d inside its blocks of p^(d+1) bits: two
-    masked shifts.  reach[i] holds the subset sums of vecs[i:]; the forward
-    pass takes i whenever the state after it can still reach zero from i + 1.
+    reach[i] holds the subset sums of vecs[i:] as one packed set of p^k
+    bits; the forward pass takes i whenever the state after it can still
+    reach zero from i + 1.
     """
-    size = p**k
-    if size > 1 << 20:  # 128 KiB per suffix set
+    if p**k > 1 << 20:  # 128 KiB per suffix set
         raise ResourceLimit(f"state space Z_{p}^{k} too large to search")
-    steps = [p**d for d in range(k)]
-    low_masks: dict[tuple[int, int], int] = {}  # (d, x): digit d stays below p - x
-
-    def add(states: int, v: tuple[int, ...]) -> int:
-        for d, x in enumerate(v):
-            if x:
-                up, down = x * steps[d], (p - x) * steps[d]
-                if (d, x) not in low_masks:
-                    foot, block = 1, p * steps[d]  # a 1 at the foot of each block
-                    while block < size:
-                        foot, block = foot | foot << block, 2 * block
-                    low_masks[d, x] = (foot << down) - foot
-                stay = states & low_masks[d, x]
-                states = stay << up | (states ^ stay) >> down
-        return states
-
+    space = _PackedStates([p] * k, [True] * k)
     reach = [1]  # the empty sum, state 0
     for v in reversed(vecs):
-        reach.append(reach[-1] | add(reach[-1], v))
+        reach.append(reach[-1] | space.add(reach[-1], [(d, x) for d, x in enumerate(v) if x]))
     reach.reverse()
     chosen, state = [], (0,) * k
     for i, v in enumerate(vecs):
         nxt = tuple((a + b) % p for a, b in zip(state, v))
         # completion may be empty once something is chosen
-        if reach[i + 1] >> sum(-x % p * step for x, step in zip(nxt, steps)) & 1:
+        if reach[i + 1] >> sum(-x % p * step for x, step in zip(nxt, space.steps)) & 1:
             chosen.append(i)
             state = nxt
             if not any(state):
@@ -645,109 +662,91 @@ def regular_subgraph_valid(graph: Graph, p: int, edges: Iterable[Sequence[int]])
     return all(d in (0, p) for d in Graph(graph.n_vertices, claimed).degrees())
 
 
-_DP_STATE_CAP = 1 << 18
+_REGULAR_EDGE_CAP = 24  # the one work bound of the regular-subgraph search
 
 
 def regular_subgraph_find(
-    graph: Graph, p: int, force_search: bool = False, max_edges: int = 24
+    graph: Graph, p: int, force_search: bool = False
 ) -> Optional[tuple[tuple[int, int], ...]]:
     """Find a nonempty edge subset whose induced subgraph is p-regular.
 
     Hypotheses (checked unless force_search): every degree < 2p and average
     degree > 2p - 2.  Under them a nonempty selection exists whose vertex
-    degrees are all 0 mod p; sub-2p degrees then force exactly p on touched
-    vertices.  The search walks edge subsets in increasing bitmask order over
-    the sorted edge list (bit j = edge j) and returns the first hit, i.e. the
-    numerically smallest such bitmask; a residue-state table prunes the walk
-    without changing which subset is found first.
+    degrees are all 0 mod p (Alon-Friedland-Kalai); sub-2p degrees then force
+    exactly p on touched vertices.  Returns the subset with the numerically
+    smallest edge mask over the sorted edge list (bit j = edge j), or None.
+    The search (_min_regular_mask) runs on the p-core and takes at most 24
+    edges, so at most 3^16 packed degree states (16 cubic vertices, p = 3).
     """
     if not is_prime(p):
         raise NotPrime(f"need a prime p, got {p!r}")
     m = len(graph.edges)
-    if m > max_edges:
-        raise GridTooLarge(f"{m} edges exceeds the search cap of {max_edges}")
+    if m > _REGULAR_EDGE_CAP:
+        raise GridTooLarge(f"{m} edges exceeds the search cap of {_REGULAR_EDGE_CAP}")
     degrees = graph.degrees()
-    if not force_search:
-        too_big = [v for v, d in enumerate(degrees) if d >= 2 * p]
-        if too_big:
-            raise HypothesisViolated(
-                f"vertex {too_big[0]} has degree {degrees[too_big[0]]} >= 2p = {2 * p}"
-            )
-        if 2 * m <= (2 * p - 2) * graph.n_vertices:
-            raise HypothesisViolated(
-                f"average degree {2 * m}/{graph.n_vertices} is not above 2p - 2 = {2 * p - 2}"
-            )
-    hypotheses_hold = all(d < 2 * p for d in degrees) and 2 * m > (2 * p - 2) * graph.n_vertices
-
-    active = [v for v, d in enumerate(degrees) if d > 0]
-    slot = {v: i for i, v in enumerate(active)}
-    mask = None
-    if active and all(d < 2 * p for d in degrees) and p ** len(active) <= _DP_STATE_CAP:
-        mask = _min_mask_zero_degrees(graph.edges, slot, p)
-    elif active:
-        mask = _scan_exact_degrees(graph.edges, slot, p)
-
+    big = next((v for v, d in enumerate(degrees) if d >= 2 * p), None)
+    sparse = 2 * m <= (2 * p - 2) * graph.n_vertices
+    if big is not None and not force_search:
+        raise HypothesisViolated(f"vertex {big} has degree {degrees[big]} >= 2p = {2 * p}")
+    if sparse and not force_search:
+        raise HypothesisViolated(
+            f"average degree {2 * m}/{graph.n_vertices} is not above 2p - 2 = {2 * p - 2}")
+    mask = _min_regular_mask(graph.edges, p)
+    if mask is None and big is None and not sparse:
+        raise TheoremViolation(f"regular-subgraph guarantee violated: degrees {degrees} "
+                               f"admit no {p}-regular edge subset")
     if mask is None:
-        if hypotheses_hold:
-            raise TheoremViolation(
-                f"regular-subgraph guarantee violated: degrees {degrees} admit no "
-                f"{p}-regular edge subset"
-            )
         return None
-
     selected = tuple(graph.edges[j] for j in range(m) if mask >> j & 1)
     if not regular_subgraph_valid(graph, p, selected):
-        raise TheoremViolation(
-            f"selected edge subset {selected} is not {p}-regular on its support"
-        )
+        raise TheoremViolation(f"selected edge subset {selected} is not {p}-regular on its support")
     return selected
 
 
-def _min_mask_zero_degrees(edges, slot, p) -> Optional[int]:
-    """Smallest nonzero bitmask giving every vertex degree 0 mod p.
+def _min_regular_mask(edges: Sequence[tuple[int, int]], p: int) -> Optional[int]:
+    """Smallest nonzero bitmask (bit j = edges[j]) whose edges meet every
+    vertex 0 or p times; None when there is none.
 
-    States are degree-residue vectors; a state's first recorded mask is its
-    minimum, because masks produced later always carry a higher bit.
+    Such a subgraph has degree p on its support, so it lies in the p-core,
+    and only core edges are searched.  A core vertex is one digit of a packed
+    state: its degree mod p when its core degree is below 2p (0 mod p then
+    means 0 or p), else its exact degree 0..p.  reach[j] holds the degree
+    states of the subsets of core edges before j.  The highest edge of the
+    answer is the first j for which edge j takes reach[j] onto a target;
+    below it, edge i is kept only when reach[i] cannot complete the sum.
     """
-    width = len(slot)
-    zero = (0,) * width
-    dp: dict[tuple[int, ...], int] = {zero: 0}
-    for j, (u, v) in enumerate(edges):
-        iu, iv = slot[u], slot[v]
-        need = tuple(
-            (p - 1) if i in (iu, iv) else 0 for i in range(width)
-        )
-        if need in dp:
-            return dp[need] | (1 << j)
-        bit = 1 << j
-        fresh = {}
-        for s, msk in dp.items():
-            t = list(s)
-            t[iu] = (t[iu] + 1) % p
-            t[iv] = (t[iv] + 1) % p
-            t = tuple(t)
-            if t not in dp and (t not in fresh or fresh[t] > msk | bit):
-                fresh[t] = msk | bit
-        dp.update(fresh)
-    return None
+    core, kept = None, list(enumerate(edges))
+    while kept != core:  # peel the vertices of degree below p
+        core, degree = kept, collections.Counter(v for _, e in kept for v in e)
+        kept = [(j, e) for j, e in core if min(degree[e[0]], degree[e[1]]) >= p]
+    slot = {v: d for d, v in enumerate(degree)}
+    exact = [degree[v] >= 2 * p for v in degree]
+    space = _PackedStates([p + 1 if x else p for x in exact], [not x for x in exact])
 
+    def completions(chosen: Sequence[int]) -> int:
+        """The states s with s + chosen on a target: residue digits at 0,
+        exact digits at 0 or p."""
+        states = 1 << sum(-c % p * step for c, step in zip(chosen, space.steps))
+        for c, x, step in zip(chosen, exact, space.steps):
+            if x and not c:
+                states |= states << p * step
+        return states
 
-def _scan_exact_degrees(edges, slot, p) -> Optional[int]:
-    """Plain ascending scan of edge subsets for degrees exactly 0 or p."""
-    width = len(slot)
-    m = len(edges)
-    for mask in range(1, 1 << m):
-        degs = [0] * width
-        bits = mask
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            u, v = edges[j]
-            degs[slot[u]] += 1
-            degs[slot[v]] += 1
-            bits &= bits - 1
-        if all(d in (0, p) for d in degs):
-            return mask
-    return None
+    target, reach = completions([0] * len(exact)), [1]  # the empty subset
+    for top, (_, (u, v)) in enumerate(core):
+        states = space.add(reach[-1], ((slot[u], 1), (slot[v], 1)))
+        if states & target:
+            break
+        reach.append(reach[-1] | states)
+    else:
+        return None
+    mask, chosen = 0, [0] * len(exact)
+    for i in reversed(range(top + 1)):
+        if i == top or not reach[i] & completions(chosen):
+            mask |= 1 << core[i][0]
+            for w in core[i][1]:
+                chosen[slot[w]] += 1
+    return mask
 
 
 # ------------------------------------------------------- distinct-sum shuffles

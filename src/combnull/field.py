@@ -9,7 +9,6 @@ are exact; nothing here is suitable for cryptographic use.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -57,21 +56,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class PrimeField:
@@ -218,21 +202,6 @@ class RationalField:
 
 
 FieldSpec = Union[PrimeField, RationalField]
-
-def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group of Z_p.
-
-    Existence for prime p is classical, so the scan always terminates.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"primitive root needs a prime modulus, got {p!r}")
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise AssertionError("unreachable: Z_p* is cyclic for prime p")
 
 
 def power_sum(p: int, k: int) -> int:

@@ -181,19 +181,11 @@ def weighted_power_sum(field: FieldSpec, elements: Sequence[Scalar], m: int) -> 
     Equals 0 for m < |A| - 1 and 1 for m = |A| - 1; this is the univariate
     kernel that makes the grid identities work.
     """
-    elems = sorted(field.element(x) for x in elements)
-    if not elems:
-        raise EmptyInput("power sum over an empty set")
-    for a, b in zip(elems, elems[1:]):
-        if a == b:
-            raise BadInput(f"repeated element {field.format(a)}")
-    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= len(elems) - 1:
-        raise OutOfRange(f"exponent must lie in [0, {len(elems) - 1}], got {m!r}")
-    total = field.zero
-    for a in elems:
-        term = field.div(field.power(a, m), lagrange_denominator(field, elems, a))
-        total = field.add(total, term)
-    return total
+    grid = Grid(field, [elements])
+    top = len(grid.sets[0]) - 1
+    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= top:
+        raise OutOfRange(f"exponent must lie in [0, {top}], got {m!r}")
+    return _weighted_sum_of_values(lambda point: field.power(point[0], m), grid)
 
 
 def lagrange_interpolate(

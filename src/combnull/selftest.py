@@ -39,7 +39,7 @@ from .combinatorics import (
     vandermonde_sq_coefficient,
 )
 from .errors import SchemaError
-from .field import PrimeField, RationalField, power_sum, primitive_root
+from .field import PrimeField, RationalField, power_sum
 from .mpoly import MultiPoly, format_poly, parse_poly
 from .nullstellensatz import (
     Grid,
@@ -65,9 +65,8 @@ def _suite_fields() -> None:
         _expect(f7.mul(x, f7.inv(x)) == 1, f"inverse of {x} mod 7 broken")
         _expect(f7.power(x, 6) == 1, f"Fermat failed at {x} mod 7")
     _expect(f7.power(0, 0) == 1, "0^0 must be 1")
-    g = primitive_root(7)
-    seen = {f7.power(g, e) for e in range(6)}
-    _expect(len(seen) == 6, f"primitive root {g} does not generate Z_7*")
+    seen = {f7.power(3, e) for e in range(6)}
+    _expect(len(seen) == 6, "3 does not generate Z_7*")
     for p in (3, 5, 7):
         for k in range(0, 2 * (p - 1) + 1):
             # 0^0 = 1, so k = 0 sums p ones; for k >= 1 the zero term drops out

@@ -233,6 +233,22 @@ def test_egz_check_round_trip(cli):
     assert bad[0] == 2 and bad[1]["check_valid"] == "false"
 
 
+def test_egz_check_skips_the_solver(cli):
+    # p = 1031 is past the search's state cap; a claim needs only egz_valid
+    ones = ",".join(["1"] * (2 * 1031 - 1))
+    started = time.monotonic()
+    code, doc, _ = cli("egz", "--p", "1031", "--nums", ones,
+                       "--check", ",".join(map(str, range(1031))))
+    assert time.monotonic() - started < 1.0
+    assert (code, doc["check_valid"]) == (0, "true")
+    assert "indices" not in doc and "sum" not in doc
+    code, doc, _ = cli("egz", "--p", "1031", "--nums", ones,
+                       "--check", ",".join(map(str, range(1030))))
+    assert (code, doc["check_valid"]) == (2, "false")
+    # the solver's input checks still apply
+    assert cli("egz", "--p", "1031", "--nums", "1,1", "--check", "0")[0] == 2
+
+
 def test_olson_check_round_trip(cli):
     good = cli("olson", "--p", "2", "--k", "2", "--vectors", "1,0;0,1;1,1",
                "--check", "0,1,2")

@@ -59,7 +59,6 @@ from combnull import (
 )
 from combnull.errors import ArityMismatch
 from combnull import combinatorics
-from combnull.combinatorics import _min_mask_zero_degrees, _scan_exact_degrees
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -676,31 +675,100 @@ def test_regular_subgraph_guards():
         regular_subgraph_find(big, 2)
 
 
-@given(st.integers(0, 120))
+def _capped_edges(rng, n, cap):
+    """Random edges on n vertices, taken greedily while both ends have degree < cap."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    degree = [0] * n
+    edges = []
+    for u, v in pairs:
+        if degree[u] < cap and degree[v] < cap:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return edges
+
+
+def _oracle_case(rng):
+    """(graph, p, force_search): one of seven kinds of graph, often with
+    isolated vertices beyond the ones its edges use."""
+    kind = rng.choice(["random", "hypotheses", "hub", "wheel", "clique", "forest", "matching"])
+    p = rng.choice([2, 3, 5, 7])
+    spare = rng.randint(0, 3)
+    if kind == "hypotheses":  # degrees below 2p and average above 2p - 2
+        p = rng.choice([2, 3])  # p >= 5 needs more than 24 edges
+        while True:
+            n = rng.randint(4, 9) if p == 2 else rng.randint(6, 7)
+            edges = _capped_edges(rng, n, 2 * p - 1)
+            if 2 * len(edges) > (2 * p - 2) * n:
+                return Graph(n, edges), p, False
+    if kind == "random":
+        n = rng.randint(2, 8)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randint(0, min(12, len(pairs))))
+    elif kind == "hub":  # vertex 0 has degree >= 2p
+        n = 2 * p + rng.randint(1, 2)
+        pairs = list(itertools.combinations(range(1, n), 2))
+        extra = rng.randint(0, min(len(pairs), max(0, 15 - n)))
+        edges = [(0, v) for v in range(1, n)] + rng.sample(pairs, extra)
+    elif kind == "wheel":  # hub 0 of degree >= 2p on a rim cycle, with a chord or none
+        p = min(p, 3)
+        n = 2 * p + rng.randint(1, 2)
+        edges = [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)]
+        rim_pairs = itertools.combinations(range(1, n), 2)
+        chords = [(u, v) for u, v in rim_pairs if v - u not in (1, n - 2)]
+        edges += rng.sample(chords, rng.randint(0, 1))
+    elif kind == "clique":  # K_{p+1}, p-regular itself; K_8 has 28 edges
+        p = min(p, 5)
+        n = p + 2  # vertex p + 1 is a pendant or isolated
+        edges = list(itertools.combinations(range(p + 1), 2))
+        edges += [(p, p + 1)] if rng.random() < 0.5 else []
+    elif kind == "forest":
+        n = rng.randint(1, 12)
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+    else:
+        n = 2 * rng.randint(1, 8)
+        edges = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+    return Graph(n + spare, edges), p, True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
 def test_regular_subgraph_matches_oracle(seed):
-    rng = random.Random(seed)
-    p = rng.choice([2, 3])
-    n = rng.randint(3, 7)
-    all_edges = list(itertools.combinations(range(n), 2))
-    rng.shuffle(all_edges)
-    edges = all_edges[: rng.randint(1, min(10, len(all_edges)))]
-    graph = Graph(n, edges)
-    got = regular_subgraph_find(graph, p, force_search=True)
-    expected = oracles.first_regular_mask(graph.edges, n, p)
+    graph, p, force_search = _oracle_case(random.Random(seed))
+    got = regular_subgraph_find(graph, p, force_search=force_search)
+    expected = oracles.first_regular_mask(graph.edges, graph.n_vertices, p)
     if got is None:
         assert expected is None
     else:
         assert _mask_of(graph, got) == expected
 
 
-def test_regular_subgraph_dp_and_scan_agree():
-    for graph, p in [(_complete_graph(4), 2), (_complete_graph(5), 2),
-                     (_complete_graph(5), 3), (_complete_graph(6), 3)]:
-        active = [v for v, d in enumerate(graph.degrees()) if d > 0]
-        slot = {v: i for i, v in enumerate(active)}
-        assert _min_mask_zero_degrees(graph.edges, slot, p) == _scan_exact_degrees(
-            graph.edges, slot, p
-        )
+def test_regular_subgraph_exact_degrees():
+    # A rim vertex of a wheel has degree 3, so a 3-regular subgraph that
+    # touches it takes the whole rim and gives the hub degree 6 or 7: 0 mod 3
+    # and 3 mod 4, yet neither is 3.
+    for rim in (6, 7):
+        wheel = Graph(rim + 1, [(0, v) for v in range(1, rim + 1)]
+                      + [(v, v % rim + 1) for v in range(1, rim + 1)])
+        assert oracles.first_regular_mask(wheel.edges, rim + 1, 3) is None
+        assert regular_subgraph_find(wheel, 3, force_search=True) is None
+
+
+def test_regular_subgraph_work_bound():
+    # 16 cubic vertices at p = 3: 3^16 states, and the answer is every edge
+    cubic = Graph(16, [(i, (i + 1) % 16) for i in range(16)] + [(i, i + 8) for i in range(8)])
+    started = time.monotonic()
+    assert regular_subgraph_find(cubic, 3, force_search=True) == cubic.edges
+    assert time.monotonic() - started < 5.0
+    # a 24-edge matching has an empty 2-core
+    matching = Graph(48, [(2 * i, 2 * i + 1) for i in range(24)])
+    started = time.monotonic()
+    assert regular_subgraph_find(matching, 2, force_search=True) is None
+    assert time.monotonic() - started < 1.0
+    with pytest.raises(GridTooLarge):
+        regular_subgraph_find(Graph(50, [(2 * i, 2 * i + 1) for i in range(25)]), 2,
+                              force_search=True)
 
 
 # ------------------------------------------------------- distinct-sum shuffles

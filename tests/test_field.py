@@ -14,7 +14,6 @@ from combnull import (
     RationalField,
     is_prime,
     power_sum,
-    primitive_root,
 )
 from combnull.field import MAX_PRIME_EXCLUSIVE
 
@@ -137,33 +136,6 @@ def test_known_inverse_values():
     assert PrimeField(5).add(3, 4) == 2
     assert PrimeField(5).mul(2, 3) == 1
     assert RationalField().add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-
-def test_known_primitive_roots():
-    assert primitive_root(2) == 1
-    assert primitive_root(5) == 2  # powers of 2 mod 5: 2, 4, 3, 1
-    assert primitive_root(7) == 3  # 2 has order 3 only; 3 has order 6
-
-
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_primitive_root_has_full_order(p):
-    g = primitive_root(p)
-    f = PrimeField(p)
-    seen = set()
-    x = 1
-    for _ in range(p - 1):
-        seen.add(x)
-        x = f.mul(x, g)
-    assert seen == set(range(1, p))
-    # and the multiplicative order is exactly p - 1, not a proper divisor
-    for d in range(1, p - 1):
-        if (p - 1) % d == 0:
-            assert f.power(g, d) != 1 or d == p - 1
-
-
-def test_primitive_root_rejects_nonprime():
-    with pytest.raises(NotPrime):
-        primitive_root(8)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
