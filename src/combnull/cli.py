@@ -6,7 +6,8 @@ makes every subcommand from it.  A handler reads values through ``Request``:
 the flag if given, else the same key of a ``key value`` document (--input
 FILE, or - for stdin), parsed by the declared type when the handler asks, so
 flags and documents share one parser.  Piped stdin without --input is read as
-the document only when none of the command's own flags is given.
+the document only when none of the command's own flags is given, and never by
+a command whose flags are all optional (selftest).
 
 Output is one document, ``key value`` lines or JSON (--format json), the same
 on every run but for time_ms.  Exit codes: 0 success, 1 no witness, 2 invalid
@@ -235,7 +236,8 @@ class Request:
         self._flags = {**_SHARED, **flags}
         self._flagged = {name: getattr(args, name.replace("-", "_")) for name in self._flags}
         self._source = args.input
-        if self._source is None and not sys.stdin.isatty() and all(self._flagged[f] is None for f in flags):
+        implicit = args.command not in _ALL_OPTIONAL and not sys.stdin.isatty()
+        if self._source is None and implicit and all(self._flagged[f] is None for f in flags):
             self._source = "-"
         self._doc: dict[str, str] | None = None
 
@@ -332,8 +334,9 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
     n_vars = req.require("nvars")
     polys = req.require("polys", field, n_vars)
     system = PolySystem(field, n_vars, polys)
-    roots = common_roots(system, req.get("max-grid-points"))
-    g = chevalley_g(system)
+    cap = req.get("max-grid-points")
+    roots = common_roots(system, cap)
+    g = chevalley_g(system, cap)
     degree_sum = sum(f.total_degree() for f in system.polys if f.terms)
     out = {
         "p": p,
@@ -638,6 +641,11 @@ COMMANDS = {
         "inject-fault": (_switch, "corrupt the arithmetic core first (must fail; test hook)"),
     }),
 }
+
+# commands whose flags are all optional: with none given they still have all
+# they need, so they never read a piped stdin unless given --input -; the pipe
+# may be open with nothing ever written to it
+_ALL_OPTIONAL = frozenset({"selftest"})
 
 
 def build_parser() -> argparse.ArgumentParser:

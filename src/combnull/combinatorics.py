@@ -14,8 +14,10 @@ sorted index (or position-by-position value) sequence.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -79,17 +81,25 @@ class PolySystem:
         object.__setattr__(self, "polys", polys)
 
 
-def chevalley_g(system: PolySystem) -> MultiPoly:
+def chevalley_g(system: PolySystem, max_points: int | None = None) -> MultiPoly:
     """The product of (f_j^(p-1) - 1); empty systems give the constant 1.
 
     At a common root every factor is -1; anywhere else some f_j is nonzero,
-    its (p-1)-th power is 1 by Fermat, and the product vanishes.
+    its (p-1)-th power is 1 by Fermat, and the product vanishes.  Before any
+    multiplication the packed range of g, prod_i (1 + (p-1) * sum_j
+    deg_i f_j), is counted against the grid cap (GridTooLarge above it).
     """
     p = system.field.p
-    g = MultiPoly.constant(system.field, system.n_vars, system.field.one)
+    degrees = [0] * system.n_vars
     for f in system.polys:
-        g = g * (f ** (p - 1) - 1)
-    return g
+        for i, column in enumerate(zip(*f.terms)):
+            degrees[i] += max(column)
+    span, cap = math.prod(1 + (p - 1) * d for d in degrees), resolve_max_points(max_points)
+    if span > cap:
+        raise GridTooLarge(f"g ranges over {span} exponent vectors, cap is {cap}")
+    if not system.polys:
+        return MultiPoly.constant(system.field, system.n_vars, system.field.one)
+    return functools.reduce(operator.mul, (f ** (p - 1) - 1 for f in system.polys))
 
 
 def common_roots(

@@ -46,6 +46,19 @@ def eval_terms(terms: dict, point) -> int | Fraction:
     return total
 
 
+def mul_terms(a: dict, b: dict, p: int | None = None) -> dict:
+    """Schoolbook product: one exponent tuple per pair of terms, reduced mod p
+    when p is given (exact otherwise), zero coefficients dropped."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    if p:
+        out = {e: c % p for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
 def inv_mod(x: int, p: int) -> int:
     # Fermat route, deliberately different from the package's pow(x, -1, p)
     x %= p

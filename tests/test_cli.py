@@ -657,6 +657,35 @@ def test_silent_stdin_pipe_does_not_block():
     assert "indices 0,1,2" in out
 
 
+def test_selftest_ignores_an_open_silent_pipe():
+    # every selftest flag is optional, so no flag given is no sign of a
+    # document on stdin; the pipe stays open and nobody writes to it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "combnull", "selftest"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        code = proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        pytest.fail("selftest blocked on an open, silent stdin pipe")
+    finally:
+        proc.stdin.close()
+    out, err = proc.stdout.read(), proc.stderr.read()
+    proc.stdout.close()
+    proc.stderr.close()
+    assert code == 0, err
+    assert "failures 0" in out
+
+
+def test_selftest_reads_stdin_only_with_input_dash(cli, monkeypatch):
+    code, doc, _ = cli("selftest", "--input", "-", stdin_text="suite graphs\n")
+    assert (code, doc["suites_run"], doc["suite.graphs"]) == (0, "1", "pass")
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    assert run(["selftest"]) == 0
+
+
 def test_reader_closing_early_keeps_exit_code():
     # about 450 kB of output, far more than a pipe buffers, so writes after
     # the reader has gone must fail with a broken pipe
@@ -724,6 +753,21 @@ def test_zero_sum_and_plane_work_bounds_exit_three(cli):
     assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "576")[0] == 0
     assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "575")[0] == 3
     assert cli("planes", "--n", "1", "--planes", "1,0,0,-1", "--max-grid-points", "7")[0] == 3
+
+
+def test_chevalley_g_bound_exits_three(cli):
+    args = ("chevalley", "--p", "31", "--nvars", "3", "--polys", "x1^2+x2^2+x3^2+x1*x2+x2*x3+x1+x3+1")
+    started = time.monotonic()
+    # 31^3 = 29,791 grid points fit under 30,000, but g ranges over 61^3
+    code, doc, err = cli(*args, "--max-grid-points", "30000")
+    assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
+    assert "226981" in doc["error"]
+    assert cli(*args, "--max-grid-points", "1000")[0] == 3
+    assert time.monotonic() - started < 1.0
+    code, doc, _ = cli(*args)
+    assert (code, doc["count"]) == (0, "961")
+    # f^30 has 38,145 terms; its constant term is 1, which g = f^30 - 1 drops
+    assert len(doc["g"].split(" + ")) == 38144
 
 
 def _run_raw(argv, stdin_text=""):
@@ -828,9 +872,8 @@ def test_flag_and_document_forms_agree(command, fmt):
 
 _ALPHABET = "0123456789,;-/()x^*abnpz"
 # drawn as small integers, so the fuzz stays fast while still reaching the
-# solvers: vandermonde's verification takes seconds at k = 6, and the work of
-# chevalley (g = 1 - f^(p-1)) has no cap yet
-_SMALL = {("vandermonde", "k"): 4, ("chevalley", "p"): 7}
+# solver: vandermonde's verification takes seconds at k = 6
+_SMALL = {("vandermonde", "k"): 4}
 _EXIT_STATUS = {0: {"ok"}, 1: {"no-witness", "fail"}, 2: {"input-error", "check-failed"},
                 3: {"resource-limit"}, 4: {"internal-error"}}
 

@@ -118,6 +118,43 @@ def test_chevalley_g_indicator_property():
             assert g.evaluate(point) == expected
 
 
+def test_chevalley_g_matches_schoolbook_oracle():
+    # a quadratic with all ten monomials over Z_17, the benchmark's shape, and
+    # systems of two or three members over small fields; g built by the
+    # schoolbook product of the raw terms
+    rng = random.Random(17)
+    dense = {e: rng.randrange(1, 17) for e in itertools.product(range(3), repeat=3) if sum(e) <= 2}
+    systems = [(17, 3, [dense])] + [
+        (p, n, [oracles.random_terms_zp(rng, n, p, max_total=2, max_terms=10) for _ in range(members)])
+        for p, n, members in [(5, 3, 2), (3, 3, 3), (2, 4, 3)]
+    ]
+    for p, n, members in systems:
+        fld = PrimeField(p)
+        polys = [MultiPoly(fld, n, terms) for terms in members]
+        want = {(0,) * n: 1}
+        for f in polys:
+            power = {(0,) * n: 1}
+            for _ in range(p - 1):
+                power = oracles.mul_terms(power, f.terms, p)
+            factor = {**power, (0,) * n: (power.get((0,) * n, 0) - 1) % p}
+            want = oracles.mul_terms(want, {e: c for e, c in factor.items() if c}, p)
+        assert chevalley_g(PolySystem(fld, n, polys)).terms == want
+
+
+def test_chevalley_g_range_is_capped():
+    # g of x1^2 + x2 over Z_3 ranges over (1 + 2*2) * (1 + 2*1) = 15 vectors
+    system = PolySystem(F3, 2, [parse_poly("x1^2 + x2", F3)])
+    assert chevalley_g(system, max_points=15) == chevalley_g(system)
+    with pytest.raises(GridTooLarge):
+        chevalley_g(system, max_points=14)
+    # the range is counted before any multiplication: 61^3 > 1000 at once
+    f = parse_poly("x1^2+x2^2+x3^2+x1*x2+x2*x3+x1+x3+1", PrimeField(31))
+    started = time.monotonic()
+    with pytest.raises(GridTooLarge):
+        chevalley_g(PolySystem(PrimeField(31), 3, [f]), max_points=1000)
+    assert time.monotonic() - started < 0.1
+
+
 def test_common_roots_known_values():
     # x1*x2 - 1 over Z_3: the two units paired with their inverses
     f = parse_poly("x1*x2 + 2", F3)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import sys
 import threading
 import time
@@ -25,9 +26,12 @@ from combnull import (
     parse_poly,
     sorted_terms,
 )
+from combnull import mpoly
 
 F5 = PrimeField(5)
 F2 = PrimeField(2)
+F3 = PrimeField(3)
+F31 = PrimeField(31)
 Q = RationalField()
 
 
@@ -128,6 +132,101 @@ def test_pow_is_iterated_multiplication(f, k):
 def test_pow_rejects_negative():
     with pytest.raises(InputError):
         MultiPoly.variable(F5, 1, 0) ** -1
+
+
+# -------------------------------------------------------------- multiplication
+
+
+def _assert_product_matches_oracle(f, g):
+    """f * g, and over Z_p both Kronecker routes called directly, give the
+    schoolbook oracle's terms."""
+    p = getattr(f.field, "p", None)
+    want = oracles.mul_terms(f.terms, g.terms, p)
+    assert (f * g).terms == want
+    if p and f.terms and g.terms:
+        radix = mpoly._radix(f.terms, g.terms)
+        assert mpoly._mul_packed(f.terms, g.terms, p, radix) == want
+        assert mpoly._mul_bigint(f.terms, g.terms, p, radix) == want
+
+
+@st.composite
+def _factor_pairs(draw):
+    field = draw(st.sampled_from([F2, F3, F31, Q]))
+    n_vars = draw(st.sampled_from([1, 2, 3, 6]))
+    f = draw(poly_strategy(field, n_vars, max_exp=3, max_terms=6))
+    g = f if draw(st.booleans()) else draw(poly_strategy(field, n_vars, max_exp=3, max_terms=6))
+    return f, g
+
+
+@given(_factor_pairs())
+def test_mul_routes_match_schoolbook_oracle(pair):
+    _assert_product_matches_oracle(*pair)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F31, Q], ids=["Z2", "Z3", "Z31", "Q"])
+@pytest.mark.parametrize("left, right, n_vars", [
+    ("0", "x1 + 1", 1),
+    ("3", "x1*x2 + 2*x2^3", 2),
+    ("x1 + 1", "x1 + 1", 1),  # (x1 + 1)^2 = x1^2 + 1 over Z_2
+    ("x1 - x2", "x1 + x2", 2),
+    ("x1 + 2*x2^2*x6 + x3*x4*x5 + 1", "x6^3 - x1 + 5", 6),
+])
+def test_mul_named_cases(field, left, right, n_vars):
+    f, g = parse_poly(left, field, n_vars), parse_poly(right, field, n_vars)
+    _assert_product_matches_oracle(f, g)
+    _assert_product_matches_oracle(f, f)
+    if (left, right) == ("x1 - x2", "x1 + x2"):
+        assert not f * g - parse_poly("x1^2", field, 2) + parse_poly("x2^2", field, 2)
+
+
+def _dense_quadratic(p):
+    """All ten monomials of degree <= 2 in 3 variables, random nonzero
+    coefficients: the shape of the chevalley_g benchmark instances."""
+    rng = random.Random(p)
+    monomials = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+    return MultiPoly(PrimeField(p), 3, {e: rng.randrange(1, p) for e in monomials})
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_pow_p_minus_1_of_dense_quadratics(p):
+    f = _dense_quadratic(p)
+    want = {(0, 0, 0): 1}
+    for _ in range(p - 1):
+        want = oracles.mul_terms(want, f.terms, p)
+    assert (f ** (p - 1)).terms == want
+
+
+def test_mul_huge_exponents_take_packed_keys(monkeypatch):
+    # prod D_i is about 4 * 10^18 here: the big-int route would need an int of
+    # that many slots, so the guard must send these to the packed keys
+    def no_bigint(*args):
+        raise AssertionError("big-int route taken for a sparse product")
+
+    monkeypatch.setattr(mpoly, "_mul_bigint", no_bigint)
+    f = parse_poly("x1^1000000000*x2^999999999 + x1", F31, 2)
+    g = parse_poly("x2^3 + 1", F31, 2)
+    started = time.perf_counter()
+    assert (f * f).terms == oracles.mul_terms(f.terms, f.terms, 31)
+    assert (f * g).terms == oracles.mul_terms(f.terms, g.terms, 31)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_mul_route_guard():
+    # the squarings inside f^16 of chevalley_g at p = 17: f * f has 100 term
+    # pairs in a range of 5^3 and takes packed keys, the three after it take
+    # the big-int product
+    f = base = _dense_quadratic(17)
+    for route in [mpoly._mul_packed] + [mpoly._mul_bigint] * 3:
+        span = math.prod(mpoly._radix(base.terms, base.terms))
+        assert mpoly._mul_route(len(base.terms), len(base.terms), span) is route
+        base = base * base
+    assert base == f**16
+    huge = parse_poly("x1^1000000000*x2^999999999 + x1", F31, 2)
+    span = math.prod(mpoly._radix(huge.terms, huge.terms))
+    assert mpoly._mul_route(2, 2, span) is mpoly._mul_packed
+    # the guard itself: dense while prod D_i <= |a| |b|
+    assert mpoly._mul_route(3, 5, 15) is mpoly._mul_bigint
+    assert mpoly._mul_route(3, 5, 16) is mpoly._mul_packed
 
 
 def test_cross_field_and_cross_arity_ops_fail():
