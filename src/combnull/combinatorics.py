@@ -908,12 +908,19 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
     squared = vandermonde * vandermonde
     via_expansion = squared.coefficient_of((k - 1,) * k)
 
+    zero = fld.zero
+
     def squared_at(point: tuple[Scalar, ...]) -> Fraction:
-        out = Fraction(1)
+        # the grid holds the integers 0..k-1, so the numerators are the
+        # coordinates; a repeated one (all but k! of the k^k points) gives 0
+        xs = [a.numerator for a in point]
+        if len(set(xs)) < k:
+            return zero
+        out = 1
         for i in range(k):
             for j in range(i + 1, k):
-                out *= (point[j] - point[i]) ** 2
-        return out
+                out *= (xs[j] - xs[i]) ** 2
+        return Fraction(out)
 
     grid = Grid(fld, [list(range(k))] * k)
     via_grid = _weighted_sum_of_values(squared_at, grid)

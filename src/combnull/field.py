@@ -63,8 +63,6 @@ class PrimeField:
 
     __slots__ = ("p",)
 
-    kind = "prime"
-
     def __init__(self, p: int):
         # the bound comes first, so a huge modulus is refused without a
         # primality test
@@ -122,9 +120,6 @@ class PrimeField:
     def is_zero(self, x: int) -> bool:
         return x % self.p == 0
 
-    def elements(self) -> range:
-        return range(self.p)
-
     def format(self, x: int) -> str:
         return str(x)
 
@@ -142,8 +137,6 @@ class RationalField:
     """Exact rational numbers, the stand-in here for a characteristic-0 field."""
 
     __slots__ = ()
-
-    kind = "rational"
 
     @property
     def zero(self) -> Fraction:

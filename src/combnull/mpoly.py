@@ -14,12 +14,15 @@ A call redoes only the depths from the first coordinate that differs from the
 previous call, then runs Horner in the last coordinate.  In grid order (last
 coordinate fastest) most points therefore cost one Horner pass.
 
-Multiplication over Z_p is Kronecker substitution: in the mixed radix
-D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and a
-product of terms is a sum of keys.  When the packed range prod D_i is small
-next to the term pairs, the coefficients go into slots of one big int too and
-one int product (Karatsuba in CPython) does all the pairs; otherwise raw
-products are summed per key in a dict.  Over Q it is the schoolbook loop.
+Multiplication is one Kronecker substitution for both fields: in the mixed
+radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
+a product of terms is a sum of keys.  Raw int products are summed per key in
+a dict (packed keys).  Over Z_p, when the packed range prod D_i is small next
+to the term pairs, the coefficients go into slots of one big int instead and
+one int product (Karatsuba in CPython) does all the pairs.  Over Q each
+operand is cleared to integer numerators over its least common denominator
+and always takes packed keys, since signed slots of one big int would borrow
+from each other; each surviving sum is divided once by the two denominators.
 
 The textual format is a sum of terms ``c*x1^e1*...*xn^en`` with
 ``+`` / ``-`` separators; variables are 1-based in the text and 0-based in the
@@ -141,24 +144,11 @@ class MultiPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "MultiPoly":
-        """Product: over Z_p by Kronecker substitution (``_mul_mod_p``),
-        over Q by the schoolbook double loop over term pairs."""
+        """Product by Kronecker substitution (``_mul_terms``) over either field."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        fld = self.field
-        if isinstance(fld, PrimeField):
-            return self._raw(_mul_mod_p(self.terms, other.terms, fld.p))
-        out: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = fld.add(out.get(e, fld.zero), fld.mul(c1, c2))
-                if fld.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return self._raw(out)
+        return self._raw(_mul_terms(self.terms, other.terms, self.field))
 
     __rmul__ = __mul__
 
@@ -349,7 +339,7 @@ def _eval_plan(f: MultiPoly) -> tuple:
     return mod, tuple(depths), tuple(zip(*leaf)) or ((), (), ()), tuple(gaps if top else ())
 
 
-# ------------------------------------------------------- multiplication mod p
+# ----------------------------------------------------------- multiplication
 
 # The big-int product decodes one slot per point of the packed range and its
 # Karatsuba multiply grows faster than linearly; the packed-key loop does one
@@ -383,19 +373,32 @@ def _mul_route(a_len: int, b_len: int, span: int):
     return _mul_bigint if span <= _DENSE_RATIO * a_len * b_len else _mul_packed
 
 
-def _mul_mod_p(a: dict, b: dict, p: int) -> dict:
-    """The terms of a * b over Z_p, by Kronecker substitution: each exponent
-    vector becomes one int key in the radix of ``_radix``, so a product of
-    terms is a sum of keys."""
+def _mul_terms(a: dict, b: dict, field: FieldSpec) -> dict:
+    """The terms of a * b, by Kronecker substitution: each exponent vector
+    becomes one int key in the radix of ``_radix``, so a product of terms is a
+    sum of keys.  Over Q the keyed coefficients are integer numerators over
+    each operand's least common denominator (a square clears once)."""
     if not a or not b:
         return {}
     radix = _radix(a, b)
-    return _mul_route(len(a), len(b), math.prod(radix))(a, b, p, radix)
+    if isinstance(field, PrimeField):
+        return _mul_route(len(a), len(b), math.prod(radix))(a, b, field.p, radix)
+    num_a, den_a = _numerators(a)
+    num_b, den_b = (num_a, den_a) if b is a else _numerators(b)
+    den = den_a * den_b
+    return {e: Fraction(c, den) for e, c in _mul_packed(num_a, num_b, None, radix).items()}
 
 
-def _mul_packed(a: dict, b: dict, p: int, radix: Sequence[int]) -> dict:
-    """Packed keys: raw int products summed per key, one ``% p`` per key, and
-    only the surviving keys unpacked.  Any sparsity."""
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """Rational terms as integer numerators over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _mul_packed(a: dict, b: dict, p: int | None, radix: Sequence[int]) -> dict:
+    """Packed keys: raw int products summed per key, one ``% p`` per key (none
+    when p is None, for integer coefficients), and only the nonzero keys
+    unpacked.  Any sparsity and any sign."""
     acc: dict[int, int] = {}
     get = acc.get
     b_items = list(zip(_keys(b, radix), b.values()))
@@ -406,7 +409,8 @@ def _mul_packed(a: dict, b: dict, p: int, radix: Sequence[int]) -> dict:
     out = {}
     low_first = radix[:0:-1]
     for k, c in acc.items():
-        c %= p
+        if p:
+            c %= p
         if c:
             digits = []
             for d in low_first:

@@ -56,16 +56,6 @@ MAX_GRID_POINTS_ENV = "COMBNULL_MAX_GRID_POINTS"
 # against one head product per run.
 _MAX_RUN_TABLE = 1 << 8
 
-# Test hook: when nonzero, every Lagrange denominator is scaled by 1 + offset.
-# Used by the self-test command to demonstrate that a corrupted arithmetic
-# core trips the identity checks loudly.  Never set this in real use.
-_FAULT_OFFSET = 0
-
-
-def set_fault_injection(offset: int) -> None:
-    global _FAULT_OFFSET
-    _FAULT_OFFSET = int(offset)
-
 
 def resolve_max_points(override: int | None = None) -> int:
     """Grid-size cap: explicit argument, else environment, else default."""
@@ -170,8 +160,6 @@ def lagrange_denominator(field: FieldSpec, elements: Sequence[Scalar], a: Scalar
     for b in elems:
         if b != a:
             out = field.mul(out, field.sub(a, b))
-    if _FAULT_OFFSET:
-        out = field.mul(out, field.element(1 + _FAULT_OFFSET))
     return out
 
 

@@ -2,9 +2,11 @@
 
 Each suite re-derives a handful of known values at reduced scale and raises
 on any mismatch; the runner turns that into per-suite pass/fail lines.  With
-fault injection active the arithmetic core is deliberately corrupted first,
-and a healthy build is expected to FAIL the coefficient suites loudly; that
-the failure actually happens is what the --inject-fault flag demonstrates.
+fault injection active the runner first replaces the Lagrange-denominator
+kernel by one that doubles every denominator, and a healthy build is expected
+to FAIL the coefficient suites loudly; that the failure actually happens is
+what the --inject-fault flag demonstrates.  The kernel is put back when the
+run ends, however it ends.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import nullstellensatz
 from .combinatorics import (
     CycleLabels,
     Graph,
@@ -47,7 +50,6 @@ from .nullstellensatz import (
     grid_weighted_sum,
     lagrange_interpolate,
     second_nonvanish,
-    set_fault_injection,
     signed_two_element_sum,
     weighted_power_sum,
     zp_full_sum,
@@ -243,8 +245,12 @@ def run_suites(
         raise SchemaError(f"unknown suite {only!r}; choose from {sorted(_SUITES)}")
     names = [only] if only else list(_SUITES)
     results = []
+    denominator = nullstellensatz.lagrange_denominator
     if inject_fault:
-        set_fault_injection(1)
+        def doubled(field, elements, a):
+            return field.mul(denominator(field, elements, a), field.element(2))
+
+        nullstellensatz.lagrange_denominator = doubled
     try:
         for name in names:
             try:
@@ -254,6 +260,5 @@ def run_suites(
             else:
                 results.append((name, True, ""))
     finally:
-        if inject_fault:
-            set_fault_injection(0)
+        nullstellensatz.lagrange_denominator = denominator
     return results

@@ -871,9 +871,6 @@ def test_flag_and_document_forms_agree(command, fmt):
 # ---------------------------------------------------------------------- fuzz
 
 _ALPHABET = "0123456789,;-/()x^*abnpz"
-# drawn as small integers, so the fuzz stays fast while still reaching the
-# solver: vandermonde's verification takes seconds at k = 6
-_SMALL = {("vandermonde", "k"): 4}
 _EXIT_STATUS = {0: {"ok"}, 1: {"no-witness", "fail"}, 2: {"input-error", "check-failed"},
                 3: {"resource-limit"}, 4: {"internal-error"}}
 
@@ -893,8 +890,6 @@ def _requests(draw):
             values[name] = draw(st.sampled_from(["fields", "graphs", "x"]))
         elif pick == 0 or (pick > 1 and name not in example):
             continue
-        elif (command, name) in _SMALL:
-            values[name] = str(draw(st.integers(-1, _SMALL[command, name])))
         elif pick == 1:
             values[name] = draw(st.text(_ALPHABET, max_size=6))
         else:

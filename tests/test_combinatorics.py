@@ -928,7 +928,7 @@ def test_vandermonde_known_values():
 
 
 def test_vandermonde_verified_matches_closed_form():
-    for k in range(1, 6):
+    for k in range(1, 7):  # k = 6, the cap, gives -720
         expected = math.factorial(k) * (-1) ** (k * (k - 1) // 2)
         assert vandermonde_sq_coefficient(k) == expected
         assert vandermonde_sq_coefficient(k, verify=False) == expected

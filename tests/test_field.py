@@ -158,8 +158,3 @@ def test_field_equality_and_format():
     assert PrimeField(5) != RationalField()
     assert PrimeField(5).format(3) == "3"
     assert RationalField().format(Fraction(-1, 2)) == "-1/2"
-
-
-def test_elements_enumeration():
-    assert list(PrimeField(3).elements()) == [0, 1, 2]
-    assert list(PrimeField(2).elements()) == [0, 1]

@@ -138,15 +138,28 @@ def test_pow_rejects_negative():
 
 
 def _assert_product_matches_oracle(f, g):
-    """f * g, and over Z_p both Kronecker routes called directly, give the
-    schoolbook oracle's terms."""
+    """f * g gives the schoolbook oracle's terms; over Z_p so do both
+    Kronecker routes called directly, and over Q so do the packed keys on the
+    cleared integer numerators, and every coefficient is in lowest terms."""
     p = getattr(f.field, "p", None)
     want = oracles.mul_terms(f.terms, g.terms, p)
-    assert (f * g).terms == want
-    if p and f.terms and g.terms:
-        radix = mpoly._radix(f.terms, g.terms)
+    product = (f * g).terms
+    assert product == want
+    if not (f.terms and g.terms):
+        return
+    radix = mpoly._radix(f.terms, g.terms)
+    if p:
         assert mpoly._mul_packed(f.terms, g.terms, p, radix) == want
         assert mpoly._mul_bigint(f.terms, g.terms, p, radix) == want
+        return
+    (num_f, den_f), (num_g, den_g) = mpoly._numerators(f.terms), mpoly._numerators(g.terms)
+    assert all(isinstance(c, int) for c in [*num_f.values(), *num_g.values()])
+    numerators = mpoly._mul_packed(num_f, num_g, None, radix)
+    assert numerators == oracles.mul_terms(num_f, num_g)
+    assert {e: Fraction(c, den_f * den_g) for e, c in numerators.items()} == want
+    for c in product.values():
+        assert type(c) is Fraction and c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
 
 
 @st.composite
@@ -179,6 +192,31 @@ def test_mul_named_cases(field, left, right, n_vars):
         assert not f * g - parse_poly("x1^2", field, 2) + parse_poly("x2^2", field, 2)
 
 
+@pytest.mark.parametrize("left, right", [
+    ("1/3*x1 + 2/7", "1/1180591620717411303424*x2 - 5"),  # coprime 3, 7 and 2^70
+    # denominators that share factors, and a numerator of 3^50
+    ("5/6*x1^2 - 7/10*x1*x2 + 717897987691852588770249/15", "1/4*x2^2 - 9/14*x1"),
+    ("1/2*x1 + 1/3*x2", None),  # a square: its lcm 6 clears once
+    ("1/3*x1 - 1/5*x2", "1/3*x1 + 1/5*x2"),
+])
+def test_mul_named_rational_cases(left, right):
+    f = parse_poly(left, Q, 2)
+    g = f if right is None else parse_poly(right, Q, 2)
+    _assert_product_matches_oracle(f, g)
+    _assert_product_matches_oracle(g, f)
+    if right == "1/3*x1 + 1/5*x2":  # the cross terms cancel, and so does the rest
+        assert (f * g).terms == {(2, 0): Fraction(1, 9), (0, 2): Fraction(-1, 25)}
+        assert not f * g - parse_poly("1/9*x1^2 - 1/25*x2^2", Q, 2)
+
+
+@given(f=poly_strategy(Q, 2, max_exp=2, max_terms=4), k=st.integers(0, 6))
+def test_rational_pow_is_the_iterated_oracle(f, k):
+    want = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        want = oracles.mul_terms(want, f.terms)
+    assert (f**k).terms == want
+
+
 def _dense_quadratic(p):
     """All ten monomials of degree <= 2 in 3 variables, random nonzero
     coefficients: the shape of the chevalley_g benchmark instances."""
@@ -203,12 +241,15 @@ def test_mul_huge_exponents_take_packed_keys(monkeypatch):
         raise AssertionError("big-int route taken for a sparse product")
 
     monkeypatch.setattr(mpoly, "_mul_bigint", no_bigint)
-    f = parse_poly("x1^1000000000*x2^999999999 + x1", F31, 2)
-    g = parse_poly("x2^3 + 1", F31, 2)
-    started = time.perf_counter()
-    assert (f * f).terms == oracles.mul_terms(f.terms, f.terms, 31)
-    assert (f * g).terms == oracles.mul_terms(f.terms, g.terms, 31)
-    assert time.perf_counter() - started < 1.0
+    for field, p, left, right in [
+        (F31, 31, "x1^1000000000*x2^999999999 + x1", "x2^3 + 1"),
+        (Q, None, "x1^1000000000*x2^999999999 + 1/7*x1", "x2^3 - 1/2"),
+    ]:
+        f, g = parse_poly(left, field, 2), parse_poly(right, field, 2)
+        started = time.perf_counter()
+        assert (f * f).terms == oracles.mul_terms(f.terms, f.terms, p)
+        assert (f * g).terms == oracles.mul_terms(f.terms, g.terms, p)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_mul_route_guard():

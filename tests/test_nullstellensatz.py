@@ -32,13 +32,13 @@ from combnull import (
     weighted_power_sum,
     zp_full_sum,
 )
+from combnull import nullstellensatz, selftest
 from combnull.errors import EmptyInput, NotAMember
 from combnull.nullstellensatz import (
     DEFAULT_MAX_GRID_POINTS,
     MAX_GRID_POINTS_ENV,
     nonvanishing_valid,
     resolve_max_points,
-    set_fault_injection,
 )
 
 F2 = PrimeField(2)
@@ -483,13 +483,24 @@ def test_second_nonvanish_guard_trips_on_inconsistency():
 # -------------------------------------------------------------- fault injection
 
 
-def test_fault_injection_breaks_the_identity():
-    # over Z_5 the doubled denominators scale the sum by 4^-1 = 4 != 1
-    f = parse_poly("x1*x2", F5, 2)
-    grid = Grid(F5, [[0, 1], [0, 1]])
-    set_fault_injection(1)
-    try:
-        assert grid_weighted_sum(f, grid) != f.coefficient_of((1, 1))
-    finally:
-        set_fault_injection(0)
-    assert grid_weighted_sum(f, grid) == f.coefficient_of((1, 1))
+def test_fault_injection_breaks_the_identity(monkeypatch):
+    # the runner doubles every Lagrange denominator for the length of one run
+    original = nullstellensatz.lagrange_denominator
+    failed = {name for name, ok, _ in selftest.run_suites(inject_fault=True) if not ok}
+    assert failed == {"coefficients", "sumsets", "graphs", "permutations"}
+    assert nullstellensatz.lagrange_denominator is original
+    assert all(ok for _, ok, _ in selftest.run_suites())
+
+    # a suite that raises past the runner still leaves the original in place
+    seen = []
+
+    def interrupted():
+        seen.append(nullstellensatz.lagrange_denominator(F5, [0, 1], 1))
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(selftest._SUITES, "fields", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        selftest.run_suites("fields", inject_fault=True)
+    assert seen == [2]  # (1 - 0), doubled
+    assert nullstellensatz.lagrange_denominator is original
+    assert lagrange_denominator(F5, [0, 1], 1) == 1
