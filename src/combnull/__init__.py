@@ -36,7 +36,6 @@ from .field import (
     RationalField,
     Scalar,
     is_prime,
-    power_sum,
 )
 from .mpoly import NEG_INF, MultiPoly, format_poly, parse_poly, sorted_terms
 from .nullstellensatz import (

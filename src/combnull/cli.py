@@ -31,7 +31,6 @@ from .combinatorics import (
     Graph,
     PlaneSet,
     PolySystem,
-    _check_plane_tests,
     cauchy_davenport_check,
     chevalley_g,
     common_roots,
@@ -62,6 +61,7 @@ from .field import FieldSpec, PrimeField, RationalField
 from .mpoly import MultiPoly, format_poly, parse_poly
 from .nullstellensatz import (
     Grid,
+    _check_grid_cap,
     grid_weighted_sum,
     lagrange_interpolate,
     nonvanishing_valid,
@@ -279,8 +279,7 @@ def _field_from(req: Request) -> FieldSpec:
 def _poly_and_grid(req: Request) -> tuple[MultiPoly, Grid]:
     field = _field_from(req)
     sets = req.require("sets", field)
-    n_vars = req.get("nvars")
-    f = req.require("poly", field, len(sets) if n_vars is None else n_vars)
+    f = req.require("poly", field, len(sets))
     return f, Grid(field, sets)
 
 
@@ -304,7 +303,9 @@ def _cmd_coeff(req: Request) -> tuple[dict, int]:
         "degree_bound": grid.degree_bound(),
         "weighted_sum": value,
     }
-    applies = f.total_degree() <= grid.degree_bound() or f.is_restricted(target)
+    # a monomial e != d with e >= d coordinatewise has degree above sum(d),
+    # so this covers every f of total degree at most the bound
+    applies = f.is_restricted(target)
     out["identity_applies"] = applies
     if applies:
         direct = f.coefficient_of(target)
@@ -404,6 +405,9 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
     p = req.require("p")
     k = req.require("k")
     construct = req.get("construct-lower")
+    if construct:  # before building the k(p - 1) vectors of length k
+        _check_grid_cap(max(k, 0) ** 2 * (p - 1), req.get("max-grid-points"),
+                        "the extremal family has {count} entries, cap is {cap}")
     claim = not construct and req.given("check")
     vectors = olson_lower_witness(k, p) if construct else list(req.require("vectors"))
     if claim:
@@ -430,8 +434,9 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
 def _cmd_planes(req: Request) -> tuple[dict, int]:
     n, cap = req.require("n"), req.get("max-grid-points")
     construct = req.get("construct")
-    if construct:
-        _check_plane_tests(n, 3 * n, cap)  # before building the 3n planes
+    if construct:  # before building the 3n planes
+        _check_grid_cap((n + 1) ** 3 * max(1, 3 * n), cap,
+                        "{count} point-plane tests exceed the cap of {cap}")
     planes = plane_cover_construct(n) if construct else PlaneSet(req.require("planes"))
     report = plane_cover_verify(planes, n, cap)
     if construct and not (report.covers and report.origin_free):
@@ -510,8 +515,6 @@ def _cmd_vandermonde(req: Request) -> tuple[dict, int]:
 def _cmd_symdiff(req: Request) -> tuple[dict, int]:
     sets = req.require("sets")
     colors = req.require("colors")
-    if len(colors) != len(sets):
-        raise SchemaError(f"{len(sets)} sets but {len(colors)} colors")
     diffs = symdiff_check(sets, colors)
     n = (len(sets) - 1).bit_length() - 1
     canon = sorted(tuple(sorted(d)) for d in diffs)
@@ -565,13 +568,11 @@ COMMANDS = {
         **_FIELD,
         "poly": (_parse_poly, "polynomial text, e.g. 2*x1^2*x2 - x3 + 5"),
         "sets": (_parse_grid_sets, "grid sets, e.g. 0,1,2;0,1"),
-        "nvars": (_parse_int, "variable count (default: one per grid set)"),
     }),
     "witness": (_cmd_witness, "grid points where the polynomial does not vanish", {
         **_FIELD,
         "poly": (_parse_poly, "polynomial text"),
         "sets": (_parse_grid_sets, "grid sets"),
-        "nvars": (_parse_int, "variable count"),
         "check": (_parse_point_list, "verify these points instead, e.g. (1,1);(0,1)"),
     }),
     "chevalley": (_cmd_chevalley, "common roots of a system over Z_p and the divisibility guarantee", {

@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -42,8 +43,8 @@ from .errors import (
 )
 from .field import PrimeField, RationalField, Scalar, is_prime
 from .mpoly import MultiPoly
-from .nullstellensatz import (Grid, _points, _weighted_sum_of_values, grid_weighted_sum,
-                              resolve_max_points)
+from .nullstellensatz import (Grid, _check_grid_cap, _points, _weighted_sum_of_values,
+                              grid_weighted_sum)
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -94,9 +95,8 @@ def chevalley_g(system: PolySystem, max_points: int | None = None) -> MultiPoly:
     for f in system.polys:
         for i, column in enumerate(zip(*f.terms)):
             degrees[i] += max(column)
-    span, cap = math.prod(1 + (p - 1) * d for d in degrees), resolve_max_points(max_points)
-    if span > cap:
-        raise GridTooLarge(f"g ranges over {span} exponent vectors, cap is {cap}")
+    span = math.prod(1 + (p - 1) * d for d in degrees)
+    _check_grid_cap(span, max_points, "g ranges over {count} exponent vectors, cap is {cap}")
     if not system.polys:
         return MultiPoly.constant(system.field, system.n_vars, system.field.one)
     return functools.reduce(operator.mul, (f ** (p - 1) - 1 for f in system.polys))
@@ -469,13 +469,6 @@ def plane_cover_construct(n: int) -> PlaneSet:
     return PlaneSet(axis + (-a,) for axis in axes for a in range(1, n + 1))
 
 
-def _check_plane_tests(n: int, count: int, max_points: int | None) -> None:
-    """GridTooLarge past the grid cap of (n + 1)^3 * count point-plane tests."""
-    tests, cap = (n + 1) ** 3 * max(1, count), resolve_max_points(max_points)
-    if tests > cap:
-        raise GridTooLarge(f"{tests} point-plane tests exceed the cap of {cap}")
-
-
 def plane_cover_verify(
     planes: PlaneSet, n: int, max_points: int | None = None
 ) -> PlaneCoverReport:
@@ -488,7 +481,8 @@ def plane_cover_verify(
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadInput(f"n must be a positive integer, got {n!r}")
-    _check_plane_tests(n, len(planes), max_points)
+    tests = (n + 1) ** 3 * max(1, len(planes))
+    _check_grid_cap(tests, max_points, "{count} point-plane tests exceed the cap of {cap}")
     origin_free = all(d != 0 for (_, _, _, d) in planes.planes)
     missed = [
         (x, y, z)
@@ -889,15 +883,20 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
     With verify (capped at k <= 6), the closed form is checked against direct
     expansion and against the weighted sum over the rational grid {0..k-1}^k,
     where the factored form is evaluated pointwise so the two routes share
-    nothing but the arithmetic core.
+    nothing but the arithmetic core.  Without verify, a k! of more digits
+    than Python converts to text (sys.get_int_max_str_digits, when nonzero)
+    raises ResourceLimit before it is computed.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise BadInput(f"k must be a positive integer, got {k!r}")
+    if verify and k > 6:
+        raise ResourceLimit(f"verification paths are capped at k <= 6, got {k}")
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits and math.lgamma(k + 1) / math.log(10) > digits:
+        raise ResourceLimit(f"{k}! has more than the {digits} digits Python converts to text")
     closed = math.factorial(k) * (-1) ** (k * (k - 1) // 2)
     if not verify:
         return closed
-    if k > 6:
-        raise ResourceLimit(f"verification paths are capped at k <= 6, got {k}")
     fld = RationalField()
     vandermonde = MultiPoly.constant(fld, k, fld.one)
     for i in range(k):

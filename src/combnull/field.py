@@ -195,21 +195,3 @@ class RationalField:
 
 
 FieldSpec = Union[PrimeField, RationalField]
-
-
-def power_sum(p: int, k: int) -> int:
-    """Sum of a**k over all a in Z_p, with 0**0 = 1.
-
-    The sum vanishes unless k is a positive multiple of p - 1, in which case
-    it is p - 1: pick a generator g, then the sum is a geometric series in
-    g**k.  For k = 0 every one of the p terms is 1, so the sum is p = 0.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"power sum is over Z_p for prime p, got {p!r}")
-    if k < 0:
-        raise BadInput(f"exponent must be >= 0, got {k}")
-    if k == 0:
-        return 0
-    if k % (p - 1) == 0:
-        return p - 1
-    return 0

@@ -167,13 +167,6 @@ class MultiPoly:
             k >>= 1
         return result
 
-    def scale(self, c: Scalar) -> "MultiPoly":
-        fld = self.field
-        c = fld.element(c)
-        if fld.is_zero(c):
-            return MultiPoly.zero(fld, self.n_vars)
-        return self._raw({e: fld.mul(v, c) for e, v in self.terms.items()})
-
     def _raw(self, terms: dict) -> "MultiPoly":
         # internal: terms already canonical (right arity, nonzero, reduced)
         p = MultiPoly.__new__(MultiPoly)

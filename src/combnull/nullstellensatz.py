@@ -20,8 +20,10 @@ weighted sum: over all of Z_2^n every weight is 1; over all of Z_p^n every
 weight is (-1)^n by Wilson's theorem; over two-element grids the alternating
 sum is the weighted sum times the product of (a_i0 - a_i1).
 
-Everything is a pure function of its arguments, so grid enumerations may be
-partitioned freely across workers; results never depend on iteration order.
+Results depend on the arguments alone and never on iteration order, so grid
+enumerations may be partitioned freely across workers.  The grid cap is the
+exception: without an explicit ``max_points`` it reads the environment
+(``resolve_max_points``).
 """
 
 from __future__ import annotations
@@ -137,15 +139,21 @@ class GridPoint:
 def _points(sets: Sequence[Sequence], max_points: int | None = None) -> Iterator[tuple]:
     """Every point of sets[0] x ... x sets[-1], last coordinate varying fastest.
 
-    The one grid-size cap.  The point count is taken from len() alone, so a
-    range can stand for all of Z_p and a grid above the cap is refused before
-    anything of its size is built.
+    The point count is taken from len() alone, so a range can stand for all
+    of Z_p and a grid above the cap is refused before anything of its size
+    is built.
     """
     count = math.prod(len(s) for s in sets)
+    _check_grid_cap(count, max_points, "grid has {count} points, cap is {cap}")
+    return itertools.product(*sets)
+
+
+def _check_grid_cap(count: int, max_points: int | None, message: str) -> None:
+    """The one comparison against the grid cap: GridTooLarge, with message
+    formatted from ``count`` and ``cap``, when count exceeds it."""
     cap = resolve_max_points(max_points)
     if count > cap:
-        raise GridTooLarge(f"grid has {count} points, cap is {cap}")
-    return itertools.product(*sets)
+        raise GridTooLarge(message.format(count=count, cap=cap))
 
 
 def lagrange_denominator(field: FieldSpec, elements: Sequence[Scalar], a: Scalar) -> Scalar:
@@ -179,7 +187,13 @@ def weighted_power_sum(field: FieldSpec, elements: Sequence[Scalar], m: int) -> 
 def lagrange_interpolate(
     field: FieldSpec, points: Sequence[Scalar], values: Sequence[Scalar]
 ) -> MultiPoly:
-    """Unique univariate polynomial of degree < len(points) through the data."""
+    """Unique univariate polynomial of degree < len(points) through the data.
+
+    It is the sum over the points a of y_a * M(x) / ((x - a) * denom(A, a)),
+    with M the master polynomial, the product of (x - b) over all points b.
+    M is built once, each M / (x - a) comes from it by synthetic division,
+    and 1/denom(A, a) are the weights the grid sums use.
+    """
     xs = [field.element(x) for x in points]
     if not xs:
         raise EmptyInput("interpolation needs at least one point")
@@ -188,17 +202,21 @@ def lagrange_interpolate(
     if len(values) != len(xs):
         raise SizeMismatch(f"{len(values)} values for {len(xs)} points")
     ys = [field.element(y) for y in values]
-    result = MultiPoly.zero(field, 1)
-    for a, fa in zip(xs, ys):
-        if field.is_zero(fa):
+    add, mul, zero = field.add, field.mul, field.zero
+    master = [field.one]  # coefficients, highest degree first
+    for b in xs:
+        minus_b = field.neg(b)
+        master = [add(hi, mul(minus_b, lo)) for hi, lo in zip(master + [zero], [zero] + master)]
+    coeffs = [zero] * len(xs)
+    for a, y, inverse in zip(xs, ys, _inverse_denominators(field, tuple(xs))):
+        if field.is_zero(y):
             continue
-        basis = MultiPoly.constant(field, 1, field.one)
-        for b in xs:
-            if b != a:
-                basis = basis * MultiPoly(field, 1, {(1,): field.one, (0,): field.neg(b)})
-        scale = field.div(fa, lagrange_denominator(field, xs, a))
-        result = result + basis.scale(scale)
-    return result
+        weight, quotient = mul(y, inverse), zero
+        for i, c in enumerate(master[:-1]):
+            quotient = add(c, mul(a, quotient))
+            coeffs[i] = add(coeffs[i], mul(weight, quotient))
+    top = len(xs) - 1
+    return MultiPoly(field, 1, {(top - i,): c for i, c in enumerate(coeffs)})
 
 
 def _check_poly_grid(f: MultiPoly, grid: Grid) -> None:
@@ -211,7 +229,7 @@ def _check_poly_grid(f: MultiPoly, grid: Grid) -> None:
 
 
 def _inverse_denominators(fld: FieldSpec, elems: tuple[Scalar, ...]) -> list[Scalar]:
-    """1/denom(A, a) for each a in the sorted set A, in order."""
+    """1/denom(A, a) for each a in the set A, in the order of A."""
     if isinstance(fld, PrimeField) and len(elems) == fld.p:
         # all of Z_p is invariant under translation, so every denominator is
         # (p - 1)! (= -1 by Wilson's theorem); one stands for all p of them
@@ -248,7 +266,9 @@ def _weighted_sum_of_values(
         run = fld.zero
         # `tail` first: zip stops on it without drawing a point of the next run
         for w, point in zip(tail, points):
-            run = add(run, mul(value_at(point), w))
+            value = value_at(point)
+            if value:
+                run = add(run, mul(value, w))
         total = add(total, reduce(mul, head, run))
     return total
 

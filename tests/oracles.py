@@ -113,9 +113,24 @@ def signed_two_element_sum(terms: dict, pairs, p: int | None = None):
     return total % p if p else Fraction(total)
 
 
-def power_sum_direct(p: int, k: int) -> int:
-    # 0^0 = 1 convention
-    return sum((x**k if k else 1) for x in range(p)) % p
+def lagrange_interpolate(points, values, p: int | None = None) -> dict:
+    """The basis-product route: the sum over a of y_a times the product of
+    (x - b) / (a - b) over b != a, multiplied out one linear factor at a time;
+    mod p when p is given (points as residues in [0, p)), exact otherwise.
+    Returns the univariate {(e,): coefficient} dict without zero terms."""
+    total: dict = {}
+    for a, y in zip(points, values):
+        basis, den = {(0,): 1}, 1
+        for b in points:
+            if b != a:
+                basis = mul_terms(basis, {(1,): 1, (0,): -b}, p)
+                den *= a - b
+        weight = y * inv_mod(den, p) if p else Fraction(y) / den
+        for e, c in basis.items():
+            total[e] = total.get(e, 0) + c * weight
+    if p:
+        total = {e: c % p for e, c in total.items()}
+    return {e: c for e, c in total.items() if c}
 
 
 # -------------------------------------------------------------------- sumsets

@@ -197,6 +197,25 @@ def test_symdiff_example(cli):
     assert doc["differences"] == "1;2"
 
 
+def test_symdiff_length_mismatch_is_the_library_error(cli):
+    code, doc, err = cli("symdiff", "--sets", ";1;2", "--colors", "r,b")
+    assert (code, doc["status"], len(err.splitlines())) == (2, "input-error", 1)
+    assert doc["error"] == "SizeMismatch: 3 sets but 2 colors"
+
+
+@pytest.mark.parametrize("command", ["coeff", "witness"])
+def test_variable_count_is_not_a_flag(command, capsys):
+    # the polynomial has one variable per grid set; --nvars could only disagree
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--p", "3", "--poly", "x1*x2", "--sets", "0,1;0,1", "--nvars", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nvars 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert "--nvars" not in capsys.readouterr().out
+
+
 def test_lagrange_with_power_sum(cli):
     code, doc, _ = cli(
         "lagrange", "--p", "5", "--points", "0,1,2", "--values", "0,1,4",
@@ -753,6 +772,30 @@ def test_zero_sum_and_plane_work_bounds_exit_three(cli):
     assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "576")[0] == 0
     assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "575")[0] == 3
     assert cli("planes", "--n", "1", "--planes", "1,0,0,-1", "--max-grid-points", "7")[0] == 3
+
+
+def test_olson_construct_lower_counts_against_the_grid_cap(cli):
+    started = time.monotonic()
+    for p, k in (("1000000007", "1"), ("3", "30000")):
+        code, doc, err = cli("olson", "--p", p, "--k", k, "--construct-lower")
+        assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
+        assert "GridTooLarge" in doc["error"]
+    assert time.monotonic() - started < 1.0
+    # k = 2, p = 3: four vectors of length 2 are 8 entries
+    args = ("olson", "--p", "3", "--k", "2", "--construct-lower", "--max-grid-points")
+    assert cli(*args, "8")[0] == 0
+    assert cli(*args, "7")[0] == 3
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_vandermonde_past_the_digit_limit_exits_three_before_computing(cli):
+    started = time.monotonic()
+    for args in (("--k", "20000000", "--closed-only"), ("--k", "2000", "--closed-only"),
+                 ("--k", "20000000")):
+        code, doc, err = cli("vandermonde", *args)
+        assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1), args
+        assert doc["error"].startswith("ResourceLimit: ")
+    assert time.monotonic() - started < 1.0
 
 
 def test_chevalley_g_bound_exits_three(cli):

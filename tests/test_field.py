@@ -1,4 +1,4 @@
-"""Field layer: prime checks, modular/rational arithmetic, power sums."""
+"""Field layer: prime checks, modular/rational arithmetic."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from combnull import (
     PrimeField,
     RationalField,
     is_prime,
-    power_sum,
 )
 from combnull.field import MAX_PRIME_EXCLUSIVE
 
@@ -136,20 +135,6 @@ def test_known_inverse_values():
     assert PrimeField(5).add(3, 4) == 2
     assert PrimeField(5).mul(2, 3) == 1
     assert RationalField().add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_power_sum_matches_direct_summation(p):
-    for k in range(0, 3 * (p - 1) + 2):
-        assert power_sum(p, k) == oracles.power_sum_direct(p, k), (p, k)
-
-
-def test_power_sum_known_values():
-    assert power_sum(5, 4) == 4  # 0 + 1 + 16 + 81 + 256 = 354 = -1 mod 5
-    assert power_sum(5, 3) == 0  # 0 + 1 + 8 + 27 + 64 = 100
-    assert power_sum(2, 1) == 1
-    assert power_sum(3, 0) == 0  # three ones
-    assert power_sum(7, 0) == 0
 
 
 def test_field_equality_and_format():

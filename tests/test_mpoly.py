@@ -277,12 +277,6 @@ def test_cross_field_and_cross_arity_ops_fail():
         MultiPoly.variable(F5, 1, 0) + MultiPoly.variable(F5, 2, 0)
 
 
-def test_scale():
-    f = parse_poly("x1 + 2", F5)
-    assert f.scale(3) == parse_poly("3*x1 + 6", F5)
-    assert f.scale(0) == MultiPoly.zero(F5, 1)
-
-
 # -------------------------------------------------------------------- queries
 
 

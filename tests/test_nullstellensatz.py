@@ -245,6 +245,39 @@ def test_lagrange_interpolate_rational():
     assert f == parse_poly("x1^2 - 2*x1 + 1", Q)
 
 
+@given(data=st.data())
+@settings(max_examples=150)
+def test_lagrange_interpolate_matches_basis_product_oracle(data):
+    p = data.draw(st.sampled_from([None, 2, 3, 5, 7, 13]), label="p")
+    if p is None:
+        field, scalars = Q, st.fractions(-5, 5, max_denominator=4)
+        points = data.draw(st.lists(scalars, min_size=1, max_size=8, unique=True), label="points")
+    else:
+        field, scalars = PrimeField(p), st.integers(0, p - 1)
+        # all p residues take the Wilson branch of the inverse denominators
+        points = data.draw(st.one_of(st.permutations(range(p)),
+                                     st.lists(scalars, min_size=1, max_size=p, unique=True)),
+                           label="points")
+    values = data.draw(st.lists(st.one_of(st.just(0), scalars),
+                                min_size=len(points), max_size=len(points)), label="values")
+    got = lagrange_interpolate(field, points, values)
+    assert got.terms == oracles.lagrange_interpolate(points, values, p)
+
+
+def test_lagrange_interpolate_two_hundred_points_without_poly_products(monkeypatch):
+    # the master polynomial is built once as a coefficient list; one basis
+    # product per point took about 9 s here
+    def refuse(*args):
+        raise AssertionError("interpolation multiplied MultiPoly objects")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    fld = PrimeField(1000003)
+    started = time.perf_counter()
+    f = lagrange_interpolate(fld, range(200), range(200))
+    assert time.perf_counter() - started < 1.0
+    assert f.terms == {(1,): 1}
+
+
 def test_lagrange_interpolate_errors():
     with pytest.raises(InputError):
         lagrange_interpolate(F7, [0, 0], [1, 2])
