@@ -246,6 +246,9 @@ class Request:
         if value is None and self._source is not None:
             if self._doc is None:
                 self._doc = _read_document(self._source)
+                for key in self._doc:
+                    if key not in self._flags:
+                        raise SchemaError(f"unknown input key {key!r}: not a flag of this command")
             value = self._doc.get(name)
         return value
 

@@ -40,6 +40,7 @@ from .errors import (
     ResourceLimit,
     SizeMismatch,
     TheoremViolation,
+    _check_positive_int,
 )
 from .field import PrimeField, RationalField, Scalar, is_prime
 from .mpoly import MultiPoly
@@ -67,8 +68,7 @@ class PolySystem:
     def __init__(self, field: PrimeField, n_vars: int, polys: Iterable[MultiPoly] = ()):
         if not isinstance(field, PrimeField):
             raise FieldMismatch("polynomial systems are defined over a prime field")
-        if not isinstance(n_vars, int) or isinstance(n_vars, bool) or n_vars < 1:
-            raise ArityMismatch(f"n_vars must be a positive integer, got {n_vars!r}")
+        _check_positive_int(n_vars, "n_vars", ArityMismatch)
         polys = tuple(polys)
         for f in polys:
             if f.field != field:
@@ -423,8 +423,7 @@ def olson_lower_witness(k: int, p: int) -> tuple[tuple[int, ...], ...]:
     of Z_p^k repeated p - 1 times."""
     if not is_prime(p):
         raise NotPrime(f"need a prime modulus, got {p!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise BadInput(f"dimension must be a positive integer, got {k!r}")
+    _check_positive_int(k, "dimension", BadInput)
     basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     return tuple(e for e in basis for _ in range(p - 1))
 
@@ -463,8 +462,7 @@ class PlaneCoverReport:
 def plane_cover_construct(n: int) -> PlaneSet:
     """3n planes avoiding the origin and covering the rest of {0..n}^3:
     x = a, y = a, z = a for a = 1..n.  No smaller origin-free family works."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadInput(f"n must be a positive integer, got {n!r}")
+    _check_positive_int(n, "n", BadInput)
     axes = [tuple(int(i == j) for j in range(3)) for i in range(3)]
     return PlaneSet(axis + (-a,) for axis in axes for a in range(1, n + 1))
 
@@ -479,8 +477,7 @@ def plane_cover_verify(
     ever covered everything, that would contradict the lower bound and
     TheoremViolation is raised.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadInput(f"n must be a positive integer, got {n!r}")
+    _check_positive_int(n, "n", BadInput)
     tests = (n + 1) ** 3 * max(1, len(planes))
     _check_grid_cap(tests, max_points, "{count} point-plane tests exceed the cap of {cap}")
     origin_free = all(d != 0 for (_, _, _, d) in planes.planes)
@@ -626,8 +623,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]]):
-        if not isinstance(n_vertices, int) or isinstance(n_vertices, bool) or n_vertices < 1:
-            raise BadInput(f"vertex count must be a positive integer, got {n_vertices!r}")
+        _check_positive_int(n_vertices, "vertex count", BadInput)
         seen = set()
         canon = []
         for raw in edges:
@@ -796,8 +792,7 @@ def snevily_mod_n(
     force_search is set, in which case None reports a fruitless search.  A
     search that outgrows its node budget raises ResourceLimit.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadInput(f"modulus must be a positive integer, got {n!r}")
+    _check_positive_int(n, "modulus", BadInput)
     k = len(a)
     if k < 1:
         raise EmptyInput("need at least one element")
@@ -887,8 +882,7 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
     than Python converts to text (sys.get_int_max_str_digits, when nonzero)
     raises ResourceLimit before it is computed.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise BadInput(f"k must be a positive integer, got {k!r}")
+    _check_positive_int(k, "k", BadInput)
     if verify and k > 6:
         raise ResourceLimit(f"verification paths are capped at k <= 6, got {k}")
     digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

@@ -93,3 +93,9 @@ class TheoremViolation(CombnullError):
     This is an internal assertion, not a user error: every raise names the
     identity that broke so the failure points at the arithmetic bug.
     """
+
+
+def _check_positive_int(value, name: str, error: type) -> None:
+    """Raise ``error`` unless ``value`` is an int other than a bool, at least 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")

@@ -7,12 +7,12 @@ operation.  ``terms`` must not be changed once a polynomial is built:
 ``__hash__`` and the evaluation memo both assume it never changes.
 
 Evaluation is partial.  Each polynomial keeps a memo of its last evaluation:
-a trie of its terms keyed by leading exponents (built once), the coordinates,
-the products of the fixed leading powers at each depth of the trie, and the
-polynomial in the last variable that those products collapse the terms to.
-A call redoes only the depths from the first coordinate that differs from the
-previous call, then runs Horner in the last coordinate.  In grid order (last
-coordinate fastest) most points therefore cost one Horner pass.
+the coordinates, and for each leading depth k the list of per-term products
+c * x_0^e_0 * ... * x_k^e_k, plus the polynomial in the last variable that the
+deepest list sums to.  A call redoes only the depths from the first coordinate
+that differs from the previous call, then runs Horner in the last coordinate.
+In grid order (last coordinate fastest) most points therefore cost one Horner
+pass, and the next most one multiply per term.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -37,7 +37,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ArityMismatch, BadInput, FieldMismatch, ResourceLimit, SchemaError
+from .errors import (ArityMismatch, BadInput, FieldMismatch, ResourceLimit, SchemaError,
+                     _check_positive_int)
 from .field import FieldSpec, PrimeField, Scalar
 
 NEG_INF = float("-inf")
@@ -53,8 +54,7 @@ class MultiPoly:
     __slots__ = ("field", "n_vars", "terms", "_memo")
 
     def __init__(self, field: FieldSpec, n_vars: int, terms: _TermsLike = ()):
-        if not isinstance(n_vars, int) or isinstance(n_vars, bool) or n_vars < 1:
-            raise ArityMismatch(f"n_vars must be a positive integer, got {n_vars!r}")
+        _check_positive_int(n_vars, "n_vars", ArityMismatch)
         clean: dict[tuple[int, ...], Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
@@ -195,8 +195,8 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Value at a point, using the 0**0 = 1 convention.
 
-        Partial evaluation against the previous call's memo: the products of
-        leading powers are recomputed only from the first coordinate that
+        Partial evaluation against the previous call's memo: the per-term
+        prefix products are recomputed only from the first coordinate that
         differs (after coercion into the field, so x and x + p are the same
         coordinate over Z_p), and the last coordinate costs one Horner pass
         over the collapsed polynomial, reduced mod p once per step.  The memo
@@ -224,21 +224,20 @@ class MultiPoly:
                 start = 0
                 while vals[start] == previous[start]:
                     start += 1
-        mod, depths, leaf, gaps = plan
+        mod, depths, coefficients, slots, gaps = plan
         if start < last or coeffs is None:
             levels = levels[:start]
-            prods = levels[-1] if levels else (fld.one,)
-            for depth in range(start, last):
-                exponents, parents, picks = depths[depth]
-                x = vals[depth]
+            products = levels[-1] if levels else coefficients
+            for (exponents, picks), x in zip(depths[start:], vals[start:last]):
                 powers = [pow(x, e, mod) for e in exponents]
-                prods = [prods[a] * powers[b] for a, b in zip(parents, picks)]
                 if mod:
-                    prods = [v % mod for v in prods]
-                levels.append(prods)
+                    products = [v * powers[i] % mod for v, i in zip(products, picks)]
+                else:
+                    products = [v * powers[i] for v, i in zip(products, picks)]
+                levels.append(products)
             coeffs = [fld.zero] * len(gaps)
-            for node, slot, c in zip(*leaf):
-                coeffs[slot] += c * prods[node]
+            for slot, v in zip(slots, products):
+                coeffs[slot] += v
             if mod:
                 coeffs = [v % mod for v in coeffs]
         x = vals[last]
@@ -296,40 +295,29 @@ def sorted_terms(f: MultiPoly) -> list[tuple[tuple[int, ...], Scalar]]:
 def _eval_plan(f: MultiPoly) -> tuple:
     """The static half of the evaluation memo, built once per polynomial.
 
-    The terms form a trie keyed by their leading exponents: a node at depth
-    k stands for one prefix (e_0, ..., e_k); depth -1 is a single root, node
-    0.  Depth k is stored as (its distinct exponents, each node's parent at
-    depth k - 1, each node's exponent as an index into the first tuple).  A
-    term is a leaf: its node at depth n - 2, its slot, its coefficient, where
-    the slot is the position of its last exponent among the distinct last
-    exponents E_0 > E_1 > ... .  ``gaps`` holds the Horner steps
-    E_(j-1) - E_j (the first is arbitrary, since Horner starts from 0), plus
-    a final step E_last with no term when the lowest last exponent is not 0.
-    Flat tuples keep the memo to a few objects per depth.  Returns (modulus
-    or None, depths, leaves as three tuples, gaps).
+    Per-term columns, in the order of ``f.terms``.  Variable k is stored as
+    (its distinct exponents in descending order, each term's exponent as an
+    index into them).  For a leading variable this lets a point's powers of
+    x_k be computed once, so each term's prefix product takes one multiply;
+    the products are seeded with the coefficients.  For the last variable,
+    whose distinct exponents are E_0 > E_1 > ..., the index is the term's
+    Horner slot, and ``gaps`` holds the Horner steps E_(j-1) - E_j (the
+    first is arbitrary, since Horner starts from 0), plus a final step
+    E_last with no term when the lowest last exponent is not 0.  Returns
+    (modulus or None, depths, coefficients, slots, gaps).
     """
-    n = f.n_vars
-    index: list[dict] = [{} for _ in range(n - 1)]
-    top = sorted({exps[-1] for exps in f.terms}, reverse=True)
-    slot = {e: j for j, e in enumerate(top)}
+    columns = list(zip(*f.terms)) or [()] * f.n_vars
+    depths = []
+    for column in columns:
+        exponents = sorted(set(column), reverse=True)
+        pick = {e: j for j, e in enumerate(exponents)}
+        depths.append((exponents, [pick[e] for e in column]))
+    top, slots = depths.pop()
     gaps = [1] + [hi - lo for hi, lo in zip(top, top[1:])]
     if top and top[-1]:
         gaps.append(top[-1])
-    leaf = []
-    for exps, c in f.terms.items():
-        node = 0
-        for depth in range(n - 1):
-            level = index[depth]
-            node = level.setdefault((node, exps[depth]), len(level))
-        leaf.append((node, slot[exps[-1]], c))
-    depths = []
-    for level in index:
-        # a dict keeps insertion order, so its keys are listed by node number
-        exponents = tuple(sorted({e for _, e in level}))
-        pick = {e: j for j, e in enumerate(exponents)}
-        depths.append((exponents, tuple(a for a, _ in level), tuple(pick[e] for _, e in level)))
     mod = f.field.p if isinstance(f.field, PrimeField) else None
-    return mod, tuple(depths), tuple(zip(*leaf)) or ((), (), ()), tuple(gaps if top else ())
+    return mod, depths, list(f.terms.values()), slots, gaps if top else []
 
 
 # ----------------------------------------------------------- multiplication

@@ -426,6 +426,25 @@ def test_internal_error_exit_four(cli, monkeypatch):
     assert doc["status"] == "internal-error"
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_grid_point_cap_below_one_exits_two(cli, cap):
+    code, doc, _ = cli("coeff", "--p", "3", "--poly", "x1", "--sets", "0,1",
+                       "--max-grid-points", cap)
+    assert (code, doc["status"]) == (2, "input-error")
+    assert doc["error"].startswith("BadInput: grid point cap must be >= 1")
+
+
+@pytest.mark.parametrize("args, key", [
+    (("cycle-labels", "--pairs", "1,2;1,2;1,2"), "selection"),
+    (("regular-subgraph", "--p", "2", "--vertices", "3", "--edges", "0-1,1-2"), "witness"),
+    (("snevily", "--n", "2", "--a", "0,1"), "sigma"),
+])
+def test_forced_search_without_witness_exits_one(cli, args, key):
+    # outside each theorem's hypotheses the search runs and finds nothing
+    code, doc, _ = cli(*args, "--force-search")
+    assert (code, doc["status"], doc[key]) == (1, "no-witness", "none")
+
+
 def test_flag_overrides_env_cap(cli, monkeypatch):
     monkeypatch.setenv("COMBNULL_MAX_GRID_POINTS", "4")
     code, doc, _ = cli(
@@ -477,6 +496,17 @@ def test_stdin_document_implicit(cli):
     code, doc, _ = cli("vandermonde", "--max-grid-points", "10", stdin_text="k 3\n")
     assert code == 0
     assert doc["coefficient"] == "-6"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_misspelt_document_key_rejected(fmt):
+    # a cap of 4 would exit 3; a misspelt key must not silently drop it
+    document = "p 3\npoly x1*x2\nsets 0,1,2;0,1,2\nmax-grid-point 4\n"
+    code, out, _ = _run_raw(["coeff", "--format", fmt, "--input", "-"], document)
+    doc = _parsed(fmt, out)
+    assert (code, doc["status"]) == (2, "input-error")
+    assert doc["error"].startswith("SchemaError: ")
+    assert "'max-grid-point'" in doc["error"]
 
 
 class _UnreadableStdin(io.StringIO):
