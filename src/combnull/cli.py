@@ -31,6 +31,7 @@ from .combinatorics import (
     Graph,
     PlaneSet,
     PolySystem,
+    _check_root_grid,
     cauchy_davenport_check,
     chevalley_g,
     common_roots,
@@ -339,8 +340,11 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
     polys = req.require("polys", field, n_vars)
     system = PolySystem(field, n_vars, polys)
     cap = req.get("max-grid-points")
-    roots = common_roots(system, cap)
+    # both caps before either computation, the root grid's first: its message
+    # is the one given when both are exceeded
+    _check_root_grid(system, cap)
     g = chevalley_g(system, cap)
+    roots = common_roots(system, cap)
     degree_sum = sum(f.total_degree() for f in system.polys if f.terms)
     out = {
         "p": p,

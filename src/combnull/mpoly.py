@@ -320,6 +320,24 @@ def _eval_plan(f: MultiPoly) -> tuple:
     return mod, depths, list(f.terms.values()), slots, gaps if top else []
 
 
+def _suffix_slices(f: MultiPoly, s: int) -> dict:
+    """f split by the exponents of its last s variables.
+
+    Maps each suffix exponent key to its coefficient, so that f is the sum of
+    coefficient * x_(n-s)^key_0 * ... * x_(n-1)^key_(s-1).  The coefficient
+    is a ``MultiPoly`` in the first n - s variables; when n <= s there are no
+    such variables, the key is the whole exponent vector and the coefficient
+    a plain constant.
+    """
+    cut = max(f.n_vars - s, 0)
+    groups: dict[tuple[int, ...], dict] = {}
+    for exps, c in f.terms.items():
+        groups.setdefault(exps[cut:], {})[exps[:cut]] = c
+    if not cut:
+        return {key: terms[()] for key, terms in groups.items()}
+    return {key: MultiPoly(f.field, cut, terms) for key, terms in groups.items()}
+
+
 # ----------------------------------------------------------- multiplication
 
 # The big-int product decodes one slot per point of the packed range and its

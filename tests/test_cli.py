@@ -843,6 +843,22 @@ def test_chevalley_g_bound_exits_three(cli):
     assert len(doc["g"].split(" + ")) == 38144
 
 
+def test_chevalley_g_range_refused_before_the_root_scan(cli, monkeypatch):
+    # 13^6 = 4,826,809 grid points fit the default cap, but g ranges over
+    # 25^6 = 244,140,625 exponent vectors: exit 3 before any root is sought.
+    # Past both caps (13^7 points) the grid's message comes first, as before.
+    monkeypatch.delenv("COMBNULL_MAX_GRID_POINTS", raising=False)
+    monkeypatch.setattr(cli_mod, "common_roots", lambda *a: pytest.fail("roots were searched"))
+    squares = "+".join(f"x{i}^2" for i in range(1, 7))
+    started = time.monotonic()
+    code, doc, err = cli("chevalley", "--p", "13", "--nvars", "6", "--polys", squares)
+    assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
+    assert doc["error"] == "GridTooLarge: g ranges over 244140625 exponent vectors, cap is 16777216"
+    code, doc, _ = cli("chevalley", "--p", "13", "--nvars", "7", "--polys", squares)
+    assert (code, doc["error"]) == (3, "GridTooLarge: grid has 62748517 points, cap is 16777216")
+    assert time.monotonic() - started < 2.0
+
+
 def _run_raw(argv, stdin_text=""):
     """run() in-process with its standard streams redirected; returns
     (exit code, stdout, stderr).  Usable inside hypothesis tests, which

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -194,6 +194,114 @@ def test_common_roots_matches_oracle():
         ) if any(terms_list) else 0
         if degree_sum < n:
             assert len(roots) % p == 0
+
+
+def _suffix_length(p, n):
+    """The s that common_roots splits off: largest with p^s <= 64, in 1..n."""
+    s = 1
+    while s < n and p ** (s + 1) <= 64:
+        s += 1
+    return s
+
+
+@st.composite
+def _root_systems(draw):
+    """(p, n, member term dicts) with p^n at most 20,000 points; members are
+    random, zero, a nonzero constant, or only in the suffix or prefix
+    variables that the slice search splits at."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]), label="p")
+    n = draw(st.integers(1, max(k for k in range(1, 6) if p**k <= 20_000)), label="n")
+    cut = n - _suffix_length(p, n)
+    members = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "constant", "suffix", "prefix"]),
+                              max_size=3), label="kinds"):
+        if kind == "zero":
+            members.append({})
+            continue
+        if kind == "constant":
+            members.append({(0,) * n: draw(st.integers(1, p - 1))})
+            continue
+        live = {"random": range(n), "suffix": range(cut, n), "prefix": range(cut)}[kind]
+        exps = st.tuples(*(st.integers(0, 3) if i in live else st.just(0) for i in range(n)))
+        terms = {}
+        for e, c in draw(st.lists(st.tuples(exps, st.integers(0, p - 1)), min_size=1, max_size=5)):
+            terms[e] = (terms.get(e, 0) + c) % p
+        members.append({e: c for e, c in terms.items() if c})
+    return p, n, members
+
+
+@given(_root_systems())
+@example((2, 3, [{(1, 0, 0): 1, (0, 1, 1): 1}]))  # n <= s: one empty prefix
+@example((7, 5, [{(1, 0, 0, 0, 0): 1, (0, 0, 0, 2, 0): 3}, {(0, 0, 0, 1, 1): 1}, {}]))  # n > s
+@settings(max_examples=60)
+def test_common_roots_suffix_slices_match_oracle(system):
+    p, n, members = system
+    fld = PrimeField(p)
+    roots = common_roots(PolySystem(fld, n, [MultiPoly(fld, n, t) for t in members]))
+    assert roots == oracles.common_roots(members, p, n)
+
+
+def test_common_roots_past_the_table_bound():
+    # p > 64: one coordinate per slice, a table of p bits, when there are
+    # others to walk; a single variable is walked point by point (s = 0)
+    f101 = PrimeField(101)
+    circle = {(2, 0): 1, (0, 2): 1, (0, 0): 100}
+    line = {(1, 0): 1, (0, 1): 3}
+    for members in ([circle], [circle, line], [{}], [line, {}]):
+        roots = common_roots(PolySystem(f101, 2, [MultiPoly(f101, 2, t) for t in members]))
+        assert roots == oracles.common_roots(members, 101, 2)
+    f1009 = PrimeField(1009)
+    square = MultiPoly(f1009, 1, {(2,): 1, (0,): 1005})
+    assert common_roots(PolySystem(f1009, 1, [square])) == [(2,), (1007,)]
+    assert common_roots(PolySystem(f1009, 1, [MultiPoly(f1009, 1, {})])) == [
+        (x,) for x in range(1009)]
+
+
+def test_common_roots_past_the_slice_cache_bound(monkeypatch):
+    # a full cache stops growing and later slices are recomputed, with the
+    # same roots: Z_7^5 with s = 2 has 343 prefixes and many distinct slices
+    rng = random.Random(5)
+    members = [oracles.random_terms_zp(rng, 5, 7, max_total=3, max_terms=8) for _ in range(2)]
+    system = PolySystem(F7, 5, [MultiPoly(F7, 5, t) for t in members])
+    want = common_roots(system)
+    assert want == oracles.common_roots(members, 7, 5)
+    monkeypatch.setattr(combinatorics, "_SLICE_CACHE_ENTRIES", 3)
+    assert common_roots(system) == want
+
+
+def test_common_roots_huge_suffix_exponents():
+    # x1^(10^9) - x2^(10^9 + 2) over Z_7: the suffix monomials are reduced
+    # mod p as they are built, never as integers of 10^9 digits
+    e = 10**9
+    f = MultiPoly(F7, 2, {(e, 0): 1, (0, e + 2): 6})
+    started = time.monotonic()
+    roots = common_roots(PolySystem(F7, 2, [f]))
+    assert time.monotonic() - started < 1.0
+    assert roots == [(x, y) for x in range(7) for y in range(7)
+                     if (pow(x, e, 7) - pow(y, e + 2, 7)) % 7 == 0]
+
+
+def test_common_roots_dropped_root_trips_chevalley_warning(monkeypatch):
+    # degree 1 < n, so p divides the root count.  A mask step that loses one
+    # root must raise, on one empty prefix (Z_2^3, s = 3) and on the prefix
+    # path (Z_3^4, s = 3), where each prefix has its own slice values
+    real = combinatorics._slice_roots
+    seen = []
+
+    def lossy(values, columns, p):
+        bits = real(values, columns, p)
+        if bits and not seen:
+            seen.append(values)
+            return bits & (bits - 1)
+        return bits
+
+    monkeypatch.setattr(combinatorics, "_slice_roots", lossy)
+    for p, n in ((2, 3), (3, 4)):
+        fld = PrimeField(p)
+        seen.clear()
+        with pytest.raises(TheoremViolation, match="Chevalley-Warning"):
+            common_roots(PolySystem(fld, n, [parse_poly("x1 + x2 + x3", fld, n)]))
+        assert seen
 
 
 def test_common_roots_grid_cap():

@@ -450,6 +450,36 @@ def test_evaluate_memo_is_not_part_of_the_value():
     assert f == g and hash(f) == code == hash(g) and repr(f) == text
 
 
+@given(data=st.data())
+def test_suffix_slices_rebuild_the_polynomial(data):
+    # each coefficient times its suffix monomial, summed, is f again: term for
+    # term and in value.  With n <= s there is no prefix and the coefficients
+    # are plain constants.
+    field = data.draw(st.sampled_from([F2, F3, F5, PrimeField(7)]), label="field")
+    n = data.draw(st.integers(1, 5), label="n")
+    s = data.draw(st.integers(1, 6), label="s")
+    f = data.draw(poly_strategy(field, n, max_terms=8), label="f")
+    cut = max(n - s, 0)
+    slices = mpoly._suffix_slices(f, s)
+    total = MultiPoly.zero(field, n)
+    for key, coeff in slices.items():
+        assert len(key) == n - cut
+        if cut:
+            assert (coeff.field, coeff.n_vars) == (field, cut) and coeff.terms
+            terms = coeff.terms
+        else:
+            assert not isinstance(coeff, MultiPoly) and coeff
+            terms = {(): coeff}
+        lifted = MultiPoly(field, n, {e + (0,) * len(key): c for e, c in terms.items()})
+        total = total + lifted * MultiPoly(field, n, {(0,) * cut + key: 1})
+    assert total.terms == f.terms
+    for point in data.draw(st.lists(st.tuples(*[st.integers(0, field.p - 1)] * n), max_size=5),
+                           label="points"):
+        value = sum((c.evaluate(point[:cut]) if cut else c) * math.prod(map(pow, point[cut:], key))
+                    for key, c in slices.items())
+        assert value % field.p == f.evaluate(point)
+
+
 def test_is_restricted():
     f = parse_poly("x1^2*x2 + x1^5 + x2^4", F5)
     # neither x1^5 nor x2^4 dominates (2, 1) in both coordinates
