@@ -31,7 +31,6 @@ from .combinatorics import (
     Graph,
     PlaneSet,
     PolySystem,
-    _check_root_grid,
     cauchy_davenport_check,
     chevalley_g,
     common_roots,
@@ -63,6 +62,7 @@ from .mpoly import MultiPoly, format_poly, parse_poly
 from .nullstellensatz import (
     Grid,
     _check_grid_cap,
+    _points,
     grid_weighted_sum,
     lagrange_interpolate,
     nonvanishing_valid,
@@ -342,7 +342,7 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
     cap = req.get("max-grid-points")
     # both caps before either computation, the root grid's first: its message
     # is the one given when both are exceeded
-    _check_root_grid(system, cap)
+    _points([range(p)] * n_vars, cap)
     g = chevalley_g(system, cap)
     roots = common_roots(system, cap)
     degree_sum = sum(f.total_degree() for f in system.polys if f.terms)

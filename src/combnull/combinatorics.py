@@ -44,7 +44,7 @@ from .errors import (
 )
 from .field import PrimeField, RationalField, Scalar, is_prime
 from .mpoly import MultiPoly, _suffix_slices
-from .nullstellensatz import (Grid, _check_grid_cap, _weighted_sum_of_values,
+from .nullstellensatz import (Grid, _check_grid_cap, _points, _weighted_sum_of_values,
                               grid_weighted_sum)
 
 
@@ -102,23 +102,19 @@ def chevalley_g(system: PolySystem, max_points: int | None = None) -> MultiPoly:
     return functools.reduce(operator.mul, (f ** (p - 1) - 1 for f in system.polys))
 
 
-def _check_root_grid(system: PolySystem, max_points: int | None) -> None:
-    """The cap on the p^n points ``common_roots`` searches, counted before
-    anything of that size is built."""
-    _check_grid_cap(system.field.p ** system.n_vars, max_points,
-                    "grid has {count} points, cap is {cap}")
-
-
-# A slice's root set is one int of p^s bits: s is the largest with p^s at
-# most this bound, capped at n; over a larger field s is 1, or 0 for a single
-# variable (see ``common_roots``).  Over the benchmark's root
-# systems (Z_3 to Z_11, 2 to 6 variables) a bound of 16 searched 2.7 times
-# faster than point by point, 64 12.8 times and 128 14 times, the last with
-# tables of up to 121 bits (2-CPU x86_64 VM, Python 3.11).
+# A slice's root set is one int of p^s bits, s the largest with p^s at most
+# this bound, capped at n.  Over the benchmark's root systems (Z_3 to Z_11, 2
+# to 6 variables) a bound of 16 searched 2.7 times faster than point by point,
+# 64 12.8 times and 128 14 times, the last with tables of up to 121 bits
+# (2-CPU x86_64 VM, Python 3.11).  A field of more than this many elements
+# gets s = 0, one zero test per point: no benchmark workload has such a
+# field, and with one variable a one-coordinate table is the whole grid.
 _SLICE_TABLE_BOUND = 64
 
-# Slice root sets cached per member; past this many a slice is recomputed, so
-# the cache's memory is bounded whatever the field and the system.
+# Slice root sets cached per member; past this many a slice is recomputed.
+# Over Z_11^6, with slices of 5 coefficients that nearly all differ, the
+# search peaked at 8.5 MB traced with this bound and at 15.6 MB without it
+# (161,051 prefixes); at the default grid cap a member can meet 1.5 million.
 _SLICE_CACHE_ENTRIES = 1 << 16
 
 
@@ -134,41 +130,24 @@ def _slice_roots(values: tuple, columns: list[list[int]], p: int) -> int:
     return int("".join("0" if t % p else "1" for t in reversed(sums)), 2)
 
 
-def common_roots(
-    system: PolySystem, max_points: int | None = None
-) -> list[tuple[int, ...]]:
-    """All points of Z_p^n where every member vanishes, in ascending order.
+def _roots_by_slices(polys: list[MultiPoly], p: int, n: int, s: int) -> list[tuple[int, ...]]:
+    """The common roots of nonzero ``polys`` over Z_p^n, in ascending order,
+    searched one suffix slice of the last s coordinates at a time.
 
-    The points are split into a prefix of n - s coordinates and a suffix of
-    the last s.  At each prefix, in grid order, a member restricted to the
-    suffix is fixed by the values of its coefficient polynomials
-    (``mpoly._suffix_slices``), and the slice's root set is cached under that
-    tuple of values as a bitmask over the p^s suffix points (at most
-    ``_SLICE_TABLE_BOUND`` of them unless p alone exceeds it).  The members'
-    masks are ANDed, stopping at the first 0, and the set bits are emitted in
-    order.
-
-    When the degrees of the nonzero members sum below n, the count must be
-    divisible by p; a violation raises TheoremViolation.  Zero polynomials
-    impose no constraint and are excluded from the degree sum: their formal
-    degree of -infinity would otherwise claim the divisibility guarantee for
-    systems it does not cover.
+    At each prefix of the first n - s coordinates, in grid order, a member
+    restricted to the suffix is fixed by the values of its coefficient
+    polynomials (``mpoly._suffix_slices``), and the slice's root set is cached
+    under that tuple of values as a bitmask over the p^s suffix points.  The
+    members' masks are ANDed, stopping at the first 0, and the set bits are
+    emitted in order.
     """
-    _check_root_grid(system, max_points)
-    p, n = system.field.p, system.n_vars
-    # one variable over a field past the bound takes s = 0: with s = 1 its
-    # table would be the whole grid, held in memory
-    s = 0 if n == 1 and p > _SLICE_TABLE_BOUND else 1
-    while s < n and p ** (s + 1) <= _SLICE_TABLE_BOUND:
-        s += 1
     suffixes = list(itertools.product(range(p), repeat=s))
     members = []
-    for f in system.polys:
-        if f.terms:
-            slices = _suffix_slices(f, s)
-            columns = [[math.prod(pow(y, e, p) for y, e in zip(point, key)) % p
-                        for point in suffixes] for key in slices]
-            members.append((tuple(slices.values()), columns, {}))
+    for f in polys:
+        slices = _suffix_slices(f, s)
+        columns = [[math.prod(pow(y, e, p) for y, e in zip(point, key)) % p
+                    for point in suffixes] for key in slices]
+        members.append((tuple(slices.values()), columns, {}))
     roots = []
     everything = (1 << len(suffixes)) - 1
     for prefix in itertools.product(range(p), repeat=n - s):
@@ -190,7 +169,36 @@ def common_roots(
             while j >= 0:
                 roots.append(prefix + suffixes[j])
                 j = digits.find("1", j + 1)
-    degree_sum = sum(f.total_degree() for f in system.polys if f.terms)
+    return roots
+
+
+def common_roots(
+    system: PolySystem, max_points: int | None = None
+) -> list[tuple[int, ...]]:
+    """All points of Z_p^n where every member vanishes, in ascending order.
+
+    The grid is searched by suffix slices of the last s coordinates, p^s at
+    most ``_SLICE_TABLE_BOUND`` (``_roots_by_slices``), or point by point when
+    p alone exceeds that bound.
+
+    When the degrees of the nonzero members sum below n, the count must be
+    divisible by p; a violation raises TheoremViolation.  Zero polynomials
+    impose no constraint and are excluded from the degree sum: their formal
+    degree of -infinity would otherwise claim the divisibility guarantee for
+    systems it does not cover.
+    """
+    fld = system.field
+    p, n = fld.p, system.n_vars
+    points = _points([range(p)] * n, max_points)  # the cap, before anything is built
+    polys = [f for f in system.polys if f.terms]
+    s = 0
+    while s < n and p ** (s + 1) <= _SLICE_TABLE_BOUND:
+        s += 1
+    if s:
+        roots = _roots_by_slices(polys, p, n, s)
+    else:
+        roots = [x for x in points if all(fld.is_zero(f.evaluate(x)) for f in polys)]
+    degree_sum = sum(f.total_degree() for f in polys)
     if degree_sum < n:
         if len(roots) % p != 0:
             raise TheoremViolation(

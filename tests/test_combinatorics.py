@@ -197,8 +197,8 @@ def test_common_roots_matches_oracle():
 
 
 def _suffix_length(p, n):
-    """The s that common_roots splits off: largest with p^s <= 64, in 1..n."""
-    s = 1
+    """The s that common_roots splits off: largest with p^s <= 64, capped at n."""
+    s = 0
     while s < n and p ** (s + 1) <= 64:
         s += 1
     return s
@@ -242,8 +242,7 @@ def test_common_roots_suffix_slices_match_oracle(system):
 
 
 def test_common_roots_past_the_table_bound():
-    # p > 64: one coordinate per slice, a table of p bits, when there are
-    # others to walk; a single variable is walked point by point (s = 0)
+    # p > 64: no slices (s = 0), every point is tested on its own
     f101 = PrimeField(101)
     circle = {(2, 0): 1, (0, 2): 1, (0, 0): 100}
     line = {(1, 0): 1, (0, 1): 3}
