@@ -137,24 +137,27 @@ def _roots_by_slices(polys: list[MultiPoly], p: int, n: int, s: int) -> list[tup
     At each prefix of the first n - s coordinates, in grid order, a member
     restricted to the suffix is fixed by the values of its coefficient
     polynomials (``mpoly._suffix_slices``), and the slice's root set is cached
-    under that tuple of values as a bitmask over the p^s suffix points.  The
-    members' masks are ANDed, stopping at the first 0, and the set bits are
-    emitted in order.
+    under that tuple of values as a bitmask over the p^s suffix points.  A
+    coefficient that is constant in the prefix stands in the tuple as its
+    value, so only the others are evaluated per prefix.  The members' masks
+    are ANDed, stopping at the first 0, and the set bits are emitted in order.
     """
     suffixes = list(itertools.product(range(p), repeat=s))
+    origin = (0,) * (n - s)
     members = []
     for f in polys:
         slices = _suffix_slices(f, s)
         columns = [[math.prod(pow(y, e, p) for y, e in zip(point, key)) % p
                     for point in suffixes] for key in slices]
-        members.append((tuple(slices.values()), columns, {}))
+        coeffs = tuple(c.terms[origin] if isinstance(c, MultiPoly) and c.terms.keys() == {origin}
+                       else c for c in slices.values())
+        members.append((coeffs, columns, {}))
     roots = []
     everything = (1 << len(suffixes)) - 1
     for prefix in itertools.product(range(p), repeat=n - s):
         mask = everything
         for coeffs, columns, cache in members:
-            # with no prefix (s = n) the coefficients are the constants themselves
-            values = tuple(c.evaluate(prefix) for c in coeffs) if prefix else coeffs
+            values = tuple(c.evaluate(prefix) if isinstance(c, MultiPoly) else c for c in coeffs)
             bits = cache.get(values)
             if bits is None:
                 bits = _slice_roots(values, columns, p)

@@ -7,12 +7,18 @@ operation.  ``terms`` must not be changed once a polynomial is built:
 ``__hash__`` and the evaluation memo both assume it never changes.
 
 Evaluation is partial.  Each polynomial keeps a memo of its last evaluation:
-the coordinates, and for each leading depth k the list of per-term products
-c * x_0^e_0 * ... * x_k^e_k, plus the polynomial in the last variable that the
-deepest list sums to.  A call redoes only the depths from the first coordinate
-that differs from the previous call, then runs Horner in the last coordinate.
-In grid order (last coordinate fastest) most points therefore cost one Horner
-pass, and the next most one multiply per term.
+the coordinates before the last as passed (the raw head) and as coerced, and
+for each leading depth k the list of per-term products c * x_0^e_0 * ... *
+x_k^e_k, plus the polynomial in the last variable that the deepest list sums
+to.  When a point's head is the raw head object for object, as
+``itertools.product`` yields it, only the last coordinate is coerced and one
+Horner pass in it gives the value.  Otherwise the coordinates from the first
+raw difference are coerced and compared, and the depths are redone from the
+first that differs.  Matching by identity rather than ``==`` keeps every
+refusal of ``field.element``: ``True`` or ``1.0`` never stands in for ``1``.
+Over Q the coefficients are integer numerators over their least common
+denominator, so integral coordinates cost int arithmetic and each value is
+divided once.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -34,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from operator import is_
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -42,6 +49,7 @@ from .errors import (ArityMismatch, BadInput, FieldMismatch, ResourceLimit, Sche
 from .field import FieldSpec, PrimeField, Scalar
 
 NEG_INF = float("-inf")
+_UNSET = object()
 
 _TermsLike = Union[Mapping[tuple, Scalar], Iterable[tuple]]
 
@@ -195,60 +203,69 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Value at a point, using the 0**0 = 1 convention.
 
-        Partial evaluation against the previous call's memo: the per-term
-        prefix products are recomputed only from the first coordinate that
-        differs (after coercion into the field, so x and x + p are the same
-        coordinate over Z_p), and the last coordinate costs one Horner pass
-        over the collapsed polynomial, reduced mod p once per step.  The memo
-        is O(terms * n_vars), is replaced by one attribute store and never
-        mutated, so a concurrent call on a shared polynomial at worst
-        recomputes.  ``terms`` must not be mutated in place.
+        Partial evaluation against the previous call's memo (see the module
+        docstring): a head that is the previous raw head object for object
+        costs one Horner pass in the last coordinate, reduced mod p once per
+        step; otherwise the per-term prefix products are recomputed from the
+        first coordinate that differs after coercion, so x and x + p are the
+        same coordinate over Z_p.  The value is a residue over Z_p and a
+        ``Fraction`` over Q.  The memo is O(terms * n_vars), is replaced by
+        one attribute store and never mutated, so a concurrent call on a
+        shared polynomial at worst recomputes.  ``terms`` must not be mutated
+        in place.
         """
         if len(point) != self.n_vars:
             raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
-        fld = self.field
-        # a list: tuple(map(...)) allocates ten slots and shrinks them, which
-        # strands one tuple per call on CPython's per-length free list
-        vals = list(map(fld.element, point))
-        last = self.n_vars - 1
         memo = self._memo
         if memo is None:
-            plan, start, levels, coeffs = _eval_plan(self), 0, [], None
+            # a head of n_vars placeholders, which no point matches
+            memo = (_eval_plan(self), (_UNSET,) * self.n_vars, [], [], None, _UNSET, None)
+        plan, head, vals, levels, coeffs, raw, value = memo
+        mod, den, coordinate, gaps, depths, coefficients, slots = plan
+        if all(map(is_, point, head)):  # the usual case in grid order
+            if point[-1] is raw:
+                return value
         else:
-            plan, previous, levels, coeffs, value = memo
-            if vals[:last] == previous[:last]:  # the usual case in grid order
-                if vals[last] == previous[last]:
-                    return value
-                start = last
-            else:
-                start = 0
-                while vals[start] == previous[start]:
-                    start += 1
-        mod, depths, coefficients, slots, gaps = plan
-        if start < last or coeffs is None:
-            levels = levels[:start]
-            products = levels[-1] if levels else coefficients
-            for (exponents, picks), x in zip(depths[start:], vals[start:last]):
-                powers = [pow(x, e, mod) for e in exponents]
+            last = self.n_vars - 1
+            first = 0
+            while point[first] is head[first]:
+                first += 1
+            fresh = list(map(coordinate, point[first:last]))
+            start = first
+            for x, old in zip(fresh, vals[first:]):
+                if x != old:
+                    break
+                start += 1
+            head, vals = tuple(point[:last]), vals[:first] + fresh
+            if start < last or coeffs is None:
+                levels = levels[:start]
+                products = levels[-1] if levels else coefficients
+                for (exponents, picks), x in zip(depths[start:], vals[start:]):
+                    powers = [pow(x, e, mod) for e in exponents]
+                    if mod:
+                        products = [v * powers[i] % mod for v, i in zip(products, picks)]
+                    else:
+                        products = [v * powers[i] for v, i in zip(products, picks)]
+                    levels.append(products)
+                coeffs = [0] * len(gaps)
+                for slot, v in zip(slots, products):
+                    coeffs[slot] += v
                 if mod:
-                    products = [v * powers[i] % mod for v, i in zip(products, picks)]
-                else:
-                    products = [v * powers[i] for v, i in zip(products, picks)]
-                levels.append(products)
-            coeffs = [fld.zero] * len(gaps)
-            for slot, v in zip(slots, products):
-                coeffs[slot] += v
-            if mod:
-                coeffs = [v % mod for v in coeffs]
-        x = vals[last]
-        value = fld.zero
+                    coeffs = [v % mod for v in coeffs]
+        raw = point[-1]
+        if type(raw) is not int:
+            x = coordinate(raw)
+        else:
+            x = raw % mod if mod else raw
+        value = 0
         if mod:
             for gap, c in zip(gaps, coeffs):
                 value = (value * (x if gap == 1 else pow(x, gap, mod)) + c) % mod
         else:
             for gap, c in zip(gaps, coeffs):
                 value = value * (x if gap == 1 else x**gap) + c
-        self._memo = (plan, vals, levels, coeffs, value)
+            value = Fraction(value, den)
+        self._memo = (plan, head, vals, levels, coeffs, raw, value)
         return value
 
     def is_restricted(self, d: Sequence[int]) -> bool:
@@ -299,12 +316,15 @@ def _eval_plan(f: MultiPoly) -> tuple:
     (its distinct exponents in descending order, each term's exponent as an
     index into them).  For a leading variable this lets a point's powers of
     x_k be computed once, so each term's prefix product takes one multiply;
-    the products are seeded with the coefficients.  For the last variable,
-    whose distinct exponents are E_0 > E_1 > ..., the index is the term's
-    Horner slot, and ``gaps`` holds the Horner steps E_(j-1) - E_j (the
-    first is arbitrary, since Horner starts from 0), plus a final step
-    E_last with no term when the lowest last exponent is not 0.  Returns
-    (modulus or None, depths, coefficients, slots, gaps).
+    the products are seeded with the coefficients, which over Q are integer
+    numerators over their least common denominator (``_numerators``).  For
+    the last variable, whose distinct exponents are E_0 > E_1 > ..., the
+    index is the term's Horner slot, and ``gaps`` holds the Horner steps
+    E_(j-1) - E_j (the first is arbitrary, since Horner starts from 0), plus
+    a final step E_last with no term when the lowest last exponent is not 0.
+    ``coordinate`` coerces one coordinate: a residue over Z_p, and over Q an
+    int when it is integral.  Returns (modulus or None, denominator,
+    coordinate, gaps, depths, coefficients, slots).
     """
     columns = list(zip(*f.terms)) or [()] * f.n_vars
     depths = []
@@ -316,8 +336,22 @@ def _eval_plan(f: MultiPoly) -> tuple:
     gaps = [1] + [hi - lo for hi, lo in zip(top, top[1:])]
     if top and top[-1]:
         gaps.append(top[-1])
-    mod = f.field.p if isinstance(f.field, PrimeField) else None
-    return mod, depths, list(f.terms.values()), slots, gaps if top else []
+    element = f.field.element
+    if isinstance(f.field, PrimeField):
+        mod, coefficients, den = f.field.p, f.terms, 1
+
+        def coordinate(x):
+            return x % mod if type(x) is int else element(x)
+    else:
+        mod, (coefficients, den) = None, _numerators(f.terms)
+
+        def coordinate(x):
+            if type(x) is int:
+                return x
+            if type(x) is not Fraction:
+                x = element(x)
+            return x.numerator if x.denominator == 1 else x
+    return mod, den, coordinate, gaps if top else [], depths, list(coefficients.values()), slots
 
 
 def _suffix_slices(f: MultiPoly, s: int) -> dict:

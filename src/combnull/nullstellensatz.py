@@ -247,11 +247,12 @@ def _weighted_sum_of_values(
     1/P(alpha) is a product of per-coordinate inverse denominators.  Its
     products over a tail of the coordinates are tabulated once, and the
     product over the other (head) coordinates is applied once per run through
-    the tail, so the weight costs a point one multiplication.
+    the tail, so the weight costs a point one multiplication.  A run sums
+    value * weight as plain numbers and is reduced into the field once.
     """
     points = _points(grid.sets, max_points)
     fld = grid.field
-    mul, add = fld.mul, fld.add
+    mul, add, element = fld.mul, fld.add, fld.element
     inverse = {s: _inverse_denominators(fld, s) for s in set(grid.sets)}
     tables = [inverse[s] for s in grid.sets]
     cut, run_length = len(tables) - 1, len(tables[-1])
@@ -263,13 +264,13 @@ def _weighted_sum_of_values(
         tail = [mul(w, d) for w in tail for d in table]
     total = fld.zero
     for head in itertools.product(*tables[:cut]):
-        run = fld.zero
+        run = 0
         # `tail` first: zip stops on it without drawing a point of the next run
         for w, point in zip(tail, points):
             value = value_at(point)
             if value:
-                run = add(run, mul(value, w))
-        total = add(total, reduce(mul, head, run))
+                run += value * w
+        total = add(total, reduce(mul, head, element(run)))
     return total
 
 

@@ -256,6 +256,23 @@ def test_common_roots_past_the_table_bound():
         (x,) for x in range(1009)]
 
 
+def test_common_roots_evaluates_only_prefix_dependent_coefficients(monkeypatch):
+    # x1 + x2^2 + 3*x3 over Z_7^3 splits at s = 2 into the coefficients x1,
+    # 1 and 3 of 1, x2^2 and x3.  The constants stand in the slice key as
+    # values, so each of the 7 prefixes evaluates x1 alone
+    calls = []
+    evaluate = MultiPoly.evaluate
+
+    def counted(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counted)
+    f = parse_poly("x1 + x2^2 + 3*x3", F7, 3)
+    assert common_roots(PolySystem(F7, 3, [f])) == oracles.common_roots([f.terms], 7, 3)
+    assert calls == [(x,) for x in range(7)]
+
+
 def test_common_roots_past_the_slice_cache_bound(monkeypatch):
     # a full cache stops growing and later slices are recomputed, with the
     # same roots: Z_7^5 with s = 2 has 343 prefixes and many distinct slices

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from combnull import (
     ArityMismatch,
+    BadInput,
     FieldMismatch,
     InputError,
     MultiPoly,
@@ -448,6 +449,35 @@ def test_evaluate_memo_is_not_part_of_the_value():
     text, code = repr(f), hash(f)
     f.evaluate((1, 2))
     assert f == g and hash(f) == code == hash(g) and repr(f) == text
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), Q], ids=["Z7", "Q"])
+def test_evaluate_fast_path_contract(field):
+    # the memo matches a head by object identity, never by ==: what the field
+    # refuses stays refused whatever the memo holds, a list point is copied,
+    # and the type of a value does not depend on the route that computed it
+    f = parse_poly("x1^2*x2 + 3*x1*x2^3 + 1/2", field, 2)
+    for bad in [(True, 2), (1.0, 2), (1, True), (1, 2.0)]:
+        for point in (bad, list(bad)):
+            f.evaluate((1, 2))
+            with pytest.raises(BadInput):
+                f.evaluate(point)
+    point = [4, 5]
+    f.evaluate(point)
+    point[0] = 3
+    assert f.evaluate(point) == _oracle_value(f, (3, 5))
+    coords = [0, 1, 2, -4, 10**20 + 3, Fraction(5, 2), Fraction(-3, 4)]
+    points = list(itertools.product(coords, repeat=2))
+    as_tuples = [f.evaluate(pt) for pt in points]
+    mixed = [f.evaluate(list(pt) if i % 2 else pt) for i, pt in enumerate(points)]
+    assert mixed == as_tuples == [_oracle_value(f, pt) for pt in points]
+    for g in (f, MultiPoly.zero(field, 2), MultiPoly.constant(field, 2, 3)):
+        for pt in points + [(0, 0), (7, -7), (10**20, 1)]:
+            value = g.evaluate(pt)
+            if isinstance(field, PrimeField):
+                assert type(value) is int and 0 <= value < field.p
+            else:
+                assert type(value) is Fraction and value == _oracle_value(g, pt)
 
 
 @given(data=st.data())

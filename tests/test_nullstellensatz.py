@@ -375,6 +375,27 @@ def test_weighted_sum_rational_oracle(seed):
     assert got == terms.get(grid.target_exponents(), Fraction(0))
 
 
+@given(data=st.data())
+@settings(max_examples=60)
+def test_rational_route_on_mixed_coordinates(data):
+    # over Q, evaluate works on integer numerators: integral coordinates as
+    # ints, fractional ones as Fractions.  Sets that mix both switch one
+    # evaluation sequence between the two, with terms past the degree bound
+    n = data.draw(st.integers(1, 4), label="n")
+    scalars = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=4))
+    sets = data.draw(st.lists(st.lists(scalars, min_size=1, max_size=3, unique=True),
+                              min_size=n, max_size=n), label="sets")
+    bound = sum(len(s) - 1 for s in sets)
+    exps = st.tuples(*[st.integers(0, bound + 2)] * n)
+    coeffs = st.fractions(-5, 5, max_denominator=6)
+    f = MultiPoly(Q, n, data.draw(st.dictionaries(exps, coeffs, max_size=6), label="terms"))
+    grid = Grid(Q, sets)
+    assert grid_weighted_sum(f, grid) == oracles.weighted_sum_q(f.terms, grid.sets)
+    for point in itertools.chain(itertools.product(*sets), itertools.product(*grid.sets)):
+        value = f.evaluate(point)
+        assert type(value) is Fraction and value == oracles.eval_terms(f.terms, point)
+
+
 # ------------------------------------------------------------- special cases
 
 
