@@ -143,15 +143,12 @@ def _roots_by_slices(polys: list[MultiPoly], p: int, n: int, s: int) -> list[tup
     are ANDed, stopping at the first 0, and the set bits are emitted in order.
     """
     suffixes = list(itertools.product(range(p), repeat=s))
-    origin = (0,) * (n - s)
     members = []
     for f in polys:
         slices = _suffix_slices(f, s)
         columns = [[math.prod(pow(y, e, p) for y, e in zip(point, key)) % p
                     for point in suffixes] for key in slices]
-        coeffs = tuple(c.terms[origin] if isinstance(c, MultiPoly) and c.terms.keys() == {origin}
-                       else c for c in slices.values())
-        members.append((coeffs, columns, {}))
+        members.append((tuple(slices.values()), columns, {}))
     roots = []
     everything = (1 << len(suffixes)) - 1
     for prefix in itertools.product(range(p), repeat=n - s):
@@ -200,7 +197,7 @@ def common_roots(
     if s:
         roots = _roots_by_slices(polys, p, n, s)
     else:
-        roots = [x for x in points if all(fld.is_zero(f.evaluate(x)) for f in polys)]
+        roots = [x for x in points if not any(f.evaluate(x) for f in polys)]
     degree_sum = sum(f.total_degree() for f in polys)
     if degree_sum < n:
         if len(roots) % p != 0:

@@ -6,19 +6,19 @@ the invariant "every stored coefficient is nonzero" holds after every
 operation.  ``terms`` must not be changed once a polynomial is built:
 ``__hash__`` and the evaluation memo both assume it never changes.
 
-Evaluation is partial.  Each polynomial keeps a memo of its last evaluation:
-the coordinates before the last as passed (the raw head) and as coerced, and
-for each leading depth k the list of per-term products c * x_0^e_0 * ... *
-x_k^e_k, plus the polynomial in the last variable that the deepest list sums
-to.  When a point's head is the raw head object for object, as
-``itertools.product`` yields it, only the last coordinate is coerced and one
-Horner pass in it gives the value.  Otherwise the coordinates from the first
-raw difference are coerced and compared, and the depths are redone from the
-first that differs.  Matching by identity rather than ``==`` keeps every
-refusal of ``field.element``: ``True`` or ``1.0`` never stands in for ``1``.
-Over Q the coefficients are integer numerators over their least common
-denominator, so integral coordinates cost int arithmetic and each value is
-divided once.
+Evaluation is partial.  Each polynomial keeps a memo of its last evaluation
+in four slots: the static plan, the coordinates before the last as passed
+(the raw head), for each leading depth k the list of per-term products
+c * x_0^e_0 * ... * x_k^e_k, and the polynomial in the last variable that
+the deepest list sums to.  No coerced coordinate is kept.  When a point's
+head is the raw head object for object, as ``itertools.product`` yields it,
+only the last coordinate is coerced and one Horner pass in it gives the
+value.  Otherwise the head is coerced from the first coordinate object that
+differs and the depths are redone from there.  Matching by identity rather
+than ``==`` keeps every refusal of ``field.element``: ``True`` or ``1.0``
+never stands in for ``1``.  Over Q the coefficients are integer numerators
+over their least common denominator, so integral coordinates cost int
+arithmetic and each value is divided once.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -206,57 +206,46 @@ class MultiPoly:
         Partial evaluation against the previous call's memo (see the module
         docstring): a head that is the previous raw head object for object
         costs one Horner pass in the last coordinate, reduced mod p once per
-        step; otherwise the per-term prefix products are recomputed from the
-        first coordinate that differs after coercion, so x and x + p are the
-        same coordinate over Z_p.  The value is a residue over Z_p and a
-        ``Fraction`` over Q.  The memo is O(terms * n_vars), is replaced by
-        one attribute store and never mutated, so a concurrent call on a
-        shared polynomial at worst recomputes.  ``terms`` must not be mutated
-        in place.
+        step; otherwise the head is coerced from the first coordinate object
+        that differs and the per-term prefix products are redone from there.
+        The value is a residue over Z_p and a ``Fraction`` over Q.  The memo
+        is O(terms * n_vars), is replaced by one attribute store and never
+        mutated, so a concurrent call on a shared polynomial at worst
+        recomputes.  ``terms`` must not be mutated in place.
         """
         if len(point) != self.n_vars:
             raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
         memo = self._memo
         if memo is None:
             # a head of n_vars placeholders, which no point matches
-            memo = (_eval_plan(self), (_UNSET,) * self.n_vars, [], [], None, _UNSET, None)
-        plan, head, vals, levels, coeffs, raw, value = memo
+            memo = (_eval_plan(self), (_UNSET,) * self.n_vars, [], None)
+        plan, head, levels, coeffs = memo
         mod, den, coordinate, gaps, depths, coefficients, slots = plan
-        if all(map(is_, point, head)):  # the usual case in grid order
-            if point[-1] is raw:
-                return value
-        else:
-            last = self.n_vars - 1
+        if not all(map(is_, point, head)):  # in grid order, only when a head coordinate moves
             first = 0
             while point[first] is head[first]:
                 first += 1
-            fresh = list(map(coordinate, point[first:last]))
-            start = first
-            for x, old in zip(fresh, vals[first:]):
-                if x != old:
-                    break
-                start += 1
-            head, vals = tuple(point[:last]), vals[:first] + fresh
-            if start < last or coeffs is None:
-                levels = levels[:start]
-                products = levels[-1] if levels else coefficients
-                for (exponents, picks), x in zip(depths[start:], vals[start:]):
-                    powers = [pow(x, e, mod) for e in exponents]
-                    if mod:
-                        products = [v * powers[i] % mod for v, i in zip(products, picks)]
-                    else:
-                        products = [v * powers[i] for v, i in zip(products, picks)]
-                    levels.append(products)
-                coeffs = [0] * len(gaps)
-                for slot, v in zip(slots, products):
-                    coeffs[slot] += v
+            head = tuple(point[:self.n_vars - 1])
+            levels = levels[:first]
+            products = levels[-1] if levels else coefficients
+            for (exponents, picks), x in zip(depths[first:], map(coordinate, head[first:])):
+                powers = [pow(x, e, mod) for e in exponents]
                 if mod:
-                    coeffs = [v % mod for v in coeffs]
-        raw = point[-1]
-        if type(raw) is not int:
-            x = coordinate(raw)
-        else:
-            x = raw % mod if mod else raw
+                    products = [v * powers[i] % mod for v, i in zip(products, picks)]
+                else:
+                    products = [v * powers[i] for v, i in zip(products, picks)]
+                levels.append(products)
+            coeffs = [0] * len(gaps)
+            for slot, v in zip(slots, products):
+                coeffs[slot] += v
+            if mod:
+                coeffs = [v % mod for v in coeffs]
+            self._memo = (plan, head, levels, coeffs)
+        x = point[-1]
+        if type(x) is not int:
+            x = coordinate(x)
+        elif mod:
+            x %= mod
         value = 0
         if mod:
             for gap, c in zip(gaps, coeffs):
@@ -265,7 +254,6 @@ class MultiPoly:
             for gap, c in zip(gaps, coeffs):
                 value = value * (x if gap == 1 else x**gap) + c
             value = Fraction(value, den)
-        self._memo = (plan, head, vals, levels, coeffs, raw, value)
         return value
 
     def is_restricted(self, d: Sequence[int]) -> bool:
@@ -358,18 +346,18 @@ def _suffix_slices(f: MultiPoly, s: int) -> dict:
     """f split by the exponents of its last s variables.
 
     Maps each suffix exponent key to its coefficient, so that f is the sum of
-    coefficient * x_(n-s)^key_0 * ... * x_(n-1)^key_(s-1).  The coefficient
-    is a ``MultiPoly`` in the first n - s variables; when n <= s there are no
-    such variables, the key is the whole exponent vector and the coefficient
-    a plain constant.
+    coefficient * x_(n-s)^key_0 * ... * x_(n-1)^key_(s-1).  A coefficient
+    that involves none of the first n - s variables, as every one does when
+    n <= s, is a plain constant; any other is a ``MultiPoly`` in those
+    variables.
     """
     cut = max(f.n_vars - s, 0)
+    origin = (0,) * cut
     groups: dict[tuple[int, ...], dict] = {}
     for exps, c in f.terms.items():
         groups.setdefault(exps[cut:], {})[exps[:cut]] = c
-    if not cut:
-        return {key: terms[()] for key, terms in groups.items()}
-    return {key: MultiPoly(f.field, cut, terms) for key, terms in groups.items()}
+    return {key: terms[origin] if terms.keys() == {origin} else MultiPoly(f.field, cut, terms)
+            for key, terms in groups.items()}
 
 
 # ----------------------------------------------------------- multiplication

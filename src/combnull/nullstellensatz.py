@@ -31,10 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -45,6 +43,7 @@ from .errors import (
     GridTooLarge,
     NotAMember,
     OutOfRange,
+    ResourceLimit,
     SizeMismatch,
     TheoremViolation,
 )
@@ -53,6 +52,11 @@ from .mpoly import MultiPoly
 
 DEFAULT_MAX_GRID_POINTS = 1 << 24
 MAX_GRID_POINTS_ENV = "COMBNULL_MAX_GRID_POINTS"
+# Bit size allowed for a value over Q (``_check_poly_grid``).  At this size one
+# evaluation took about 50 ms at an integral coordinate and 1.3-1.9 s at a
+# fractional one, and at twice it 0.08 s and 4.9-6.3 s (2-CPU x86_64 VM,
+# Python 3.11); the README's 100,000-bit x1^100000 over 0,1/2 fits.
+MAX_RATIONAL_HEIGHT_BITS = 1 << 20
 # Longest run of tail weights the weighted sum tabulates, unless the last
 # coordinate set alone is longer: about 2 multiplications per entry to build,
 # against one head product per run.
@@ -128,11 +132,9 @@ class Grid:
         return f"Grid({self.field!r}, {list(map(list, self.sets))!r})"
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """A grid point: per-coordinate indices plus the field values there."""
+class GridPoint(NamedTuple):
+    """A grid point: the field values of its coordinates."""
 
-    index: tuple[int, ...]
     value: tuple[Scalar, ...]
 
 
@@ -220,12 +222,23 @@ def lagrange_interpolate(
 
 
 def _check_poly_grid(f: MultiPoly, grid: Grid) -> None:
+    """f and grid share field and arity, and over Q no value f takes on the
+    grid can exceed ``MAX_RATIONAL_HEIGHT_BITS`` (ResourceLimit)."""
     if f.field != grid.field:
         raise FieldMismatch(f"polynomial over {f.field!r}, grid over {grid.field!r}")
     if f.n_vars != grid.n_vars:
         raise ArityMismatch(
             f"polynomial in {f.n_vars} variables, grid has {grid.n_vars} coordinates"
         )
+    if not isinstance(f.field, PrimeField):
+        # a term's value at a grid point has at most sum_i e_i * log2 H(A_i)
+        # bits, H the largest |numerator| or denominator in A_i; 0 and +-1 add none
+        bits = [(max(max(abs(a.numerator), a.denominator) for a in s) - 1).bit_length()
+                for s in grid.sets]
+        height = max((sum(map(int.__mul__, exps, bits)) for exps in f.terms), default=0)
+        if height > MAX_RATIONAL_HEIGHT_BITS:
+            raise ResourceLimit(f"values over Q reach {height} bits on this grid, "
+                                f"cap is {MAX_RATIONAL_HEIGHT_BITS}")
 
 
 def _inverse_denominators(fld: FieldSpec, elems: tuple[Scalar, ...]) -> list[Scalar]:
@@ -335,7 +348,8 @@ def signed_two_element_sum(f: MultiPoly, grid: Grid) -> Scalar:
 def second_nonvanish(
     f: MultiPoly, grid: Grid, max_points: int | None = None
 ) -> list[GridPoint]:
-    """All grid points where f is nonzero, in enumeration order.
+    """All grid points where f is nonzero, in enumeration order, each as a
+    ``GridPoint`` whose ``value`` is the point.
 
     When total_degree(f) < grid.degree_bound() the count can never be exactly
     one: a lone nonvanishing point alpha would make the weighted sum
@@ -343,12 +357,8 @@ def second_nonvanish(
     one in that regime therefore raises TheoremViolation.
     """
     _check_poly_grid(f, grid)
-    is_zero = f.field.is_zero
-    hits = [
-        GridPoint(tuple(map(bisect_left, grid.sets, point)), point)
-        for point in _points(grid.sets, max_points)
-        if not is_zero(f.evaluate(point))
-    ]
+    # evaluate returns a reduced residue or a Fraction, so its truth is "nonzero"
+    hits = [GridPoint(point) for point in _points(grid.sets, max_points) if f.evaluate(point)]
     if len(hits) == 1 and f.total_degree() < grid.degree_bound():
         raise TheoremViolation(
             "vanishing-sum identity violated: a polynomial of total degree "
@@ -362,13 +372,14 @@ def nonvanishing_valid(f: MultiPoly, grid: Grid, points: Sequence[Sequence[Scala
     """True iff every claimed point lies on the grid and f is nonzero there.
 
     Decided by evaluating f at the claimed points alone, so unlike
-    ``second_nonvanish`` it enumerates nothing and has no grid cap.
+    ``second_nonvanish`` it enumerates nothing and has no grid cap; the
+    height budget over Q applies to it all the same.
     Coordinates are field elements, as ``Grid`` stores them.
     """
     _check_poly_grid(f, grid)
     return all(
         len(pt) == grid.n_vars
         and all(x in s for x, s in zip(pt, grid.sets))
-        and not f.field.is_zero(f.evaluate(pt))
+        and f.evaluate(pt)
         for pt in points
     )

@@ -390,6 +390,14 @@ def test_schema_errors_exit_two(cli):
     assert code == 2  # both fields chosen
     code, doc, _ = cli("egz", "--p", "3", "--nums", "1,2,x,4,5")
     assert code == 2
+    for argv in (
+        ("regular-subgraph", "--p", "2", "--vertices", "3", "--edges", "0-1-2"),
+        ("lagrange", "--p", "5", "--points", " ", "--values", "1"),  # an empty list
+        ("witness", "--p", "5", "--poly", "x1*x2", "--sets", "0,1;0,1", "--check", "1,1"),
+        ("sumset", "--p", "7", "--a", "0,1", "--check", "cauchy-davenport"),  # no --b
+    ):
+        code, doc, _ = cli(*argv)
+        assert code == 2 and "SchemaError" in doc["error"], argv
 
 
 def test_resource_limit_exit_three(cli, monkeypatch):
@@ -398,6 +406,23 @@ def test_resource_limit_exit_three(cli, monkeypatch):
     assert code == 3
     assert doc["status"] == "resource-limit"
     assert "GridTooLarge" in doc["error"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rational_height_budget_is_resource_limit(fmt):
+    # over Q a value's bit size is bounded before anything is evaluated: 3^e
+    # for e = 3*10^7 would take tens of seconds, and is refused at once
+    for argv in (["coeff", "--rational", "--poly", "x1^30000000", "--sets", "2,3"],
+                 ["witness", "--rational", "--poly", "x1^30000000 - 1", "--sets", "2,3"],
+                 ["witness", "--rational", "--poly", "x1^30000000 - 1", "--sets", "2,3",
+                  "--check", "(2)"]):
+        started = time.monotonic()
+        code, out, err = _run_raw(argv + ["--format", fmt])
+        assert time.monotonic() - started < 0.5
+        doc = _parsed(fmt, out)
+        assert (code, doc["status"]) == (3, "resource-limit"), argv
+        assert doc["error"].startswith("ResourceLimit: values over Q reach 60000000 bits")
+        assert len(err.splitlines()) == 1
 
 
 def test_internal_error_exit_four(cli, monkeypatch):

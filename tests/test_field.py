@@ -87,6 +87,14 @@ def test_inverses_exhaustive(p):
         f.inv(0)
 
 
+def test_rational_division_by_zero():
+    q = RationalField()
+    with pytest.raises(ZeroDivisionError):
+        q.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        q.div(1, 0)
+
+
 @given(
     p=st.sampled_from(SMALL_PRIMES),
     a=st.integers(-50, 50),

@@ -109,6 +109,13 @@ def test_ring_axioms_rational(f, g):
     assert (f + g) - g == f
 
 
+@given(f=poly_strategy(F5, 2, max_terms=4))
+def test_scalar_minus_polynomial(f):
+    # int - MultiPoly goes through __rsub__
+    assert 3 - f == -(f - 3)
+    assert (3 - f).evaluate((1, 2)) == F5.sub(3, f.evaluate((1, 2)))
+
+
 @given(f=poly_strategy(F5, 2), g=poly_strategy(F5, 2), pt=points2)
 def test_evaluate_is_a_homomorphism(f, g, pt):
     fv, gv = f.evaluate(pt), g.evaluate(pt)
@@ -483,8 +490,8 @@ def test_evaluate_fast_path_contract(field):
 @given(data=st.data())
 def test_suffix_slices_rebuild_the_polynomial(data):
     # each coefficient times its suffix monomial, summed, is f again: term for
-    # term and in value.  With n <= s there is no prefix and the coefficients
-    # are plain constants.
+    # term and in value.  A coefficient free of the prefix variables (every
+    # one, when n <= s) is a plain constant, any other a nonconstant MultiPoly
     field = data.draw(st.sampled_from([F2, F3, F5, PrimeField(7)]), label="field")
     n = data.draw(st.integers(1, 5), label="n")
     s = data.draw(st.integers(1, 6), label="s")
@@ -494,18 +501,20 @@ def test_suffix_slices_rebuild_the_polynomial(data):
     total = MultiPoly.zero(field, n)
     for key, coeff in slices.items():
         assert len(key) == n - cut
-        if cut:
-            assert (coeff.field, coeff.n_vars) == (field, cut) and coeff.terms
+        if isinstance(coeff, MultiPoly):
+            assert (coeff.field, coeff.n_vars) == (field, cut)
+            assert coeff.terms.keys() - {(0,) * cut}
             terms = coeff.terms
         else:
-            assert not isinstance(coeff, MultiPoly) and coeff
-            terms = {(): coeff}
+            assert coeff
+            terms = {(0,) * cut: coeff}
         lifted = MultiPoly(field, n, {e + (0,) * len(key): c for e, c in terms.items()})
         total = total + lifted * MultiPoly(field, n, {(0,) * cut + key: 1})
     assert total.terms == f.terms
     for point in data.draw(st.lists(st.tuples(*[st.integers(0, field.p - 1)] * n), max_size=5),
                            label="points"):
-        value = sum((c.evaluate(point[:cut]) if cut else c) * math.prod(map(pow, point[cut:], key))
+        value = sum((c.evaluate(point[:cut]) if isinstance(c, MultiPoly) else c)
+                    * math.prod(map(pow, point[cut:], key))
                     for key, c in slices.items())
         assert value % field.p == f.evaluate(point)
 

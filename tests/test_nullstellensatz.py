@@ -21,6 +21,7 @@ from combnull import (
     OutOfRange,
     PrimeField,
     RationalField,
+    ResourceLimit,
     TheoremViolation,
     boolean_sum,
     grid_weighted_sum,
@@ -37,6 +38,7 @@ from combnull.errors import EmptyInput, NotAMember
 from combnull.nullstellensatz import (
     DEFAULT_MAX_GRID_POINTS,
     MAX_GRID_POINTS_ENV,
+    MAX_RATIONAL_HEIGHT_BITS,
     nonvanishing_valid,
     resolve_max_points,
 )
@@ -74,12 +76,10 @@ def test_iter_points_order():
     g = Grid(F5, [[0, 1], [2, 3]])
     pts = second_nonvanish(parse_poly("1", F5, 2), g)
     assert [p.value for p in pts] == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    assert [p.index for p in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # indices are positions in the sorted sets, over Q as well
+    # over Q as well, in the order of the sorted sets
     gq = Grid(Q, [[Fraction(1, 2), -1], [3]])
     pts = second_nonvanish(parse_poly("1", Q, 2), gq)
     assert [p.value for p in pts] == [(-1, 3), (Fraction(1, 2), 3)]
-    assert [p.index for p in pts] == [(0, 0), (1, 0)]
 
 
 def test_resolve_max_points(monkeypatch):
@@ -520,6 +520,22 @@ def test_nonvanishing_valid_agrees_with_enumeration(field, text, sets):
     assert not nonvanishing_valid(f, grid, [box[-1][:-1]])
     with pytest.raises(ArityMismatch):
         nonvanishing_valid(parse_poly("x1", field, 1), grid, [box[0]])
+
+
+def test_rational_height_budget_boundary():
+    # a value over Q has at most sum_i e_i * ceil(log2 H(A_i)) bits: H = 2
+    # costs one bit per unit of exponent, so x1^cap fits on {0, 2} and
+    # x1^(cap + 1) does not, while 0 and +-1 cost nothing at any exponent
+    cap = MAX_RATIONAL_HEIGHT_BITS
+    grid = Grid(Q, [[0, 2]])
+    assert grid_weighted_sum(MultiPoly(Q, 1, {(cap,): 1}), grid) == 2 ** (cap - 1)
+    over = MultiPoly(Q, 1, {(cap + 1,): 1, (0,): 1})
+    for call in (grid_weighted_sum, second_nonvanish, signed_two_element_sum,
+                 lambda f, g: nonvanishing_valid(f, g, [(2,)])):
+        with pytest.raises(ResourceLimit):
+            call(over, grid)
+    units = Grid(Q, [[-1, 0, 1], [0, 2]])
+    assert grid_weighted_sum(MultiPoly(Q, 2, {(10**9, 1): 1}), units) == 1
 
 
 def test_second_nonvanish_guard_trips_on_inconsistency():
