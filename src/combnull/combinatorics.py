@@ -552,6 +552,12 @@ def plane_cover_verify(
     """Check coverage of {0..n}^3 minus the origin, within the grid cap of
     (n + 1)^3 * |planes| point-plane tests.
 
+    The cube is one flag per point, open until a plane marks it.  Each plane
+    marks its points column by column: over each (x, y) it meets the z-axis
+    in at most one integer z, or, when c = 0, in the whole column or not at
+    all.  That is |planes| * (n + 1)^2 steps and one pass over the cube, at
+    most the capped count.  ``missed`` lists the open points in grid order.
+
     Any origin-free family of fewer than 3n planes must miss a point; if one
     ever covered everything, that would contradict the lower bound and
     TheoremViolation is raised.
@@ -560,12 +566,21 @@ def plane_cover_verify(
     tests = (n + 1) ** 3 * max(1, len(planes))
     _check_grid_cap(tests, max_points, "{count} point-plane tests exceed the cap of {cap}")
     origin_free = all(d != 0 for (_, _, _, d) in planes.planes)
-    missed = [
-        (x, y, z)
-        for x, y, z in itertools.product(range(n + 1), repeat=3)
-        if (x, y, z) != (0, 0, 0)
-        and not any(a * x + b * y + c * z + d == 0 for (a, b, c, d) in planes.planes)
-    ]
+    side = n + 1
+    open_points = bytearray(b"\x01") * side**3
+    open_points[0] = 0  # the origin is not asked for
+    column = bytes(side)
+    for a, b, c, d in planes.planes:
+        for x, y in itertools.product(range(side), repeat=2):
+            rest = a * x + b * y + d
+            base = (x * side + y) * side
+            if c:
+                z, r = divmod(-rest, c)
+                if not r and 0 <= z <= n:
+                    open_points[base + z] = 0
+            elif not rest:
+                open_points[base:base + side] = column
+    missed = list(itertools.compress(itertools.product(range(side), repeat=3), open_points))
     covers = not missed
     if origin_free and len(planes) < 3 * n and covers:
         raise TheoremViolation(

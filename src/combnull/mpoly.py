@@ -23,12 +23,14 @@ arithmetic and each value is divided once.
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
 a product of terms is a sum of keys.  Raw int products are summed per key in
-a dict (packed keys).  Over Z_p, when the packed range prod D_i is small next
-to the term pairs, the coefficients go into slots of one big int instead and
-one int product (Karatsuba in CPython) does all the pairs.  Over Q each
-operand is cleared to integer numerators over its least common denominator
-and always takes packed keys, since signed slots of one big int would borrow
-from each other; each surviving sum is divided once by the two denominators.
+a dict (packed keys).  Over Z_p, when each slot fits a machine word and the
+packed range prod D_i is small next to the term pairs, the coefficients go
+into slots of one big int instead, one int product (Karatsuba in CPython)
+does all the pairs, and the product is read back as one array of machine
+words, visiting only its nonzero slots.  Over Q each operand is cleared to
+integer numerators over its least common denominator and always takes packed
+keys, since signed slots of one big int would borrow from each other; each
+surviving sum is divided once by the two denominators.
 
 The textual format is a sum of terms ``c*x1^e1*...*xn^en`` with
 ``+`` / ``-`` separators; variables are 1-based in the text and 0-based in the
@@ -40,6 +42,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
+from array import array
 from operator import is_
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -253,7 +257,12 @@ class MultiPoly:
         else:
             for gap, c in zip(gaps, coeffs):
                 value = value * (x if gap == 1 else x**gap) + c
-            value = Fraction(value, den)
+            # a Fraction value is already reduced: dividing it by den takes
+            # gcds against den only, never over the whole value
+            if type(value) is int:
+                value = Fraction(value)
+            if den > 1:
+                value /= den
         return value
 
     def is_restricted(self, d: Sequence[int]) -> bool:
@@ -362,13 +371,17 @@ def _suffix_slices(f: MultiPoly, s: int) -> dict:
 
 # ----------------------------------------------------------- multiplication
 
-# The big-int product decodes one slot per point of the packed range and its
-# Karatsuba multiply grows faster than linearly; the packed-key loop does one
-# dict step per term pair.  Timed on random products (p = 3, 31 and 65521,
-# 1 to 6 variables, 20 to 600 terms) the two routes tie where the range is
-# between 0.3 and 2 times the pair count; at 3 to 4 times, packed keys were
-# 2 to 6 times faster.
-_DENSE_RATIO = 1
+# The big-int product's Karatsuba multiply grows faster than linearly in its
+# bytes and its read-back copies each slot into a machine word; the packed-key
+# loop does one dict step per term pair.  A product takes the big int while
+# prod D_i * word is at most this many times |a| * |b|.  Timed on random
+# products (p = 3, 31 and 65521, 1 to 6 variables, 20 to 600 terms), the big
+# int took 0.4 to 0.7 times the packed-key time below 3, the two routes tied
+# between 3 and 6, and past 8 packed keys were 2 to 4 times faster.
+_DENSE_BYTES_PER_PAIR = 4
+
+# array typecodes by item size; "Q" (8 bytes) is the widest slot
+_WORD_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
 
 
 def _radix(a: dict, b: dict) -> list[int]:
@@ -387,11 +400,24 @@ def _keys(terms: dict, radix: Sequence[int]) -> list[int]:
     return [sum(map(int.__mul__, exps, weights)) for exps in terms]
 
 
-def _mul_route(a_len: int, b_len: int, span: int):
-    """The product routine for |a|, |b| and the packed range span = prod D_i:
-    one big-int product when the range is dense in term pairs, else packed
-    keys, so a huge-exponent product never builds a span-sized int."""
-    return _mul_bigint if span <= _DENSE_RATIO * a_len * b_len else _mul_packed
+def _slots(a_len: int, b_len: int, p: int) -> tuple[int, int]:
+    """(width, word) of a big-int product slot in bytes.  A slot sums at most
+    min(|a|, |b|) products below p^2, so at this width no slot carries; word
+    is the width rounded up to a power of two, the machine word (1, 2, 4 or
+    8 bytes) it is read back in when it is at most 8."""
+    width = ((min(a_len, b_len) * (p - 1) ** 2).bit_length() + 7) // 8
+    return width, 1 << (width - 1).bit_length()
+
+
+def _mul_route(a_len: int, b_len: int, span: int, p: int):
+    """The product routine for |a|, |b|, the packed range span = prod D_i and
+    Z_p: one big-int product when a slot fits a machine word and the range in
+    words is dense in term pairs, else packed keys, so neither a
+    huge-exponent product nor a huge p builds a range-sized int."""
+    _, word = _slots(a_len, b_len, p)
+    if word <= 8 and span * word <= _DENSE_BYTES_PER_PAIR * a_len * b_len:
+        return _mul_bigint
+    return _mul_packed
 
 
 def _mul_terms(a: dict, b: dict, field: FieldSpec) -> dict:
@@ -403,7 +429,7 @@ def _mul_terms(a: dict, b: dict, field: FieldSpec) -> dict:
         return {}
     radix = _radix(a, b)
     if isinstance(field, PrimeField):
-        return _mul_route(len(a), len(b), math.prod(radix))(a, b, field.p, radix)
+        return _mul_route(len(a), len(b), math.prod(radix), field.p)(a, b, field.p, radix)
     num_a, den_a = _numerators(a)
     num_b, den_b = (num_a, den_a) if b is a else _numerators(b)
     den = den_a * den_b
@@ -443,12 +469,15 @@ def _mul_packed(a: dict, b: dict, p: int | None, radix: Sequence[int]) -> dict:
 
 
 def _mul_bigint(a: dict, b: dict, p: int, radix: Sequence[int]) -> dict:
-    """One int product: each operand's coefficients sit in byte-aligned slots
-    at their keys.  A slot of the product sums at most min(|a|, |b|) products
-    below p^2, so with that width the slots never carry into each other; each
-    slot is read back and reduced once.  A square packs its operand once."""
+    """One int product: each operand's coefficients sit at their keys in
+    slots of the width ``_slots`` gives, so the slots never carry into each
+    other.  The product is read back in one pass: each slot is widened to the
+    next machine word (1, 2, 4 or 8 bytes; ``_mul_route`` sends nothing wider)
+    and the whole range becomes one ``array``, whose nonzero slots are paired
+    with their exponent vectors by ``itertools.compress`` and reduced once.
+    A square packs its operand once."""
     span = math.prod(radix)
-    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    width, word = _slots(len(a), len(b), p)
 
     def pack(terms: dict) -> int:
         buf = bytearray(span * width)
@@ -458,16 +487,17 @@ def _mul_bigint(a: dict, b: dict, p: int, radix: Sequence[int]) -> dict:
 
     x = pack(a)
     data = (x * (x if b is a else pack(b))).to_bytes(span * width, "little")
-    zero, from_bytes = bytes(width), int.from_bytes
-    out = {}
+    if word != width:
+        wide = bytearray(span * word)
+        for j in range(width):
+            wide[j::word] = data[j::width]
+        data = wide
+    slots = array(_WORD_TYPECODES[word], data)
+    if sys.byteorder == "big":
+        slots.byteswap()
     # itertools.product counts through the radix in key order
-    for exps, i in zip(itertools.product(*map(range, radix)), range(0, len(data), width)):
-        slot = data[i:i + width]
-        if slot != zero:
-            c = from_bytes(slot, "little") % p
-            if c:
-                out[exps] = c
-    return out
+    nonzero = itertools.compress(itertools.product(*map(range, radix)), slots)
+    return {exps: c for exps, c in zip(nonzero, map(p.__rmod__, filter(None, slots))) if c}
 
 
 # --------------------------------------------------------------------- text IO

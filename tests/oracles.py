@@ -327,6 +327,22 @@ def cross_symdiffs(sets, colors):
     return {f ^ g for f in first for g in second}
 
 
+# ------------------------------------------------------------ plane coverings
+
+
+def plane_misses(planes, n: int):
+    """(origin_free, missed): every point of {0..n}^3 but the origin tested
+    against every plane a*x + b*y + c*z + d = 0, misses in grid order."""
+    origin_free = all(d != 0 for (_, _, _, d) in planes)
+    missed = [
+        (x, y, z)
+        for x, y, z in itertools.product(range(n + 1), repeat=3)
+        if (x, y, z) != (0, 0, 0)
+        and not any(a * x + b * y + c * z + d == 0 for (a, b, c, d) in planes)
+    ]
+    return origin_free, tuple(missed)
+
+
 # ---------------------------------------------------------- random generators
 
 

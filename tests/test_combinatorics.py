@@ -636,6 +636,32 @@ def test_plane_cover_through_origin_may_be_small():
     assert not report.origin_free
 
 
+@st.composite
+def _plane_families(draw):
+    """n in 1..6 and planes with coefficients in -3..3, c = 0 and b = c = 0
+    among them, and d anywhere from far below to far above the grid, so that
+    z may be a non-integer or fall off the cube."""
+    n = draw(st.integers(1, 6))
+    coeff = st.integers(-3, 3)
+    normal = st.one_of(
+        st.tuples(coeff, coeff, coeff),
+        st.tuples(coeff, coeff, st.just(0)),
+        st.tuples(coeff, st.just(0), st.just(0)),
+    ).filter(any)
+    plane = st.tuples(normal, st.integers(-9 * n - 3, 9 * n + 3)).map(lambda t: t[0] + (t[1],))
+    return n, draw(st.lists(plane, max_size=3 * n + 1))
+
+
+@given(_plane_families())
+def test_plane_cover_verify_matches_point_scan(family):
+    n, planes = family
+    report = plane_cover_verify(PlaneSet(planes), n)
+    origin_free, missed = oracles.plane_misses(planes, n)
+    assert report.origin_free == origin_free
+    assert report.missed == missed  # in grid order
+    assert report.covers == (not missed)
+
+
 def test_plane_validation():
     with pytest.raises(BadInput):
         PlaneSet([(0, 0, 0, 1)])

@@ -260,22 +260,58 @@ def test_mul_huge_exponents_take_packed_keys(monkeypatch):
         assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("width, p", [(1, 3), (2, 31), (3, 257), (4, 4093), (5, 65521),
+                                      (6, 1048573), (7, 16777213), (8, 268435399)])
+def test_mul_bigint_every_slot_width(width, p):
+    # operands of 12 and 14 terms in 2 variables of degree <= 3: a slot sums
+    # up to 12 products below p^2, which for this p takes `width` bytes, and
+    # the range is dense enough that the product itself takes the big int.
+    # Widths 3, 5, 6 and 7 are widened to the next machine word on read-back
+    rng = random.Random(p)
+    field = PrimeField(p)
+    box = list(itertools.product(range(4), repeat=2))
+    f, g = (MultiPoly(field, 2, {e: rng.choice([1, p - 1, rng.randrange(1, p)])
+                                 for e in rng.sample(box, size)}) for size in (12, 14))
+    for left, right in [(f, g), (f, f)]:
+        assert mpoly._slots(len(left.terms), len(right.terms), p)[0] == width
+        radix = mpoly._radix(left.terms, right.terms)
+        span = math.prod(radix)
+        assert mpoly._mul_route(len(left.terms), len(right.terms), span, p) is mpoly._mul_bigint
+        want = oracles.mul_terms(left.terms, right.terms, p)
+        assert mpoly._mul_bigint(left.terms, right.terms, p, radix) == want
+        assert (left * right).terms == want
+
+
 def test_mul_route_guard():
-    # the squarings inside f^16 of chevalley_g at p = 17: f * f has 100 term
-    # pairs in a range of 5^3 and takes packed keys, the three after it take
-    # the big-int product
-    f = base = _dense_quadratic(17)
-    for route in [mpoly._mul_packed] + [mpoly._mul_bigint] * 3:
-        span = math.prod(mpoly._radix(base.terms, base.terms))
-        assert mpoly._mul_route(len(base.terms), len(base.terms), span) is route
-        base = base * base
-    assert base == f**16
+    # all four squarings inside f^16 of chevalley_g at p = 17 take the big-int
+    # product, the first (100 term pairs over 5^3 two-byte slots) too.  At
+    # p = 65521 the same shapes have 5-byte slots read back as 8-byte words,
+    # and the first two squarings take packed keys
+    for p, routes in [(17, [mpoly._mul_bigint] * 4),
+                      (65521, [mpoly._mul_packed] * 2 + [mpoly._mul_bigint] * 2)]:
+        f = base = _dense_quadratic(p)
+        for route in routes:
+            span = math.prod(mpoly._radix(base.terms, base.terms))
+            assert mpoly._mul_route(len(base.terms), len(base.terms), span, p) is route
+            base = base * base
+        assert base == f**16
     huge = parse_poly("x1^1000000000*x2^999999999 + x1", F31, 2)
     span = math.prod(mpoly._radix(huge.terms, huge.terms))
-    assert mpoly._mul_route(2, 2, span) is mpoly._mul_packed
-    # the guard itself: dense while prod D_i <= |a| |b|
-    assert mpoly._mul_route(3, 5, 15) is mpoly._mul_bigint
-    assert mpoly._mul_route(3, 5, 16) is mpoly._mul_packed
+    assert mpoly._mul_route(2, 2, span, 31) is mpoly._mul_packed
+    # the guard itself: dense while prod D_i * word <= 4 |a| |b|, with one-byte
+    # slots at p = 3 and 8-byte words at p = 65521
+    assert mpoly._mul_route(3, 5, 60, 3) is mpoly._mul_bigint
+    assert mpoly._mul_route(3, 5, 61, 3) is mpoly._mul_packed
+    assert mpoly._mul_route(3, 5, 7, 65521) is mpoly._mul_bigint
+    assert mpoly._mul_route(3, 5, 8, 65521) is mpoly._mul_packed
+    # a slot past 8 bytes never takes the big int, however dense the range:
+    # at p = 2^61 - 1 a slot needs 16 bytes, and at the largest field,
+    # Z_(2^31 - 1), ten terms need 9
+    assert mpoly._mul_route(10, 10, 1, 2**61 - 1) is mpoly._mul_packed
+    p = 2**31 - 1
+    assert mpoly._mul_route(10, 10, 1, p) is mpoly._mul_packed
+    f = _dense_quadratic(p)
+    assert (f * f).terms == oracles.mul_terms(f.terms, f.terms, p)
 
 
 def test_cross_field_and_cross_arity_ops_fail():
@@ -485,6 +521,21 @@ def test_evaluate_fast_path_contract(field):
                 assert type(value) is int and 0 <= value < field.p
             else:
                 assert type(value) is Fraction and value == _oracle_value(g, pt)
+
+
+def test_rational_value_is_divided_by_gcds_against_den_only():
+    # x1^262144 at 7/11 has about 2^20 bits on each side of the fraction; a
+    # gcd over the whole value took most of a second per call.  Over the
+    # common denominator 15 of the second polynomial only gcds against 15
+    # are taken
+    x = Fraction(7, 11)
+    for text, want in [("x1^262144", x**262144),
+                       ("1/3*x1^262144 + 1/5", x**262144 / 3 + Fraction(1, 5))]:
+        f = parse_poly(text, Q, 1)
+        started = time.perf_counter()
+        value = f.evaluate((x,))
+        assert time.perf_counter() - started < 0.4
+        assert type(value) is Fraction and value == want
 
 
 @given(data=st.data())
