@@ -61,11 +61,11 @@ from .field import FieldSpec, PrimeField, RationalField
 from .mpoly import MultiPoly, format_poly, parse_poly
 from .nullstellensatz import (
     Grid,
-    _check_grid_cap,
     _points,
     grid_weighted_sum,
     lagrange_interpolate,
     nonvanishing_valid,
+    resolve_max_points,
     second_nonvanish,
     weighted_power_sum,
 )
@@ -87,6 +87,10 @@ def _parse_int(text: str, what: str) -> int:
         return int(text)
     except ValueError as exc:
         raise SchemaError(f"{what}: expected an integer, got {text!r}") from exc
+
+
+def _parse_cap(text: str, what: str) -> int:
+    return resolve_max_points(_parse_int(text, what))
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -241,6 +245,8 @@ class Request:
         if self._source is None and implicit and all(self._flagged[f] is None for f in flags):
             self._source = "-"
         self._doc: dict[str, str] | None = None
+        # parsed for every command, so a bad cap is refused also where no grid reads it
+        self.max_points = self.get("max-grid-points")
 
     def _raw(self, name: str):
         value = self._flagged[name]
@@ -298,7 +304,7 @@ def _checked(out: dict, ok: bool) -> tuple[dict, int]:
 
 def _cmd_coeff(req: Request) -> tuple[dict, int]:
     f, grid = _poly_and_grid(req)
-    value = grid_weighted_sum(f, grid, req.get("max-grid-points"))
+    value = grid_weighted_sum(f, grid, req.max_points)
     target = grid.target_exponents()
     out = {
         "poly": format_poly(f),
@@ -327,7 +333,7 @@ def _cmd_witness(req: Request) -> tuple[dict, int]:
     claimed = req.get("check", grid.field)
     if claimed is not None:
         return _checked(out, nonvanishing_valid(f, grid, claimed))
-    points = second_nonvanish(f, grid, req.get("max-grid-points"))
+    points = second_nonvanish(f, grid, req.max_points)
     out["count"] = len(points)
     out["points"] = _fmt_points(pt.value for pt in points)
     return out, EXIT_OK if points else EXIT_NO_WITNESS
@@ -339,7 +345,7 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
     n_vars = req.require("nvars")
     polys = req.require("polys", field, n_vars)
     system = PolySystem(field, n_vars, polys)
-    cap = req.get("max-grid-points")
+    cap = req.max_points
     # both caps before either computation, the root grid's first: its message
     # is the one given when both are exceeded
     _points([range(p)] * n_vars, cap)
@@ -412,11 +418,8 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
     p = req.require("p")
     k = req.require("k")
     construct = req.get("construct-lower")
-    if construct:  # before building the k(p - 1) vectors of length k
-        _check_grid_cap(max(k, 0) ** 2 * (p - 1), req.get("max-grid-points"),
-                        "the extremal family has {count} entries, cap is {cap}")
     claim = not construct and req.given("check")
-    vectors = olson_lower_witness(k, p) if construct else list(req.require("vectors"))
+    vectors = olson_lower_witness(k, p, req.max_points) if construct else list(req.require("vectors"))
     if claim:
         # a claim is decided by the predicate alone: the solver's input
         # errors still apply, its search and state cap do not
@@ -439,12 +442,9 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_planes(req: Request) -> tuple[dict, int]:
-    n, cap = req.require("n"), req.get("max-grid-points")
+    n, cap = req.require("n"), req.max_points
     construct = req.get("construct")
-    if construct:  # before building the 3n planes
-        _check_grid_cap((n + 1) ** 3 * max(1, 3 * n), cap,
-                        "{count} point-plane tests exceed the cap of {cap}")
-    planes = plane_cover_construct(n) if construct else PlaneSet(req.require("planes"))
+    planes = plane_cover_construct(n, cap) if construct else PlaneSet(req.require("planes"))
     report = plane_cover_verify(planes, n, cap)
     if construct and not (report.covers and report.origin_free):
         raise TheoremViolation("constructed plane family failed re-validation")
@@ -563,7 +563,7 @@ def _cmd_selftest(req: Request) -> tuple[dict, int]:
 # --------------------------------------------------------------- the table
 
 # flags of every command besides --input and --format, which run() reads itself
-_SHARED = {"max-grid-points": (_parse_int, "override the grid enumeration cap")}
+_SHARED = {"max-grid-points": (_parse_cap, "override the grid enumeration cap")}
 _FIELD = {
     "p": (_parse_int, "prime modulus for Z_p"),
     "rational": (_switch, "work over the rationals"),

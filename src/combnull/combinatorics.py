@@ -476,10 +476,13 @@ def _lexmin_zero_sum(vecs: Sequence[tuple[int, ...]], p: int, k: int) -> tuple[i
 
     reach[i] holds the subset sums of vecs[i:] as one packed set of p^k
     bits; the forward pass takes i whenever the state after it can still
-    reach zero from i + 1.
+    reach zero from i + 1.  ResourceLimit past 2^20 states, or past 2^31
+    bits (256 MiB) for the m + 1 sets together.
     """
     if p**k > 1 << 20:  # 128 KiB per suffix set
         raise ResourceLimit(f"state space Z_{p}^{k} too large to search")
+    if (len(vecs) + 1) * p**k > 1 << 31:
+        raise ResourceLimit(f"{len(vecs) + 1} suffix sets of {p**k} states exceed 2^31 bits")
     space = _PackedStates([p] * k, [True] * k)
     reach = [1]  # the empty sum, state 0
     for v in reversed(vecs):
@@ -497,9 +500,14 @@ def _lexmin_zero_sum(vecs: Sequence[tuple[int, ...]], p: int, k: int) -> tuple[i
     return tuple(chosen)
 
 
-def olson_lower_witness(k: int, p: int) -> tuple[tuple[int, ...], ...]:
+def olson_lower_witness(
+    k: int, p: int, max_points: int | None = None
+) -> tuple[tuple[int, ...], ...]:
     """k(p - 1) vectors with no nonempty zero-sum subset: each basis vector
-    of Z_p^k repeated p - 1 times."""
+    of Z_p^k repeated p - 1 times.  Its k·k(p - 1) entries are counted
+    against the grid cap before the prime and dimension checks."""
+    _check_grid_cap(max(k, 0) ** 2 * (p - 1), max_points,
+                    "the extremal family has {count} entries, cap is {cap}")
     if not is_prime(p):
         raise NotPrime(f"need a prime modulus, got {p!r}")
     _check_positive_int(k, "dimension", BadInput)
@@ -538,10 +546,12 @@ class PlaneCoverReport:
     missed: tuple[tuple[int, int, int], ...]
 
 
-def plane_cover_construct(n: int) -> PlaneSet:
+def plane_cover_construct(n: int, max_points: int | None = None) -> PlaneSet:
     """3n planes avoiding the origin and covering the rest of {0..n}^3:
-    x = a, y = a, z = a for a = 1..n.  No smaller origin-free family works."""
+    x = a, y = a, z = a for a = 1..n.  No smaller origin-free family works.
+    A cube over the grid cap is refused before any plane is built."""
     _check_positive_int(n, "n", BadInput)
+    _check_grid_cap((n + 1) ** 3, max_points, "cube has {count} points, cap is {cap}")
     axes = [tuple(int(i == j) for j in range(3)) for i in range(3)]
     return PlaneSet(axis + (-a,) for axis in axes for a in range(1, n + 1))
 
@@ -549,24 +559,23 @@ def plane_cover_construct(n: int) -> PlaneSet:
 def plane_cover_verify(
     planes: PlaneSet, n: int, max_points: int | None = None
 ) -> PlaneCoverReport:
-    """Check coverage of {0..n}^3 minus the origin, within the grid cap of
-    (n + 1)^3 * |planes| point-plane tests.
+    """Check coverage of {0..n}^3 minus the origin.
 
     The cube is one flag per point, open until a plane marks it.  Each plane
     marks its points column by column: over each (x, y) it meets the z-axis
     in at most one integer z, or, when c = 0, in the whole column or not at
-    all.  That is |planes| * (n + 1)^2 steps and one pass over the cube, at
-    most the capped count.  ``missed`` lists the open points in grid order.
+    all.  The grid cap bounds that work, |planes| * (n + 1)^2 marks plus the
+    (n + 1)^3 points.  ``missed`` lists the open points in grid order.
 
     Any origin-free family of fewer than 3n planes must miss a point; if one
     ever covered everything, that would contradict the lower bound and
     TheoremViolation is raised.
     """
     _check_positive_int(n, "n", BadInput)
-    tests = (n + 1) ** 3 * max(1, len(planes))
-    _check_grid_cap(tests, max_points, "{count} point-plane tests exceed the cap of {cap}")
-    origin_free = all(d != 0 for (_, _, _, d) in planes.planes)
     side = n + 1
+    _check_grid_cap(len(planes) * side**2 + side**3, max_points,
+                    "{count} plane marks and cube points exceed the cap of {cap}")
+    origin_free = all(d != 0 for (_, _, _, d) in planes.planes)
     open_points = bytearray(b"\x01") * side**3
     open_points[0] = 0  # the origin is not asked for
     column = bytes(side)

@@ -816,17 +816,27 @@ def test_zero_sum_and_plane_work_bounds_exit_three(cli):
     # EGZ shares the 2^20-state cap of the zero-sum search, so p <= 1021
     code, doc, err = cli("egz", "--p", "1031", "--nums", ",".join(["1"] * (2 * 1031 - 1)))
     assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
-    # 61^3 points against 180 planes, over the default cap of 2^24 tests
-    code, doc, err = cli("planes", "--n", "60", "--construct")
+    # 483 planes mark 162^2 columns each, plus the 162^3 points: 16,927,380,
+    # over the default cap of 2^24
+    code, doc, err = cli("planes", "--n", "161", "--construct")
     assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
     assert "GridTooLarge" in doc["error"]
     code, doc, _ = cli("planes", "--n", "10000000", "--construct")
     assert (code, doc["status"]) == (3, "resource-limit")
     assert time.monotonic() - started < 1.0
-    # 4^3 points against 9 planes is 576 tests
-    assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "576")[0] == 0
-    assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "575")[0] == 3
+    # 9 planes times 4^2 columns plus 4^3 points is 208
+    assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "208")[0] == 0
+    assert cli("planes", "--n", "3", "--construct", "--max-grid-points", "207")[0] == 3
     assert cli("planes", "--n", "1", "--planes", "1,0,0,-1", "--max-grid-points", "7")[0] == 3
+
+
+def test_planes_construct_counts_marks_not_point_plane_pairs(cli):
+    # 180 planes * 61^2 marks + 61^3 points = 896,761, under the default cap
+    code, doc, _ = cli("planes", "--n", "60", "--construct")
+    assert (code, doc["count"], doc["covers"]) == (0, "180", "true")
+    # a cube over the cap is refused by the construction, before any plane is built
+    code, doc, _ = cli("planes", "--n", "3", "--construct", "--max-grid-points", "63")
+    assert (code, doc["error"]) == (3, "GridTooLarge: cube has 64 points, cap is 63")
 
 
 def test_olson_construct_lower_counts_against_the_grid_cap(cli):
@@ -980,6 +990,22 @@ def test_flag_and_document_forms_agree(command, fmt):
         doc.pop("time_ms")
     assert docs[0] == docs[1]
     assert docs[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("command", ["coeff", "egz", "symdiff"])
+@pytest.mark.parametrize("as_document", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cap, error", [("abc", "SchemaError: "), ("0", "BadInput: ")])
+def test_every_command_validates_the_grid_cap(command, as_document, fmt, cap, error):
+    # egz and symdiff reach no grid, yet refuse a bad cap as coeff does
+    values = {**_EXAMPLES[command], "max-grid-points": cap}
+    if as_document:
+        code, out, err = _run_raw([command, "--format", fmt, "--input", "-"], _document(values))
+    else:
+        code, out, err = _run_raw([command, "--format", fmt, *_flag_args(command, values)])
+    doc = _parsed(fmt, out)
+    assert (code, doc["status"], len(err.splitlines())) == (2, "input-error", 1)
+    assert doc["error"].startswith(error)
 
 
 # ---------------------------------------------------------------------- fuzz

@@ -530,6 +530,31 @@ def test_egz_state_cap():
     assert time.perf_counter() - start < 1
 
 
+def test_zero_sum_search_bounds_the_memory_of_its_sets(monkeypatch):
+    rng = random.Random(5)
+    vectors = [(rng.randrange(1021), rng.randrange(1021)) for _ in range(2100)]
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):  # 2,101 sets of 1021^2 bits > 2^31
+        olson_solve(vectors, 1021)
+    assert time.perf_counter() - start < 1
+
+    class Searched(Exception):
+        pass
+
+    def no_search(*args):
+        raise Searched
+
+    monkeypatch.setattr(combinatorics, "_PackedStates", no_search)
+    with pytest.raises(ResourceLimit):
+        olson_solve(vectors, 1021)
+    with pytest.raises(Searched):  # EGZ at p = 1021: 2,042 sets of 1021^2 bits
+        egz_solve([1] * (2 * 1021 - 1), 1021)
+    with pytest.raises(Searched):  # 2,048 sets of 2^20 bits are exactly 2^31
+        olson_solve([(1,) * 20] * 2047, 2)
+    with pytest.raises(ResourceLimit):
+        olson_solve([(1,) * 20] * 2048, 2)
+
+
 def test_olson_known_witnesses():
     assert olson_solve([(1,), (1,)], 2) == (0, 1)
     assert olson_solve([(1,), (1,), (1,)], 3) == (0, 1, 2)
@@ -591,6 +616,18 @@ def test_olson_lower_witness_is_zero_sum_free():
         olson_lower_witness(0, 3)
     with pytest.raises(BadInput):
         olson_lower_witness(True, 3)
+
+
+def test_olson_lower_witness_counts_its_entries_against_the_grid_cap():
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge):
+        olson_lower_witness(1, 1_000_000_007)
+    assert time.perf_counter() - start < 0.5
+    assert len(olson_lower_witness(2, 3, max_points=8)) == 4  # 4 vectors of length 2
+    with pytest.raises(GridTooLarge):
+        olson_lower_witness(2, 3, max_points=7)
+    with pytest.raises(GridTooLarge):  # the count comes before the prime check
+        olson_lower_witness(2, 6, max_points=7)
 
 
 # ------------------------------------------------------------ plane coverings
@@ -677,16 +714,26 @@ def test_plane_validation():
         plane_cover_verify(PlaneSet([]), 0)
 
 
-def test_plane_cover_verify_counts_tests_against_cap():
-    family = plane_cover_construct(3)  # 4^3 points times 9 planes = 576 tests
-    assert plane_cover_verify(family, 3, max_points=576).covers
+def test_plane_cover_construct_counts_the_cube_against_the_grid_cap():
+    start = time.perf_counter()
     with pytest.raises(GridTooLarge):
-        plane_cover_verify(family, 3, max_points=575)
+        plane_cover_construct(10**7)
+    assert time.perf_counter() - start < 0.5
+    assert len(plane_cover_construct(3, max_points=64)) == 9  # a 64-point cube
+    with pytest.raises(GridTooLarge):
+        plane_cover_construct(3, max_points=63)
+
+
+def test_plane_cover_verify_counts_tests_against_cap():
+    family = plane_cover_construct(3)  # 9 planes * 4^2 marks + 4^3 points = 208
+    assert plane_cover_verify(family, 3, max_points=208).covers
+    with pytest.raises(GridTooLarge):
+        plane_cover_verify(family, 3, max_points=207)
     with pytest.raises(GridTooLarge):  # the empty family still tests every point
         plane_cover_verify(PlaneSet([]), 3, max_points=63)
     start = time.perf_counter()
-    with pytest.raises(GridTooLarge):  # 61^3 * 180 tests, over the default 2^24
-        plane_cover_verify(plane_cover_construct(60), 60)
+    with pytest.raises(GridTooLarge):  # 162^2 * (4 * 161 + 1), over the default 2^24
+        plane_cover_verify(plane_cover_construct(161), 161)
     assert time.perf_counter() - start < 1
 
 
