@@ -89,10 +89,6 @@ def _parse_int(text: str, what: str) -> int:
         raise SchemaError(f"{what}: expected an integer, got {text!r}") from exc
 
 
-def _parse_cap(text: str, what: str) -> int:
-    return resolve_max_points(_parse_int(text, what))
-
-
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -245,8 +241,9 @@ class Request:
         if self._source is None and implicit and all(self._flagged[f] is None for f in flags):
             self._source = "-"
         self._doc: dict[str, str] | None = None
-        # parsed for every command, so a bad cap is refused also where no grid reads it
-        self.max_points = self.get("max-grid-points")
+        # resolved for every command, flag or environment, so a bad cap is
+        # refused also where no grid reads it
+        self.max_points = resolve_max_points(self.get("max-grid-points"))
 
     def _raw(self, name: str):
         value = self._flagged[name]
@@ -563,7 +560,7 @@ def _cmd_selftest(req: Request) -> tuple[dict, int]:
 # --------------------------------------------------------------- the table
 
 # flags of every command besides --input and --format, which run() reads itself
-_SHARED = {"max-grid-points": (_parse_cap, "override the grid enumeration cap")}
+_SHARED = {"max-grid-points": (_parse_int, "override the grid enumeration cap")}
 _FIELD = {
     "p": (_parse_int, "prime modulus for Z_p"),
     "rational": (_switch, "work over the rationals"),

@@ -459,6 +459,28 @@ def test_grid_point_cap_below_one_exits_two(cli, cap):
     assert doc["error"].startswith("BadInput: grid point cap must be >= 1")
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("0", "must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ("egz", "--p", "3", "--nums", "1,1,1,2,2"),
+    ("sumset", "--p", "5", "--a", "0,1", "--b", "0,1"),
+    ("symdiff", "--sets", "0;1;0,1", "--colors", "a,b,b"),
+])
+def test_bad_env_cap_exits_two_without_a_grid(monkeypatch, argv, fmt, value, message):
+    # none of these commands enumerates a grid, yet the cap is read per request
+    monkeypatch.setenv("COMBNULL_MAX_GRID_POINTS", value)
+    code, out, err = _run_raw([*argv, "--format", fmt])
+    assert code == 2, err
+    assert len(err.splitlines()) == 1
+    doc = json.loads(out) if fmt == "json" else dict(
+        line.partition(" ")[::2] for line in out.splitlines())
+    assert doc["status"] == "input-error"
+    assert doc["error"] == f"BadInput: COMBNULL_MAX_GRID_POINTS {message}"
+
+
 @pytest.mark.parametrize("args, key", [
     (("cycle-labels", "--pairs", "1,2;1,2;1,2"), "selection"),
     (("regular-subgraph", "--p", "2", "--vertices", "3", "--edges", "0-1,1-2"), "witness"),

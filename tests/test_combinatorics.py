@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -364,6 +365,98 @@ def test_sumset_matches_oracle(seed):
     assert list(restricted_sumset(PrimeField(p), a, b)) == oracles.restricted_sumset(
         a, b, p
     )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_sumset_routes_match_pair_oracle(data):
+    # each example lands on a drawn side of the rotations guard p <= k |A| |B|
+    # (Z_2 and Z_3 have only the rotations side); the inputs are unreduced,
+    # with repeated residues, and oracles.sumset is the pair route
+    k = combinatorics._ROTATION_BITS_PER_PAIR
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 101, 997, 10007, 100003]), "p")
+    shapes = ["sets", "A = B", "singleton"] + (["all of Z_p"] if p <= 10007 else [])
+    shape = data.draw(st.sampled_from(shapes), "shape")
+    rotations = p <= k or shape == "all of Z_p" or data.draw(st.booleans(), "rotations")
+    if shape == "all of Z_p":
+        na, nb = p, data.draw(st.integers(1, min(p, 20)), "|B|")
+    elif shape == "A = B":
+        edge = math.isqrt((p - 1) // k)  # the largest n with k n^2 < p
+        na = nb = data.draw(st.integers(edge + 1, min(p, edge + 40)) if rotations
+                            else st.integers(1, edge), "|A|")
+    else:
+        na = 1 if shape == "singleton" else data.draw(
+            st.integers(1, min(p, 300) if rotations else min(200, (p - 1) // k)), "|A|")
+        least = -(-p // (k * na))  # the smallest |B| with p <= k |A| |B|
+        nb = data.draw(st.integers(least, min(p, least + 40)) if rotations
+                       else st.integers(1, min(200, least - 1)), "|B|")
+    assert (p <= k * na * nb) == rotations
+    rng = random.Random(data.draw(st.integers(0, 2**32), "seed"))
+    a_res = rng.sample(range(p), na)
+    b_res = rng.sample(a_res, nb) if shape == "A = B" else rng.sample(range(p), nb)
+
+    def unreduced(residues):
+        out = [x + p * rng.randrange(-2, 3) for x in residues]
+        out += [x + p * rng.randrange(-2, 3) for x in rng.sample(residues, min(3, len(residues)))]
+        rng.shuffle(out)
+        return out
+
+    a, b = unreduced(a_res), unreduced(b_res)
+    fld = PrimeField(p)
+    assert sumset(fld, a, b) == tuple(oracles.sumset(a, b, p))
+    assert restricted_sumset(fld, a, b) == tuple(oracles.restricted_sumset(a, b, p))
+
+
+def test_sumset_rotations_guard(monkeypatch):
+    # the guard itself, rotations while p <= 3 |A| |B|: at p = 61, 3 * 3 * 7 =
+    # 63 takes the rotations and 3 * 4 * 5 = 60 the pair set; at p = 3 two
+    # singletons sit on the boundary.  Both routes give the pair oracle's answer
+    calls = []
+    rotate = combinatorics._sumset_by_rotations
+    monkeypatch.setattr(combinatorics, "_sumset_by_rotations",
+                        lambda *args: calls.append(args) or rotate(*args))
+    for p, a, b, routed in [(61, [0, 5, 60], [1, 2, 3, 5, 8, 13, 21], True),
+                            (61, [0, 5, 60, 61 + 7], [7, 9, 30, 40, 59], False),
+                            (3, [1], [4], True)]:
+        calls.clear()
+        fld = PrimeField(p)
+        assert list(sumset(fld, a, b)) == oracles.sumset(a, b, p)
+        assert list(restricted_sumset(fld, a, b)) == oracles.restricted_sumset(a, b, p)
+        assert len(calls) == (2 if routed else 0)
+
+
+def test_sumset_over_a_huge_prime_builds_no_mask():
+    # a p-bit mask at p = 10^9 + 7 would be a 125 MB int; the pair set of
+    # two small sets takes microseconds and a few hundred bytes
+    fld = PrimeField(1_000_000_007)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        plain = sumset(fld, [1, 2, 3], [4, 5, -1])
+        restricted = restricted_sumset(fld, [1, 2, 3], [3, 2, 10**9 + 6])
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plain == (0, 1, 2, 5, 6, 7, 8)
+    assert restricted == (0, 1, 2, 3, 4, 5)
+    assert elapsed < 0.1
+    assert peak < 1 << 20
+
+
+def test_sumset_checks_coerce_each_set_once(monkeypatch):
+    seen = []
+    coerce = combinatorics._as_residue_set
+    monkeypatch.setattr(combinatorics, "_as_residue_set",
+                        lambda field, elements, name: seen.append(name) or coerce(field, elements, name))
+    cauchy_davenport_check(F7, [0, 1, 2], [0, 3])
+    assert seen == ["A", "B"]
+    seen.clear()
+    erdos_heilbronn_check(F7, [0, 1, 2])
+    assert seen == ["A"]
+    seen.clear()
+    erdos_heilbronn_check(F7, [0, 1, 2], [0, 3])
+    assert seen == ["A", "B"]
 
 
 def test_cauchy_davenport_known_report():
