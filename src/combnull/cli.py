@@ -31,6 +31,7 @@ from .combinatorics import (
     Graph,
     PlaneSet,
     PolySystem,
+    _CERTIFICATE_VERTEX_CAP,
     cauchy_davenport_check,
     chevalley_g,
     common_roots,
@@ -96,84 +97,67 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise SchemaError(f"{what}: expected a rational like 3 or 3/4, got {text!r}") from exc
 
 
-def _split(text: str, sep: str) -> list[str]:
-    return [piece.strip() for piece in text.split(sep)]
-
-
 def _switch(value, what: str) -> bool:
     """True from the command line; 1, true, yes or on in a document."""
     return value is True or value.lower() in {"1", "true", "yes", "on"}
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    if not text.strip():
-        raise SchemaError(f"{what}: empty list")
-    return [_parse_int(tok, what) for tok in _split(text, ",")]
 
 
 def _text(text: str, what: str) -> str:
     return text
 
 
-def _parse_labels(text: str, what: str) -> list[str]:
-    return _split(text, ",")
+def _parse_scalar(text: str, what: str, field: FieldSpec):
+    return field.element(_parse_fraction(text, what))
 
 
-def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
-    return [_parse_fraction(tok, what) for tok in _split(text, ",")]
-
-
-def _rows(parse_row):
-    """';'-separated rows, each parsed as it is consumed, so that a consumer
-    checking row by row (PlaneSet, CycleLabels) reports the first bad row."""
-    return lambda text, what: (tuple(parse_row(part, what)) for part in _split(text, ";"))
-
-
-def _parse_edges(text: str, what: str) -> list[tuple[int, int]]:
-    out = []
-    for tok in _split(text, ","):
-        ends = tok.split("-")
-        if len(ends) != 2:
-            raise SchemaError(f"{what}: an edge looks like 0-1, got {tok!r}")
-        out.append((_parse_int(ends[0], what), _parse_int(ends[1], what)))
-    return out
-
-
-def _parse_atom_sets(text: str, what: str) -> list[list[int]]:
-    # ";"-separated sets of comma-separated integers; an empty piece is the
-    # empty set, so "1,2;;3" has three sets
-    out = []
-    for part in text.split(";"):
-        part = part.strip()
-        out.append([] if not part else [_parse_int(tok, what) for tok in _split(part, ",")])
-    return out
-
-
-def _parse_scalar_list(text: str, what: str, field: FieldSpec) -> list:
-    if not text.strip():
-        raise SchemaError(f"{what}: empty list")
-    return [field.element(_parse_fraction(tok, what)) for tok in _split(text, ",")]
-
-
-def _parse_grid_sets(text: str, what: str, field: FieldSpec) -> list[list]:
-    return [_parse_scalar_list(part, what, field) for part in _split(text, ";")]
-
-
-def _parse_point_list(text: str, what: str, field: FieldSpec) -> list[tuple]:
-    out = []
-    for tok in _split(text, ";"):
-        if not (tok.startswith("(") and tok.endswith(")")):
-            raise SchemaError(f"{what}: a point looks like (0,1), got {tok!r}")
-        out.append(tuple(_parse_scalar_list(tok[1:-1], what, field)))
-    return out
+def _parse_edge(text: str, what: str) -> tuple[int, int]:
+    ends = text.split("-")
+    if len(ends) != 2:
+        raise SchemaError(f"{what}: an edge looks like 0-1, got {text!r}")
+    return _parse_int(ends[0], what), _parse_int(ends[1], what)
 
 
 def _parse_poly(text: str, what: str, field: FieldSpec, n_vars: int) -> MultiPoly:
     return parse_poly(text, field, n_vars)
 
 
-def _parse_polys(text: str, what: str, field: FieldSpec, n_vars: int) -> list[MultiPoly]:
-    return [parse_poly(part, field, n_vars) for part in _split(text, ";")]
+def _list(sep: str, item, nonempty: bool = False, lazy: bool = False):
+    """The one list grammar: the text split on sep, each piece stripped and
+    parsed by item(piece, what, *context).  A nonempty list refuses blank
+    text.  A lazy list parses each piece as it is consumed, so that a
+    consumer checking row by row (PlaneSet, CycleLabels) reports the first
+    bad row."""
+
+    def parse(text: str, what: str, *context):
+        if nonempty and not text.strip():
+            raise SchemaError(f"{what}: empty list")
+        pieces = (item(piece.strip(), what, *context) for piece in text.split(sep))
+        return pieces if lazy else list(pieces)
+
+    return parse
+
+
+def _rows(row):
+    """';'-separated rows, each a tuple parsed by row as it is consumed."""
+    return _list(";", lambda part, what: tuple(row(part, what)), lazy=True)
+
+
+def _parse_point(text: str, what: str, field: FieldSpec) -> tuple:
+    if not (text.startswith("(") and text.endswith(")")):
+        raise SchemaError(f"{what}: a point looks like (0,1), got {text!r}")
+    return tuple(_parse_scalar_list(text[1:-1], what, field))
+
+
+_parse_int_list = _list(",", _parse_int, nonempty=True)
+_parse_fraction_list = _list(",", _parse_fraction)
+_parse_labels = _list(",", _text)
+_parse_edges = _list(",", _parse_edge)
+_parse_scalar_list = _list(",", _parse_scalar, nonempty=True)
+_parse_grid_sets = _list(";", _parse_scalar_list)
+_parse_point_list = _list(";", _parse_point)
+_parse_polys = _list(";", _parse_poly)
+# an empty piece is the empty set, so "1,2;;3" has three sets
+_parse_atom_sets = _list(";", lambda part, what: _parse_int_list(part, what) if part else [])
 
 
 # ------------------------------------------------------------------ value text
@@ -348,7 +332,7 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
     _points([range(p)] * n_vars, cap)
     g = chevalley_g(system, cap)
     roots = common_roots(system, cap)
-    degree_sum = sum(f.total_degree() for f in system.polys if f.terms)
+    degree_sum = system.degree_sum()
     out = {
         "p": p,
         "nvars": n_vars,
@@ -415,14 +399,7 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
     p = req.require("p")
     k = req.require("k")
     construct = req.get("construct-lower")
-    claim = not construct and req.given("check")
     vectors = olson_lower_witness(k, p, req.max_points) if construct else list(req.require("vectors"))
-    if claim:
-        # a claim is decided by the predicate alone: the solver's input
-        # errors still apply, its search and state cap do not
-        olson_inputs(vectors, p, k)
-    elif not construct:
-        subset = olson_solve(vectors, p, k)
     out: dict = {
         "p": p,
         "k": k,
@@ -432,8 +409,12 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
     }
     if construct:
         return out, EXIT_OK
-    if claim:
+    if req.given("check"):
+        # a claim is decided by the predicate alone: the solver's input
+        # errors still apply, its search and state cap do not
+        olson_inputs(vectors, p, k)
         return _checked(out, olson_valid(vectors, p, req.get("check")))
+    subset = olson_solve(vectors, p, k)
     out["witness"] = None if subset is None else _fmt_list(subset)
     return out, EXIT_NO_WITNESS if subset is None else EXIT_OK
 
@@ -468,7 +449,7 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
     out["selection"] = None if selection is None else _fmt_list(selection)
     if selection is None:
         return out, EXIT_NO_WITNESS
-    if n % 2 == 0 and n <= 10:
+    if n % 2 == 0 and n <= _CERTIFICATE_VERTEX_CAP:
         out["certificate"] = cycle_selection_certificate(labels)
     return out, EXIT_OK
 

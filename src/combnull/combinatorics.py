@@ -81,6 +81,12 @@ class PolySystem:
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "polys", polys)
 
+    def degree_sum(self) -> int:
+        """The total degrees of the nonzero members, summed: a zero member
+        imposes no constraint, and its formal degree of -infinity would claim
+        the Chevalley-Warning guarantee for systems it does not cover."""
+        return sum(f.total_degree() for f in self.polys if f.terms)
+
 
 def chevalley_g(system: PolySystem, max_points: int | None = None) -> MultiPoly:
     """The product of (f_j^(p-1) - 1); empty systems give the constant 1.
@@ -181,11 +187,8 @@ def common_roots(
     most ``_SLICE_TABLE_BOUND`` (``_roots_by_slices``), or point by point when
     p alone exceeds that bound.
 
-    When the degrees of the nonzero members sum below n, the count must be
-    divisible by p; a violation raises TheoremViolation.  Zero polynomials
-    impose no constraint and are excluded from the degree sum: their formal
-    degree of -infinity would otherwise claim the divisibility guarantee for
-    systems it does not cover.
+    When ``system.degree_sum()`` is below n, the count must be divisible by
+    p; a violation raises TheoremViolation.
     """
     fld = system.field
     p, n = fld.p, system.n_vars
@@ -198,7 +201,7 @@ def common_roots(
         roots = _roots_by_slices(polys, p, n, s)
     else:
         roots = [x for x in points if not any(f.evaluate(x) for f in polys)]
-    degree_sum = sum(f.total_degree() for f in polys)
+    degree_sum = system.degree_sum()
     if degree_sum < n:
         if len(roots) % p != 0:
             raise TheoremViolation(
@@ -341,31 +344,26 @@ def erdos_heilbronn_check(
 ) -> SumsetReport:
     """Restricted-sumset lower bounds.
 
-    One-set form (b_set omitted): |A +' A| >= min(2|A| - 3, p).
     Two-set form: for A != B, |A +' B| >= min(|A| + |B| - 2, p).
+    One-set form (b_set omitted): |A +' A| >= min(2|A| - 3, p).  Of any
+    x != y in A one exceeds min A, so A +' A = (A minus min A) +' A, and the
+    one-set form is computed as that pair: the same sumset, bound and
+    certificate, reported with kind erdos-heilbronn-self and B = A.
     The certificate is the difference C(a+b-3, a-2) - C(a+b-3, a-1) mod p,
     the top coefficient of (x - y) * prod(x + y - c); it is nonzero exactly
-    because the set sizes differ (the one-set form is reduced to the pair
-    (A minus its least element, A), whose sizes always differ).
+    because the set sizes a and b differ.
     """
     a = _as_residue_set(field, a_set, "A")
     p = field.p
     if b_set is None:
-        result = _sumset(p, a, a, True)
-        bound = min(2 * len(a) - 3, p)
-        kind = "erdos-heilbronn-self"
-        b = a
-        cert_a, cert_b = len(a) - 1, len(a)
-        cert_ok = len(a) >= 2 and cert_a + cert_b - 3 <= p - 1
+        kind, left, b = "erdos-heilbronn-self", a[1:], a
     else:
-        b = _as_residue_set(field, b_set, "B")
+        kind, left, b = "erdos-heilbronn", a, _as_residue_set(field, b_set, "B")
         if a == b:
             raise RequiresDistinctSets("the two-set form needs A != B")
-        result = _sumset(p, a, b, True)
-        bound = min(len(a) + len(b) - 2, p)
-        kind = "erdos-heilbronn"
-        cert_a, cert_b = len(a), len(b)
-        cert_ok = cert_a != cert_b and cert_a + cert_b >= 3 and cert_a + cert_b - 3 <= p - 1
+    na, nb = len(left), len(b)
+    result = _sumset(p, left, b, True)
+    bound = min(na + nb - 2, p)
     satisfied = len(result) >= bound
     if not satisfied:
         raise TheoremViolation(
@@ -373,13 +371,13 @@ def erdos_heilbronn_check(
             f"for A = {a}, B = {b} over Z_{p}"
         )
     certificate = None
-    if cert_ok:
-        m = cert_a + cert_b - 3
-        value = (_binom_mod(m, cert_a - 2, p) - _binom_mod(m, cert_a - 1, p)) % p
+    if na != nb and 3 <= na + nb <= p + 2:
+        m = na + nb - 3
+        value = (_binom_mod(m, na - 2, p) - _binom_mod(m, na - 1, p)) % p
         if value == 0:
             raise TheoremViolation(
-                f"Erdos-Heilbronn certificate vanished: C({m},{cert_a - 2}) - "
-                f"C({m},{cert_a - 1}) = 0 mod {p} despite unequal sizes"
+                f"Erdos-Heilbronn certificate vanished: C({m},{na - 2}) - "
+                f"C({m},{na - 1}) = 0 mod {p} despite unequal sizes"
             )
         certificate = value
     return SumsetReport(kind, a, b, result, bound, satisfied, certificate)
@@ -656,7 +654,8 @@ class CycleLabels:
         for i, raw in enumerate(pairs):
             t = tuple(Fraction(x) for x in raw)
             if len(t) != 2:
-                raise BadGridShape(f"vertex {i} needs exactly 2 labels, got {raw!r}")
+                shown = ", ".join(map(str, t))
+                raise BadGridShape(f"vertex {i} needs exactly 2 labels, got ({shown})")
             if t[0] == t[1]:
                 raise BadInput(f"vertex {i} has equal labels {t[0]}")
             canon.append((min(t), max(t)))
@@ -721,6 +720,10 @@ def cycle_selection(
     return None
 
 
+# the largest cycle whose certificate is recomputed: both routes cost 2^n
+_CERTIFICATE_VERTEX_CAP = 10
+
+
 def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
     """Recompute the coefficient of x_1*...*x_n in prod(x_i - x_{i+1}) as the
     weighted sum of the factored product over the grid of label pairs; direct
@@ -733,8 +736,10 @@ def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
     n = len(labels)
     if n % 2 == 1:
         raise OddCycle(f"certificate is for even cycles, got length {n}")
-    if n > 10:
-        raise ResourceLimit(f"certificate recomputation capped at 10 vertices, got {n}")
+    if n > _CERTIFICATE_VERTEX_CAP:
+        raise ResourceLimit(
+            f"certificate recomputation capped at {_CERTIFICATE_VERTEX_CAP} vertices, got {n}"
+        )
 
     def product_at(point: tuple[Scalar, ...]) -> Fraction:
         value = Fraction(1)

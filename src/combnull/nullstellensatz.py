@@ -20,10 +20,9 @@ weighted sum: over all of Z_2^n every weight is 1; over all of Z_p^n every
 weight is (-1)^n by Wilson's theorem; over two-element grids the alternating
 sum is the weighted sum times the product of (a_i0 - a_i1).
 
-Results depend on the arguments alone and never on iteration order, so grid
-enumerations may be partitioned freely across workers.  The grid cap is the
-exception: without an explicit ``max_points`` it reads the environment
-(``resolve_max_points``).
+Results depend on the arguments alone and never on iteration order.  The
+grid cap is the exception: without an explicit ``max_points`` it reads the
+environment (``resolve_max_points``).
 """
 
 from __future__ import annotations

@@ -1030,6 +1030,82 @@ def test_every_command_validates_the_grid_cap(command, as_document, fmt, cap, er
     assert doc["error"].startswith(error)
 
 
+# ---------------------------------------------------------------- list syntax
+
+# one malformed value per list kind, with the rest of the request valid, and
+# the exact error it gives; whitespace around a piece is not part of it
+_LIST_ERRORS = [
+    ("egz", {"p": "3", "nums": " "}, "SchemaError: nums: empty list"),
+    ("egz", {"p": "3", "nums": "1,x,2"}, "SchemaError: nums: expected an integer, got 'x'"),
+    ("cycle-labels", {"pairs": "1,2;3,4", "check": "1,a"},
+     "SchemaError: check: expected a rational like 3 or 3/4, got 'a'"),
+    ("regular-subgraph", {"p": "2", "vertices": "3", "edges": "0-1-2"},
+     "SchemaError: edges: an edge looks like 0-1, got '0-1-2'"),
+    ("symdiff", {"sets": "1;x;2", "colors": "a,b,b"},
+     "SchemaError: sets: expected an integer, got 'x'"),
+    ("lagrange", {"p": "5", "points": "1,2/0", "values": "1,2"},
+     "SchemaError: points: expected a rational like 3 or 3/4, got '2/0'"),
+    ("coeff", {"p": "3", "poly": "x1", "sets": "0,1;"}, "SchemaError: sets: empty list"),
+    ("witness", {"p": "3", "poly": "x1", "sets": "0,1", "check": " (1,0) ; 1,1"},
+     "SchemaError: check: a point looks like (0,1), got '1,1'"),
+    ("chevalley", {"p": "3", "nvars": "2", "polys": "x1;"}, "SchemaError: empty polynomial text"),
+    ("olson", {"p": "2", "k": "2", "vectors": "1,0;x"},
+     "SchemaError: vectors: expected an integer, got 'x'"),
+    # rows are parsed as the plane family consumes them: the first bad row
+    # is reported, not the parse of a later one
+    ("planes", {"n": "2", "planes": "1,0,0;1,0,0,-1;x"},
+     "BadInput: a plane is 4 integers (a, b, c, d), got (1, 0, 0)"),
+]
+
+
+@pytest.mark.parametrize("command, values, error, as_document", [
+    pytest.param(command, values, error, as_document, id=f"{command}-{i}-{form}")
+    for i, (command, values, error) in enumerate(_LIST_ERRORS)
+    for as_document, form in ((False, "flags"), (True, "document"))
+    # a document line cannot carry a blank value
+    if not (as_document and any(not v.strip() for v in values.values()))
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_list_syntax_errors_are_pinned(command, values, error, as_document, fmt):
+    if as_document:
+        code, out, err = _run_raw([command, "--format", fmt, "--input", "-"], _document(values))
+    else:
+        code, out, err = _run_raw([command, "--format", fmt, *_flag_args(command, values)])
+    doc = _parsed(fmt, out)
+    assert (code, doc["status"], doc["error"]) == (2, "input-error", error)
+    assert err == f"combnull {command}: {error.split(': ', 1)[1]}\n"
+
+
+@pytest.mark.parametrize("pairs, error", [
+    ("1;1,2", "BadGridShape: vertex 0 needs exactly 2 labels, got (1)"),
+    ("1,2;1/2,2,3", "BadGridShape: vertex 1 needs exactly 2 labels, got (1/2, 2, 3)"),
+    ("1,1;1,2", "BadInput: vertex 0 has equal labels 1"),
+    ("3/4,0.75;1,2", "BadInput: vertex 0 has equal labels 3/4"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cycle_labels_errors_quote_labels_as_text(pairs, error, fmt):
+    code, out, _ = _run_raw(["cycle-labels", "--format", fmt, "--pairs", pairs])
+    doc = _parsed(fmt, out)
+    assert (code, doc["error"]) == (2, error)
+    assert "Fraction(" not in doc["error"]
+
+
+def test_chevalley_degree_sum_skips_zero_members(cli):
+    # the zero member imposes no constraint: the degree sum is 1 < 2, so the
+    # root count is divisible by p
+    code, doc, _ = cli("chevalley", "--p", "3", "--nvars", "2", "--polys", "0;x1 + x2")
+    assert code == 0
+    assert (doc["degree_sum"], doc["warning_applies"]) == ("1", "true")
+    assert int(doc["count"]) % 3 == 0
+
+
+@pytest.mark.parametrize("n, certificate", [(10, "2"), (12, None)])
+def test_cycle_labels_certificate_up_to_the_library_cap(cli, n, certificate):
+    code, doc, _ = cli("cycle-labels", "--pairs", ";".join(["1,2", "3,4"] * (n // 2)))
+    assert (code, doc["n"]) == (0, str(n))
+    assert doc.get("certificate") == certificate
+
+
 # ---------------------------------------------------------------------- fuzz
 
 _ALPHABET = "0123456789,;-/()x^*abnpz"

@@ -177,6 +177,14 @@ def test_common_roots_excludes_zero_polys_from_degree_sum():
     assert roots == [(0, 0), (0, 1), (1, 0)]
 
 
+def test_degree_sum_skips_zero_members():
+    zero = MultiPoly(F2, 2, {})
+    f = parse_poly("x1*x2 + x1", F2)
+    assert PolySystem(F2, 2, [f, zero, f]).degree_sum() == 4
+    assert PolySystem(F2, 2, [zero]).degree_sum() == 0
+    assert PolySystem(F2, 2).degree_sum() == 0
+
+
 def test_common_roots_matches_oracle():
     rng = random.Random(23)
     for _ in range(40):
@@ -547,6 +555,29 @@ def test_erdos_heilbronn_exhaustive_tiny():
                 if len(a) != len(b) and 3 <= len(a) + len(b) <= p + 2:
                     assert report.certificate is not None
                     assert report.certificate != 0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_erdos_heilbronn_forms_agree(data):
+    # A +' A = (A minus min A) +' A, so the one-set report carries the
+    # two-set report's sumset, bound and certificate; |A| is drawn on either
+    # side of the rotations guard p <= k |A|^2 where Z_p has room for both
+    k = combinatorics._ROTATION_BITS_PER_PAIR
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 101, 997]), "p")
+    edge = math.isqrt((p - 1) // k)  # the largest n with k n^2 < p
+    if edge >= 2 and data.draw(st.booleans(), "pair route"):
+        n = data.draw(st.integers(2, edge), "|A|")
+    else:
+        n = data.draw(st.integers(max(2, edge + 1), min(p, edge + 60)), "|A|")
+    rng = random.Random(data.draw(st.integers(0, 2**32), "seed"))
+    a = rng.sample(range(p), n)
+    fld = PrimeField(p)
+    one = erdos_heilbronn_check(fld, a)
+    two = erdos_heilbronn_check(fld, sorted(a)[1:], a)
+    assert list(one.result) == oracles.restricted_sumset(a, a, p) == list(two.result)
+    assert (one.bound, one.certificate) == (two.bound, two.certificate)
+    assert (one.kind, one.a_set, one.b_set) == ("erdos-heilbronn-self", two.b_set, two.b_set)
 
 
 # ------------------------------------------------------------------- zero sums
