@@ -70,12 +70,10 @@ def survey_prime(p: int, cfg: SurveyConfig, rng: random.Random) -> None:
         rep = cauchy_davenport_check(fld, a, b)
         cd.record(len(rep.result), rep.bound, rep.certificate is not None)
         rep = erdos_heilbronn_check(fld, a)
-        eh_self.record(len(rep.result), max(rep.bound, 0), rep.certificate is not None)
+        eh_self.record(len(rep.result), rep.bound, rep.certificate is not None)
         if sorted(a) != sorted(b):
             rep = erdos_heilbronn_check(fld, a, b)
-            eh_pair.record(
-                len(rep.result), max(rep.bound, 0), rep.certificate is not None
-            )
+            eh_pair.record(len(rep.result), rep.bound, rep.certificate is not None)
     print(f"p = {p} ({cfg.trials} trials per row)")
     print(cd.row("A + B", cfg.trials))
     print(eh_self.row("A +' A", cfg.trials))

@@ -114,7 +114,7 @@ def _parse_edge(text: str, what: str) -> tuple[int, int]:
     ends = text.split("-")
     if len(ends) != 2:
         raise SchemaError(f"{what}: an edge looks like 0-1, got {text!r}")
-    return _parse_int(ends[0], what), _parse_int(ends[1], what)
+    return _parse_int(ends[0].strip(), what), _parse_int(ends[1].strip(), what)
 
 
 def _parse_poly(text: str, what: str, field: FieldSpec, n_vars: int) -> MultiPoly:
@@ -407,13 +407,13 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
         "vectors": _fmt_points(vectors),
         "threshold": k * (p - 1) + 1,
     }
-    if construct:
-        return out, EXIT_OK
     if req.given("check"):
         # a claim is decided by the predicate alone: the solver's input
         # errors still apply, its search and state cap do not
         olson_inputs(vectors, p, k)
         return _checked(out, olson_valid(vectors, p, req.get("check")))
+    if construct:
+        return out, EXIT_OK
     subset = olson_solve(vectors, p, k)
     out["witness"] = None if subset is None else _fmt_list(subset)
     return out, EXIT_NO_WITNESS if subset is None else EXIT_OK

@@ -14,10 +14,8 @@ sorted index (or position-by-position value) sequence.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +41,7 @@ from .errors import (
     _check_positive_int,
 )
 from .field import PrimeField, RationalField, Scalar, is_prime
-from .mpoly import MultiPoly, _suffix_slices
+from .mpoly import MultiPoly, _product, _suffix_slices
 from .nullstellensatz import (Grid, _check_grid_cap, _points, _weighted_sum_of_values,
                               grid_weighted_sum)
 
@@ -103,9 +101,7 @@ def chevalley_g(system: PolySystem, max_points: int | None = None) -> MultiPoly:
             degrees[i] += max(column)
     span = math.prod(1 + (p - 1) * d for d in degrees)
     _check_grid_cap(span, max_points, "g ranges over {count} exponent vectors, cap is {cap}")
-    if not system.polys:
-        return MultiPoly.constant(system.field, system.n_vars, system.field.one)
-    return functools.reduce(operator.mul, (f ** (p - 1) - 1 for f in system.polys))
+    return _product(system.field, system.n_vars, (f ** (p - 1) - 1 for f in system.polys))
 
 
 # A slice's root set is one int of p^s bits, s the largest with p^s at most
@@ -323,12 +319,8 @@ def cauchy_davenport_check(
     if len(a) + len(b) - 1 <= p:
         m = len(a) + len(b) - 2
         expected = _binom_mod(m, len(a) - 1, p)
-        c_prime = result[:m]
-        f = MultiPoly.constant(field, 2, field.one)
-        x = MultiPoly.variable(field, 2, 0)
-        y = MultiPoly.variable(field, 2, 1)
-        for c in c_prime:
-            f = f * (x + y - c)
+        x_plus_y = MultiPoly.variable(field, 2, 0) + MultiPoly.variable(field, 2, 1)
+        f = _product(field, 2, (x_plus_y - c for c in result[:m]))
         actual = grid_weighted_sum(f, Grid(field, [a, b]))
         if actual != expected or actual == 0:
             raise TheoremViolation(
@@ -345,7 +337,8 @@ def erdos_heilbronn_check(
     """Restricted-sumset lower bounds.
 
     Two-set form: for A != B, |A +' B| >= min(|A| + |B| - 2, p).
-    One-set form (b_set omitted): |A +' A| >= min(2|A| - 3, p).  Of any
+    One-set form (b_set omitted): |A +' A| >= min(2|A| - 3, p), reported
+    as 0 for a singleton, where A +' A is empty.  Of any
     x != y in A one exceeds min A, so A +' A = (A minus min A) +' A, and the
     one-set form is computed as that pair: the same sumset, bound and
     certificate, reported with kind erdos-heilbronn-self and B = A.
@@ -363,7 +356,7 @@ def erdos_heilbronn_check(
             raise RequiresDistinctSets("the two-set form needs A != B")
     na, nb = len(left), len(b)
     result = _sumset(p, left, b, True)
-    bound = min(na + nb - 2, p)
+    bound = max(min(na + nb - 2, p), 0)
     satisfied = len(result) >= bound
     if not satisfied:
         raise TheoremViolation(
@@ -749,11 +742,8 @@ def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
 
     fld = RationalField()
     via_sum = _weighted_sum_of_values(product_at, Grid(fld, labels.pairs))
-    f = MultiPoly.constant(fld, n, fld.one)
-    for i in range(n):
-        xi = MultiPoly.variable(fld, n, i)
-        xj = MultiPoly.variable(fld, n, (i + 1) % n)
-        f = f * (xi - xj)
+    xs = [MultiPoly.variable(fld, n, i) for i in range(n)]
+    f = _product(fld, n, (xs[i] - xs[(i + 1) % n] for i in range(n)))
     via_expansion = f.coefficient_of((1,) * n)
     if via_sum != via_expansion or via_sum != 2:
         raise TheoremViolation(
@@ -1043,12 +1033,8 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
     if not verify:
         return closed
     fld = RationalField()
-    vandermonde = MultiPoly.constant(fld, k, fld.one)
-    for i in range(k):
-        for j in range(i + 1, k):
-            xi = MultiPoly.variable(fld, k, i)
-            xj = MultiPoly.variable(fld, k, j)
-            vandermonde = vandermonde * (xj - xi)
+    xs = [MultiPoly.variable(fld, k, i) for i in range(k)]
+    vandermonde = _product(fld, k, (xs[j] - xs[i] for i in range(k) for j in range(i + 1, k)))
     squared = vandermonde * vandermonde
     via_expansion = squared.coefficient_of((k - 1,) * k)
 

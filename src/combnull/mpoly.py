@@ -30,7 +30,8 @@ does all the pairs, and the product is read back as one array of machine
 words, visiting only its nonzero slots.  Over Q each operand is cleared to
 integer numerators over its least common denominator and always takes packed
 keys, since signed slots of one big int would borrow from each other; each
-surviving sum is divided once by the two denominators.
+surviving sum is divided once by the two denominators.  A product of many
+factors is one balanced product tree (``_product``).
 
 The textual format is a sum of terms ``c*x1^e1*...*xn^en`` with
 ``+`` / ``-`` separators; variables are 1-based in the text and 0-based in the
@@ -434,6 +435,18 @@ def _mul_terms(a: dict, b: dict, field: FieldSpec) -> dict:
     num_b, den_b = (num_a, den_a) if b is a else _numerators(b)
     den = den_a * den_b
     return {e: Fraction(c, den) for e, c in _mul_packed(num_a, num_b, None, radix).items()}
+
+
+def _product(field: FieldSpec, n_vars: int, factors: Iterable[MultiPoly]) -> MultiPoly:
+    """The product of the factors as a balanced product tree, so each multiply
+    meets operands of like size; the constant 1 when there are none."""
+    level = list(factors)
+    if not level:
+        return MultiPoly.constant(field, n_vars, field.one)
+    while len(level) > 1:
+        # neighbours pair up level by level; an odd last factor waits a level
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+    return level[0]
 
 
 def _numerators(terms: dict) -> tuple[dict, int]:

@@ -47,7 +47,7 @@ from .errors import (
     TheoremViolation,
 )
 from .field import FieldSpec, PrimeField, Scalar
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, _product
 
 DEFAULT_MAX_GRID_POINTS = 1 << 24
 MAX_GRID_POINTS_ENV = "COMBNULL_MAX_GRID_POINTS"
@@ -191,9 +191,10 @@ def lagrange_interpolate(
     """Unique univariate polynomial of degree < len(points) through the data.
 
     It is the sum over the points a of y_a * M(x) / ((x - a) * denom(A, a)),
-    with M the master polynomial, the product of (x - b) over all points b.
-    M is built once, each M / (x - a) comes from it by synthetic division,
-    and 1/denom(A, a) are the weights the grid sums use.
+    with M the master polynomial, the product of (x - b) over all points b,
+    taken as one balanced product (``_product``).  Each M / (x - a) comes
+    from M by synthetic division, and 1/denom(A, a) are the weights the grid
+    sums use.
     """
     xs = [field.element(x) for x in points]
     if not xs:
@@ -204,19 +205,18 @@ def lagrange_interpolate(
         raise SizeMismatch(f"{len(values)} values for {len(xs)} points")
     ys = [field.element(y) for y in values]
     add, mul, zero = field.add, field.mul, field.zero
-    master = [field.one]  # coefficients, highest degree first
-    for b in xs:
-        minus_b = field.neg(b)
-        master = [add(hi, mul(minus_b, lo)) for hi, lo in zip(master + [zero], [zero] + master)]
+    x, top = MultiPoly.variable(field, 1, 0), len(xs) - 1
+    terms = _product(field, 1, (x - b for b in xs)).terms
+    # M's coefficients of x^|A| down to x^1, the ones synthetic division reads
+    master = [terms.get((e,), zero) for e in range(top + 1, 0, -1)]
     coeffs = [zero] * len(xs)
     for a, y, inverse in zip(xs, ys, _inverse_denominators(field, tuple(xs))):
         if field.is_zero(y):
             continue
         weight, quotient = mul(y, inverse), zero
-        for i, c in enumerate(master[:-1]):
+        for i, c in enumerate(master):
             quotient = add(c, mul(a, quotient))
             coeffs[i] = add(coeffs[i], mul(weight, quotient))
-    top = len(xs) - 1
     return MultiPoly(field, 1, {(top - i,): c for i, c in enumerate(coeffs)})
 
 

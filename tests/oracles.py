@@ -59,6 +59,27 @@ def mul_terms(a: dict, b: dict, p: int | None = None) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def product_terms(factors, n_vars: int, p: int | None = None) -> dict:
+    """The product of raw term dicts, left to right from the constant 1, one
+    schoolbook multiply per factor; mod p when p is given, exact otherwise."""
+    out = {(0,) * n_vars: 1}
+    for terms in factors:
+        out = mul_terms(out, terms, p)
+    return out
+
+
+def master_coefficients(points, p: int | None = None) -> list:
+    """The coefficients of the product of (x - b) over the points, highest
+    degree first, as a dense list extended by one linear factor at a time;
+    mod p when p is given, exact otherwise."""
+    master = [1]
+    for b in points:
+        master = [hi - b * lo for hi, lo in zip(master + [0], [0] + master)]
+        if p:
+            master = [c % p for c in master]
+    return master
+
+
 def inv_mod(x: int, p: int) -> int:
     # Fermat route, deliberately different from the package's pow(x, -1, p)
     x %= p

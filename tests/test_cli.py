@@ -874,6 +874,17 @@ def test_olson_construct_lower_counts_against_the_grid_cap(cli):
     assert cli(*args, "7")[0] == 3
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_olson_construct_lower_decides_a_claim_on_the_family(fmt):
+    # the family is zero-sum free, so every claim on it fails
+    code, out, err = _run_raw(["olson", "--p", "3", "--k", "2", "--construct-lower",
+                               "--check", "0", "--format", fmt])
+    doc = _parsed(fmt, out)
+    assert (code, doc["status"], err) == (2, "check-failed", "")
+    assert doc["check_valid"] in (False, "false")
+    assert doc["vectors"] == "(1,0);(1,0);(0,1);(0,1)"
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 def test_vandermonde_past_the_digit_limit_exits_three_before_computing(cli):
     started = time.monotonic()
@@ -1055,6 +1066,8 @@ _LIST_ERRORS = [
     # is reported, not the parse of a later one
     ("planes", {"n": "2", "planes": "1,0,0;1,0,0,-1;x"},
      "BadInput: a plane is 4 integers (a, b, c, d), got (1, 0, 0)"),
+    ("regular-subgraph", {"p": "2", "vertices": "3", "edges": "0 - x"},
+     "SchemaError: edges: expected an integer, got 'x'"),
 ]
 
 

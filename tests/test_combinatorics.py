@@ -530,7 +530,7 @@ def test_erdos_heilbronn_known_reports():
 def test_erdos_heilbronn_singleton_and_distinctness():
     report = erdos_heilbronn_check(F5, [3])
     assert report.result == ()
-    assert report.bound == -1
+    assert report.bound == 0
     assert report.satisfied
     assert report.certificate is None
     with pytest.raises(RequiresDistinctSets):

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -223,6 +223,39 @@ def test_rational_pow_is_the_iterated_oracle(f, k):
     for _ in range(k):
         want = oracles.mul_terms(want, f.terms)
     assert (f**k).terms == want
+
+
+F65521 = PrimeField(65521)
+
+
+@st.composite
+def _factor_lists(draw):
+    # univariate factors, drawn dense, meet the big-int product over both
+    # prime fields; sparse ones in more variables take packed keys over Z_65521
+    field = draw(st.sampled_from([F5, F65521, Q]))
+    n_vars = draw(st.sampled_from([1, 2, 3]))
+    if n_vars == 1:
+        nonzero = st.integers(1, field.p - 1) if field is not Q else st.fractions(1, 10)
+        factor = st.lists(nonzero, min_size=2, max_size=8).map(
+            lambda cs: MultiPoly(field, 1, {(e,): c for e, c in enumerate(cs)}))
+    else:
+        factor = poly_strategy(field, n_vars)
+    return field, n_vars, draw(st.lists(factor, max_size=7))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_factor_lists())
+def test_product_is_the_sequential_oracle(case):
+    field, n_vars, factors = case
+    want = oracles.product_terms([f.terms for f in factors], n_vars, getattr(field, "p", None))
+    assert mpoly._product(field, n_vars, iter(factors)).terms == want
+
+
+@pytest.mark.parametrize("field", [F5, F65521, Q], ids=["Z5", "Z65521", "Q"])
+def test_product_of_none_and_of_one(field):
+    assert mpoly._product(field, 2, []) == MultiPoly.constant(field, 2, 1)
+    f = parse_poly("x1^2 - x2 + 3", field, 2)
+    assert mpoly._product(field, 2, [f]) == f
 
 
 def _dense_quadratic(p):

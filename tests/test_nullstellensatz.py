@@ -264,18 +264,43 @@ def test_lagrange_interpolate_matches_basis_product_oracle(data):
     assert got.terms == oracles.lagrange_interpolate(points, values, p)
 
 
-def test_lagrange_interpolate_two_hundred_points_without_poly_products(monkeypatch):
-    # the master polynomial is built once as a coefficient list; one basis
-    # product per point took about 9 s here
-    def refuse(*args):
-        raise AssertionError("interpolation multiplied MultiPoly objects")
+@given(data=st.data())
+@settings(max_examples=100, derandomize=True)
+def test_lagrange_master_is_the_list_oracle(data):
+    # x^n minus the interpolant of a^n through n points is the master
+    # polynomial, the product of (x - a) over the points
+    p = data.draw(st.sampled_from([None, 1000003]), label="p")
+    if p is None:
+        field, scalars = Q, st.fractions(-20, 20, max_denominator=9)
+    else:
+        field, scalars = PrimeField(p), st.integers(0, p - 1)
+    points = data.draw(st.lists(scalars, min_size=1, max_size=40, unique=True), label="points")
+    n = len(points)
+    got = MultiPoly(field, 1, {(n,): 1}) - lagrange_interpolate(field, points, [a**n for a in points])
+    master = oracles.master_coefficients(points, p)
+    assert got.terms == {(n - i,): c for i, c in enumerate(master) if c}
 
-    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+
+def test_lagrange_interpolate_two_hundred_points_with_one_product_tree(monkeypatch):
+    # the master polynomial is one balanced product of the 200 linear
+    # factors, 199 multiplies; one basis product per point took about 9 s
+    products = []
+    multiply = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append((a.total_degree(), b.total_degree()))
+        return multiply(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
     fld = PrimeField(1000003)
     started = time.perf_counter()
     f = lagrange_interpolate(fld, range(200), range(200))
     assert time.perf_counter() - started < 1.0
     assert f.terms == {(1,): 1}
+    assert len(products) == 199
+    # pairwise level by level the root joins degrees 128 and 72; left to
+    # right the last multiply would take an operand of degree 199
+    assert max(products) == (128, 72)
 
 
 def test_lagrange_interpolate_errors():
