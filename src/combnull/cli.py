@@ -25,7 +25,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import selftest as selftest_mod
 from .combinatorics import (
     CycleLabels,
     Graph,
@@ -92,6 +91,8 @@ def _parse_int(text: str, what: str) -> int:
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
+        if text.isascii() and text.isdigit():  # a third of the time of Fraction's text parser
+            return Fraction(int(text))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: expected a rational like 3 or 3/4, got {text!r}") from exc
@@ -441,7 +442,7 @@ def _cmd_planes(req: Request) -> tuple[dict, int]:
 def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
     labels = CycleLabels(req.require("pairs"))
     n = len(labels)
-    out: dict = {"n": n, "pairs": _fmt_sets(labels.pairs)}
+    out: dict = {"n": n, "pairs": ";".join(map(_fmt_list, labels.pairs))}  # each pair sorted
     check = req.get("check")
     if check is not None:
         return _checked(out, cycle_selection_valid(labels, check))
@@ -530,7 +531,9 @@ def _cmd_lagrange(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_selftest(req: Request) -> tuple[dict, int]:
-    results = selftest_mod.run_suites(req.get("suite"), inject_fault=req.get("inject-fault"))
+    from . import selftest  # imported here: no other command needs it
+
+    results = selftest.run_suites(req.get("suite"), inject_fault=req.get("inject-fault"))
     out: dict = {f"suite.{name}": "pass" if ok else f"FAIL {detail}" for name, ok, detail in results}
     failures = sum(not ok for _, ok, _ in results)
     out["suites_run"] = len(results)

@@ -645,13 +645,17 @@ class CycleLabels:
     def __init__(self, pairs: Iterable[Sequence]):
         canon = []
         for i, raw in enumerate(pairs):
-            t = tuple(Fraction(x) for x in raw)
+            t = tuple(x if type(x) is Fraction else Fraction(x) for x in raw)
             if len(t) != 2:
                 shown = ", ".join(map(str, t))
                 raise BadGridShape(f"vertex {i} needs exactly 2 labels, got ({shown})")
-            if t[0] == t[1]:
-                raise BadInput(f"vertex {i} has equal labels {t[0]}")
-            canon.append((min(t), max(t)))
+            lo, hi = t
+            if lo < hi:
+                canon.append(t)
+            elif hi < lo:
+                canon.append((hi, lo))
+            else:
+                raise BadInput(f"vertex {i} has equal labels {lo}")
         if not canon:
             raise EmptyInput("a cycle needs at least one vertex")
         object.__setattr__(self, "pairs", tuple(canon))
@@ -680,29 +684,32 @@ def cycle_selection(
     Guaranteed possible for an even cycle (the coefficient of x_1*...*x_n in
     prod(x_i - x_{i+1}) is 2, which is nonzero).  Odd cycles are rejected
     unless force_search is set, in which case None reports a fruitless search.
-    Returns the lexicographically smallest selection, vertex by vertex.
+    Returns the lexicographically smallest selection, vertex by vertex; its
+    labels are the objects of labels.pairs.
+
+    One forward pass gives each vertex its first label that differs from its
+    predecessor's.  Only the closing vertex, which must also differ from
+    vertex 0, can reject both of its labels; then ``_closing_selection``
+    decides, for each label of vertex 0 in turn, which labels can still close
+    the cycle.
     """
     n = len(labels)
     if n % 2 == 1 and not force_search:
         raise OddCycle(f"cycle length {n} is odd; pass force_search to try anyway")
-    chosen: list[Fraction] = []
-    # Depth-first search on an explicit stack, so a cycle of any length fits:
-    # untried[i] yields the labels of vertex i not tried yet.
-    untried = [iter(labels.pairs[0])]
-    while untried and len(chosen) < n:
-        i = len(chosen)
-        for v in untried[-1]:
-            # the cycle closes at vertex n - 1; a 1-cycle is its own neighbor
-            if (i == 0 or chosen[-1] != v) and (i < n - 1 or (n > 1 and chosen[0] != v)):
-                chosen.append(v)
-                if i + 1 < n:
-                    untried.append(iter(labels.pairs[i + 1]))
-                break
+    pairs = labels.pairs
+    chosen: Optional[list[Fraction]] = None
+    if n > 1:  # a 1-cycle vertex is its own neighbor
+        start = pairs[0][0]
+        chosen = _forward(start, itertools.islice(pairs, 1, n - 1))
+        prev = chosen[-1]
+        lo, hi = pairs[-1]
+        if lo != prev and lo != start:
+            chosen.append(lo)
+        elif hi != prev and hi != start:
+            chosen.append(hi)
         else:
-            untried.pop()
-            if chosen:
-                chosen.pop()
-    if len(chosen) == n:
+            chosen = _closing_selection(pairs, start) or _closing_selection(pairs, pairs[0][1])
+    if chosen is not None:
         if not cycle_selection_valid(labels, chosen):
             raise TheoremViolation(f"cycle selection {chosen} failed re-validation")
         return tuple(chosen)
@@ -711,6 +718,44 @@ def cycle_selection(
             f"even-cycle selection guarantee violated for labels {labels.pairs}"
         )
     return None
+
+
+def _closing_selection(
+    pairs: tuple[tuple[Fraction, Fraction], ...], start: Fraction
+) -> Optional[list[Fraction]]:
+    """The lexicographically smallest proper selection with vertex 0 on
+    start, or None, in O(n).
+
+    A backward pass keeps, at each vertex, the labels from which the rest of
+    the path can still reach a closing label other than start; the forward
+    pass then takes the first kept label that differs from its predecessor's.
+    Two labels kept ahead let a vertex keep both of its own, since each of
+    them differs from one of the two; a single label w kept ahead rules out
+    w only.
+    """
+    n = len(pairs)
+    kept: list[Sequence[Fraction]] = list(pairs)
+    ahead = kept[-1] = [v for v in pairs[-1] if v != start]
+    for i in range(n - 2, 0, -1):
+        if len(ahead) == 1:
+            ahead = kept[i] = [v for v in pairs[i] if v != ahead[0]]
+        else:
+            ahead = pairs[i]
+    if len(ahead) == 1 and ahead[0] == start:
+        return None
+    # each kept label has one unlike it kept at the next vertex, so no row runs out
+    return _forward(start, itertools.islice(kept, 1, None))
+
+
+def _forward(start: Fraction, rows: Iterable[Sequence[Fraction]]) -> list[Fraction]:
+    """start, then from each row its first label unlike the label before; a
+    row of one label must differ from it."""
+    prev = start
+    chosen = [start]
+    for row in rows:
+        prev = row[1] if row[0] == prev else row[0]
+        chosen.append(prev)
+    return chosen
 
 
 # the largest cycle whose certificate is recomputed: both routes cost 2^n
@@ -1065,6 +1110,14 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
 # ------------------------------------------------------- symmetric differences
 
 
+# XOR work symdiff_check may do, counted as |first|·|second| pairs times the
+# 64-bit words of one mask, before giving up with ResourceLimit: the most
+# pairs n = 12 can have.  With one-word masks they take 0.8 s over 16
+# elements and about 2 s when the differences fill 17 bits (2-CPU x86_64,
+# Python 3.11).
+_SYMDIFF_WORK_CAP = 2048 * 2049
+
+
 def symdiff_check(
     sets: Sequence[Iterable], colors: Sequence
 ) -> set[frozenset]:
@@ -1077,6 +1130,9 @@ def symdiff_check(
     set leave a single empty difference -- so such input is rejected.  Within
     the stated hypotheses the bound is a theorem and a shortfall raises
     TheoremViolation.  Returns the set of differences.
+
+    Each distinct element is one bit, so a difference is the XOR of two
+    int masks; a frozenset is built only once per distinct difference.
     """
     families = [frozenset(s) for s in sets]
     count = len(families)
@@ -1095,10 +1151,23 @@ def symdiff_check(
     for label, cls in zip(palette, (first, second)):
         if len(set(cls)) != len(cls):
             raise BadInput(f"color {label!r} repeats a set; classes must be distinct")
-    diffs = {s ^ t for s in first for t in second}
-    if len(diffs) < (1 << n):
+    elements = list(frozenset().union(*families))
+    work = len(first) * len(second) * max(1, -(-len(elements) // 64))
+    if work > _SYMDIFF_WORK_CAP:
+        raise ResourceLimit(
+            f"{len(first)} x {len(second)} differences over {len(elements)} elements "
+            f"exceed the work cap of {_SYMDIFF_WORK_CAP} pair words"
+        )
+    bit = {x: 1 << i for i, x in enumerate(elements)}
+    # sorted, so the XORs of one row land near each other in the set's table
+    first_masks, second_masks = (sorted(sum(map(bit.__getitem__, s)) for s in cls)
+                                 for cls in (first, second))
+    masks = {s ^ t for s in first_masks for t in second_masks}
+    if len(masks) < (1 << n):
         raise TheoremViolation(
-            f"symmetric-difference lower bound violated: {len(diffs)} < {1 << n} "
+            f"symmetric-difference lower bound violated: {len(masks)} < {1 << n} "
             f"distinct differences across the coloring"
         )
-    return diffs
+    # byte i of a mask's reversed binary digits is bit i
+    return {frozenset(itertools.compress(elements, format(m, "b")[::-1].encode().translate(_BITS)))
+            for m in masks}

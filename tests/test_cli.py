@@ -203,6 +203,23 @@ def test_symdiff_length_mismatch_is_the_library_error(cli):
     assert doc["error"] == "SizeMismatch: 3 sets but 2 colors"
 
 
+def test_symdiff_past_the_work_cap_exits_three(cli):
+    # 2^14 + 1 sets alternately colored: 8,192 x 8,193 pairs, past the cap
+    sets = ";".join(",".join(str(i) for i in range(15) if m >> i & 1) for m in range((1 << 14) + 1))
+    colors = ",".join("rb"[i % 2] for i in range((1 << 14) + 1))
+    started = time.perf_counter()
+    code, doc, err = cli("symdiff", "--input", "-", stdin_text=f"sets {sets}\ncolors {colors}\n")
+    assert time.perf_counter() - started < 1
+    assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
+    assert doc["error"].startswith("ResourceLimit: 8192 x 8193 differences over 15 elements")
+
+
+def test_only_selftest_imports_the_selftest_module():
+    code = "import sys, combnull.cli; print('combnull.selftest' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.stdout == "False\n", out.stderr
+
+
 @pytest.mark.parametrize("command", ["coeff", "witness"])
 def test_variable_count_is_not_a_flag(command, capsys):
     # the polynomial has one variable per grid set; --nvars could only disagree

@@ -924,6 +924,75 @@ def test_cycle_selection_long_cycles():
     assert all(got[i] in pairs[i] and got[i] != got[(i + 1) % n] for i in range(n))
 
 
+def _greedy_close(pairs):
+    """The label vertex n - 2 takes on the forward pass from vertex 0's
+    smaller label, each vertex taking its first label unlike its predecessor's."""
+    prev = min(pairs[0])
+    for pair in pairs[1:-1]:
+        lo, hi = sorted(pair)
+        prev = hi if lo == prev else lo
+    return prev
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_cycle_forward_pass_matches_oracle(data):
+    # even and odd cycles up to 12 vertices, integer and fractional labels
+    # from a small pool so neighbors collide; "closing" rebuilds the last
+    # pair from vertex 0's smaller label and the label the forward pass
+    # leaves on vertex n - 2, so the closing vertex rejects both of its
+    # labels and the search has to back up
+    n = data.draw(st.integers(1, 12), "n")
+    pool = data.draw(st.sampled_from([
+        [0, 1], [0, 1, 2], [-2, -1, 0, 1, 2, 3],
+        [Fraction(-1, 2), Fraction(1, 3), 1, Fraction(3, 2)],
+    ]), "pool")
+    rng = random.Random(data.draw(st.integers(0, 2**32), "seed"))
+    pairs = [tuple(rng.sample(pool, 2)) for _ in range(n)]
+    if n > 2 and data.draw(st.booleans(), "closing"):
+        start, prev = min(pairs[0]), _greedy_close(pairs)
+        if start != prev:
+            pairs[-1] = (prev, start)
+    labels = CycleLabels(pairs)
+    expected = oracles.first_cycle_selection(labels.pairs)
+    if n % 2:
+        with pytest.raises(OddCycle):
+            cycle_selection(labels)
+    got = cycle_selection(labels, force_search=True)
+    assert got == expected
+    if n % 2 == 0:
+        assert cycle_selection(labels) == expected is not None
+    if got is not None:
+        # the very label objects of labels.pairs, not equal copies
+        assert all(any(x is y for y in pair) for x, pair in zip(got, labels.pairs))
+
+
+def test_cycle_forward_pass_backs_up_past_vertex_zero():
+    # from 0 the path is forced, 0 -> 2 -> 3, and the closing vertex (0, 3)
+    # rejects both labels; no vertex has a second choice, so vertex 0 takes 1
+    assert cycle_selection(CycleLabels([(0, 1), (0, 2), (2, 3), (0, 3)])) == (1, 0, 2, 0)
+    # the same forced path on an odd cycle fails from both labels of vertex 0
+    assert cycle_selection(CycleLabels([(0, 1), (0, 1), (0, 1)]), force_search=True) is None
+
+
+def test_cycle_selection_two_hundred_thousand_vertices():
+    n = 200_000
+    rng = random.Random(7)
+    labels = CycleLabels([tuple(rng.sample(range(6), 2)) for _ in range(n)])
+    started = time.perf_counter()
+    got = cycle_selection(labels)
+    assert time.perf_counter() - started < 1.5
+    assert cycle_selection_valid(labels, got)
+    assert all(any(x is y for y in pair) for x, pair in zip(got, labels.pairs))
+    # the closing vertex rejects both labels, and the answer differs from the
+    # forward pass only at vertices n - 2 and n - 1
+    labels = CycleLabels([(i, i + 1) for i in range(n - 1)] + [(0, n - 2)])
+    started = time.perf_counter()
+    got = cycle_selection(labels)
+    assert time.perf_counter() - started < 1.5
+    assert got == (*range(n - 2), n - 1, n - 2)
+
+
 def test_cycle_certificate_is_two():
     rng = random.Random(5)
     for n in (2, 4, 6, 8):
@@ -1319,6 +1388,117 @@ def test_symdiff_matches_oracle_and_bound(seed):
     diffs = symdiff_check(sets, colors)
     assert diffs == oracles.cross_symdiffs(sets, colors)
     assert len(diffs) >= (1 << n)
+
+
+def _universe(kind, size):
+    """size distinct elements of one kind, each a fresh object."""
+    if kind == "ints":
+        return list(range(size))
+    if kind == "negative ints":
+        return [-(10**12) - i for i in range(size)]
+    if kind == "strings":
+        return ["".join(("e", str(i))) for i in range(size)]
+    return [("t", i, Fraction(i, 3)) for i in range(size)]
+
+
+def _distinct_subsets(rng, universe, k):
+    """k distinct subsets of universe, in draw order; past 20 elements each
+    has at most 12."""
+    if len(universe) <= 20:
+        return [frozenset(x for i, x in enumerate(universe) if m >> i & 1)
+                for m in rng.sample(range(1 << len(universe)), k)]
+    out, seen = [], set()
+    while len(out) < k:
+        s = frozenset(rng.sample(universe, rng.randint(0, 12)))
+        if s not in seen:
+            seen.add(s)
+            out.append(s)
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_symdiff_masks_match_oracle(data):
+    # the int-mask route against the frozenset pairs of oracles.cross_symdiffs:
+    # n up to 8, universes past 64 elements (masks wider than a machine word),
+    # non-int elements, the empty set in both classes, sets in both classes
+    n = data.draw(st.integers(0, 8), "n")
+    kind = data.draw(st.sampled_from(["ints", "negative ints", "strings", "tuples"]), "kind")
+    size = data.draw(st.sampled_from([n + 1, n + 4, 70, 130]), "universe size")
+    rng = random.Random(data.draw(st.integers(0, 2**32), "seed"))
+    universe = _universe(kind, size)
+    count = (1 << n) + 1
+    colors = ["r", "b"] + [rng.choice("rb") for _ in range(count - 2)]
+    rng.shuffle(colors)
+    red = _distinct_subsets(rng, universe, colors.count("r"))
+    blue = _distinct_subsets(rng, universe, colors.count("b"))
+    if data.draw(st.booleans(), "empty set in both"):
+        for cls in (red, blue):
+            if frozenset() not in cls:
+                cls[0] = frozenset()
+    if data.draw(st.booleans(), "sets in both"):
+        for j in range(min(len(red), len(blue)) // 2 + 1):
+            if red[j] not in blue:
+                blue[j] = red[j]
+    reds, blues = iter(red), iter(blue)
+    sets = [set(next(reds)) if c == "r" else list(next(blues)) for c in colors]
+    diffs = symdiff_check(sets, colors)
+    assert diffs == oracles.cross_symdiffs(sets, colors)
+    assert len(diffs) >= (1 << n)
+    assert all(type(d) is frozenset for d in diffs)
+    # every element of an answer is one of the caller's own objects
+    mine = {id(x) for s in sets for x in s}
+    assert all(id(x) in mine for d in diffs for x in d)
+
+
+def _bench_like(n, seed=0):
+    """2^n + 1 distinct subsets of n + 4 elements, randomly two-colored."""
+    rng = random.Random(seed)
+    count = (1 << n) + 1
+    sets = [[i for i in range(n + 4) if m >> i & 1] for m in rng.sample(range(1 << (n + 4)), count)]
+    colors = ["r", "b"] + [rng.choice("rb") for _ in range(count - 2)]
+    rng.shuffle(colors)
+    return sets, colors
+
+
+def test_symdiff_eleven_within_a_second():
+    # 1,049,570 cross-color pairs: about 2 s as one frozenset per pair
+    sets, colors = _bench_like(11)
+    started = time.perf_counter()
+    diffs = symdiff_check(sets, colors)
+    assert time.perf_counter() - started < 1
+    # all nonempty subsets of the 15 elements; no set is in both classes
+    assert len(diffs) == (1 << 15) - 1
+
+
+def test_symdiff_work_cap_both_sides(monkeypatch):
+    cap = combinatorics._SYMDIFF_WORK_CAP
+    assert cap == 2048 * 2049  # the most pairs n = 12 can have
+    # n = 12, colored 2048 / 2049: exactly the cap, still answered
+    sets, _ = _bench_like(12)
+    colors = ["r", "b"] * 2048 + ["b"]
+    assert len(symdiff_check(sets, colors)) >= 1 << 12
+    # n = 14 is refused before any pair is formed
+    sets, colors = _bench_like(14)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        symdiff_check(sets, colors)
+    assert time.perf_counter() - started < 0.5
+    # the input checks still come first
+    with pytest.raises(BadInput):
+        symdiff_check([[1]] * len(sets), colors)
+    # the cap counts pairs times the 64-bit words of a mask: 3 x 6 pairs of
+    # 64 elements are 18 pair words, of 65 elements 36
+    monkeypatch.setattr(combinatorics, "_SYMDIFF_WORK_CAP", 18)
+    colors = ["r", "b", "b", "r", "b", "b", "r", "b", "b"]
+    narrow = [set(range(i, 64, 9)) for i in range(9)]
+    assert symdiff_check(narrow, colors) == oracles.cross_symdiffs(narrow, colors)
+    wide = narrow[:-1] + [narrow[-1] | {64}]
+    with pytest.raises(ResourceLimit):
+        symdiff_check(wide, colors)
+    monkeypatch.setattr(combinatorics, "_SYMDIFF_WORK_CAP", 17)
+    with pytest.raises(ResourceLimit):
+        symdiff_check(narrow, colors)
 
 
 # ------------------------------------------------------------ witness predicates
