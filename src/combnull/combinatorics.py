@@ -1116,6 +1116,12 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
 # elements and about 2 s when the differences fill 17 bits (2-CPU x86_64,
 # Python 3.11).
 _SYMDIFF_WORK_CAP = 2048 * 2049
+# Size of symdiff_check's answer, counted as one cell per distinct difference
+# plus one per element in it, past which it gives up with ResourceLimit
+# before building any frozenset.  The whole power set of 16 elements, the
+# most n = 12 can answer over the sets of the benchmark's shape, is 589,824
+# cells.
+_SYMDIFF_ANSWER_CAP = 1 << 20
 
 
 def symdiff_check(
@@ -1132,7 +1138,10 @@ def symdiff_check(
     TheoremViolation.  Returns the set of differences.
 
     Each distinct element is one bit, so a difference is the XOR of two
-    int masks; a frozenset is built only once per distinct difference.
+    int masks; a frozenset is built only once per distinct difference.  The
+    pairs are bounded by ``_SYMDIFF_WORK_CAP`` before any is formed, and the
+    distinct differences by ``_SYMDIFF_ANSWER_CAP`` before any frozenset is
+    built; past either, ResourceLimit.
     """
     families = [frozenset(s) for s in sets]
     count = len(families)
@@ -1162,7 +1171,21 @@ def symdiff_check(
     # sorted, so the XORs of one row land near each other in the set's table
     first_masks, second_masks = (sorted(sum(map(bit.__getitem__, s)) for s in cls)
                                  for cls in (first, second))
-    masks = {s ^ t for s in first_masks for t in second_masks}
+    # rows in chunks of at most a sixteenth of the cap in pairs, each chunk's
+    # new differences counted before they join the rest
+    step = max(1, _SYMDIFF_ANSWER_CAP // 16 // len(second_masks))
+    masks: set[int] = set()
+    cells = 0
+    for i in range(0, len(first_masks), step):
+        new = {s ^ t for s in first_masks[i:i + step] for t in second_masks}
+        new -= masks
+        cells += len(new) + sum(map(int.bit_count, new))
+        if cells > _SYMDIFF_ANSWER_CAP:
+            raise ResourceLimit(
+                f"the distinct differences reach {cells} cells (one per difference and "
+                f"one per element in it), past the answer cap of {_SYMDIFF_ANSWER_CAP}"
+            )
+        masks |= new
     if len(masks) < (1 << n):
         raise TheoremViolation(
             f"symmetric-difference lower bound violated: {len(masks)} < {1 << n} "

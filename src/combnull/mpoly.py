@@ -8,17 +8,26 @@ operation.  ``terms`` must not be changed once a polynomial is built:
 
 Evaluation is partial.  Each polynomial keeps a memo of its last evaluation
 in four slots: the static plan, the coordinates before the last as passed
-(the raw head), for each leading depth k the list of per-term products
-c * x_0^e_0 * ... * x_k^e_k, and the polynomial in the last variable that
-the deepest list sums to.  No coerced coordinate is kept.  When a point's
-head is the raw head object for object, as ``itertools.product`` yields it,
-only the last coordinate is coerced and one Horner pass in it gives the
-value.  Otherwise the head is coerced from the first coordinate object that
-differs and the depths are redone from there.  Matching by identity rather
-than ``==`` keeps every refusal of ``field.element``: ``True`` or ``1.0``
-never stands in for ``1``.  Over Q the coefficients are integer numerators
-over their least common denominator, so integral coordinates cost int
-arithmetic and each value is divided once.
+(the raw head), for each leading depth k but the deepest the list of
+per-term products c * x_0^e_0 * ... * x_k^e_k, and the deepest depth's
+products summed per distinct last exponent (the slot sums).  The plan also
+holds a power table for each variable but a leading first one, from a
+coerced coordinate to its powers at that variable's distinct exponents; in
+grid order the first coordinate changes once per run over the others, so its
+powers would recur only across calls.  The tables only gain entries, each
+complete before it is inserted, and one polynomial's tables hold at most
+``_POWER_TABLE_CELLS`` cells; past that, powers are computed and not kept.
+When a point's head is the raw head object for object, as
+``itertools.product`` yields it, only the last coordinate is coerced, and
+the value is the slot sums times its power row, one C-level dot product.
+Otherwise the head is coerced from the first coordinate object that differs
+and the depths are redone from there, each one C-level multiply of the
+previous depth's products by the picked powers.  Matching by identity rather
+than ``==``, and looking a table up only by a coerced coordinate, keeps
+every refusal of ``field.element``: ``True`` or ``1.0`` never stands in for
+``1``.  Over Q the coefficients are integer numerators over their least
+common denominator, so integral coordinates cost int arithmetic and each
+value is divided once.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -45,7 +54,7 @@ import math
 import re
 import sys
 from array import array
-from operator import is_
+from operator import is_, itemgetter, mul
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -55,6 +64,12 @@ from .field import FieldSpec, PrimeField, Scalar
 
 NEG_INF = float("-inf")
 _UNSET = object()
+# Cells the power tables of one polynomial may hold (``_power_row``).  The
+# 120 x 120 Cauchy-Davenport certificate over Z_1009 takes 28,800 for its last
+# variable, and its peak RSS as a process went from 23.4 to 23.8 MB; with a
+# table for its first variable too (57,600 cells) it went to 26.0 MB (2-CPU
+# x86_64, Python 3.11).
+_POWER_TABLE_CELLS = 1 << 16
 
 _TermsLike = Union[Mapping[tuple, Scalar], Iterable[tuple]]
 
@@ -210,13 +225,15 @@ class MultiPoly:
 
         Partial evaluation against the previous call's memo (see the module
         docstring): a head that is the previous raw head object for object
-        costs one Horner pass in the last coordinate, reduced mod p once per
-        step; otherwise the head is coerced from the first coordinate object
-        that differs and the per-term prefix products are redone from there.
-        The value is a residue over Z_p and a ``Fraction`` over Q.  The memo
-        is O(terms * n_vars), is replaced by one attribute store and never
-        mutated, so a concurrent call on a shared polynomial at worst
-        recomputes.  ``terms`` must not be mutated in place.
+        costs one lookup of the last coordinate's power row and one C-level
+        dot product with the slot sums; otherwise the head is coerced from the
+        first coordinate object that differs and the per-term prefix products
+        are redone from there.  The value is a residue over Z_p and a
+        ``Fraction`` over Q.  The memo is O(terms * n_vars) plus power tables
+        of at most ``_POWER_TABLE_CELLS`` cells.  It is replaced by one
+        attribute store, and the tables only gain complete entries, so a
+        concurrent call on a shared polynomial at worst recomputes.
+        ``terms`` must not be mutated in place.
         """
         if len(point) != self.n_vars:
             raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
@@ -225,45 +242,46 @@ class MultiPoly:
             # a head of n_vars placeholders, which no point matches
             memo = (_eval_plan(self), (_UNSET,) * self.n_vars, [], None)
         plan, head, levels, coeffs = memo
-        mod, den, coordinate, gaps, depths, coefficients, slots = plan
+        mod, den, coordinate, depths, coefficients, slots, reduce_sums, last, table, room = plan
         if not all(map(is_, point, head)):  # in grid order, only when a head coordinate moves
-            first = 0
-            while point[first] is head[first]:
-                first += 1
+            first = list(map(is_, point, head)).index(False)
             head = tuple(point[:self.n_vars - 1])
             levels = levels[:first]
             products = levels[-1] if levels else coefficients
-            for (exponents, picks), x in zip(depths[first:], map(coordinate, head[first:])):
-                powers = [pow(x, e, mod) for e in exponents]
-                if mod:
-                    products = [v * powers[i] % mod for v, i in zip(products, picks)]
-                else:
-                    products = [v * powers[i] for v, i in zip(products, picks)]
+            for (exponents, picks, reduce, powers), x in zip(depths[first:],
+                                                             map(coordinate, head[first:])):
+                row = None if powers is None else powers.get(x)
+                if row is None:
+                    row = _power_row(x, exponents, powers, room, mod)
+                products = list(map(mul, products, picks(row)))
+                if reduce:
+                    products = list(map(mod.__rmod__, products))
                 levels.append(products)
-            coeffs = [0] * len(gaps)
-            for slot, v in zip(slots, products):
-                coeffs[slot] += v
-            if mod:
-                coeffs = [v % mod for v in coeffs]
+            if levels:  # the deepest products are only ever summed into slots
+                levels.pop()
+            if slots:
+                products = list(map(sum, map(products.__getitem__, slots)))
+            if reduce_sums:
+                products = list(map(mod.__rmod__, products))
+            coeffs = products
             self._memo = (plan, head, levels, coeffs)
         x = point[-1]
         if type(x) is not int:
             x = coordinate(x)
         elif mod:
             x %= mod
-        value = 0
+        row = table.get(x)
+        if row is None:
+            row = _power_row(x, last, table, room, mod)
         if mod:
-            for gap, c in zip(gaps, coeffs):
-                value = (value * (x if gap == 1 else pow(x, gap, mod)) + c) % mod
-        else:
-            for gap, c in zip(gaps, coeffs):
-                value = value * (x if gap == 1 else x**gap) + c
-            # a Fraction value is already reduced: dividing it by den takes
-            # gcds against den only, never over the whole value
-            if type(value) is int:
-                value = Fraction(value)
-            if den > 1:
-                value /= den
+            return sum(map(mul, coeffs, row)) % mod
+        value = sum(map(mul, coeffs, row))
+        # a Fraction value is already reduced: dividing it by den takes
+        # gcds against den only, never over the whole value
+        if type(value) is int:
+            value = Fraction(value)
+        if den > 1:
+            value /= den
         return value
 
     def is_restricted(self, d: Sequence[int]) -> bool:
@@ -308,40 +326,56 @@ def sorted_terms(f: MultiPoly) -> list[tuple[tuple[int, ...], Scalar]]:
 
 
 def _eval_plan(f: MultiPoly) -> tuple:
-    """The static half of the evaluation memo, built once per polynomial.
+    """The static half of the evaluation memo, built once per polynomial,
+    with the power tables it fills.
 
-    Per-term columns, in the order of ``f.terms``.  Variable k is stored as
-    (its distinct exponents in descending order, each term's exponent as an
-    index into them).  For a leading variable this lets a point's powers of
-    x_k be computed once, so each term's prefix product takes one multiply;
-    the products are seeded with the coefficients, which over Q are integer
-    numerators over their least common denominator (``_numerators``).  For
-    the last variable, whose distinct exponents are E_0 > E_1 > ..., the
-    index is the term's Horner slot, and ``gaps`` holds the Horner steps
-    E_(j-1) - E_j (the first is arbitrary, since Horner starts from 0), plus
-    a final step E_last with no term when the lowest last exponent is not 0.
-    ``coordinate`` coerces one coordinate: a residue over Z_p, and over Q an
-    int when it is integral.  Returns (modulus or None, denominator,
-    coordinate, gaps, depths, coefficients, slots).
+    The terms are taken in the order of their slot, the place of the term's
+    last exponent among the distinct last exponents in descending order, so
+    each slot is one ``slice`` of the per-term products (``slots`` is None
+    when every slot holds one term).  Each leading variable is stored as its
+    distinct exponents in descending order and ``picks``, an
+    ``operator.itemgetter`` that maps a row of its powers at those exponents
+    to one power per term, so each term's prefix product takes one multiply.
+    The products are seeded with the coefficients, which over Q are integer
+    numerators over their least common denominator (``_numerators``).  Over
+    Z_p a depth's products, and the slot sums, are reduced only where one
+    more multiply could pass 60 bits.  ``coordinate`` coerces one coordinate:
+    a residue over Z_p, and over Q an int when it is integral.  Each variable
+    but a leading first one has a power table, a dict from a coerced
+    coordinate to its power row, and ``room`` holds the cells the tables may
+    still take (``_power_row``).  Returns (modulus or None, denominator,
+    coordinate, depths as (exponents, picks, reduce, table), coefficients,
+    slots, reduce the slot sums, last exponents, last table, room).
     """
-    columns = list(zip(*f.terms)) or [()] * f.n_vars
-    depths = []
-    for column in columns:
+    order = sorted(f.terms, key=lambda exps: -exps[-1])
+    rows = []
+    for column in list(zip(*order)) or [()] * f.n_vars:
         exponents = sorted(set(column), reverse=True)
         pick = {e: j for j, e in enumerate(exponents)}
-        depths.append((exponents, [pick[e] for e in column]))
-    top, slots = depths.pop()
-    gaps = [1] + [hi - lo for hi, lo in zip(top, top[1:])]
-    if top and top[-1]:
-        gaps.append(top[-1])
+        rows.append((exponents, [pick[e] for e in column]))
+    last, slot_of = rows.pop()
+    bounds = [0] + [j for j in range(1, len(slot_of)) if slot_of[j] != slot_of[j - 1]]
+    bounds.append(len(slot_of))
+    slots = None if len(bounds) > len(slot_of) else [slice(*ab) for ab in zip(bounds, bounds[1:])]
     element = f.field.element
+    reduce = [False] * (len(rows) + 1)
     if isinstance(f.field, PrimeField):
-        mod, coefficients, den = f.field.p, f.terms, 1
+        mod, den = f.field.p, 1
+        coefficients = list(map(f.terms.__getitem__, order))
+        # a bound on each depth's products, then on the slot sums
+        bound = mod - 1
+        widest = max(b - a for a, b in zip(bounds, bounds[1:]))
+        for k, factor in enumerate([mod - 1] * len(rows) + [widest]):
+            bound *= factor
+            reduce[k] = (bound * (mod - 1)).bit_length() > 60
+            if reduce[k]:
+                bound = mod - 1
 
         def coordinate(x):
             return x % mod if type(x) is int else element(x)
     else:
-        mod, (coefficients, den) = None, _numerators(f.terms)
+        mod, (numerators, den) = None, _numerators(f.terms)
+        coefficients = list(map(numerators.__getitem__, order))
 
         def coordinate(x):
             if type(x) is int:
@@ -349,7 +383,32 @@ def _eval_plan(f: MultiPoly) -> tuple:
             if type(x) is not Fraction:
                 x = element(x)
             return x.numerator if x.denominator == 1 else x
-    return mod, den, coordinate, gaps if top else [], depths, list(coefficients.values()), slots
+    depths = [(exponents, _picks(indices), reduce[k], {} if k else None)
+              for k, (exponents, indices) in enumerate(rows)]
+    return (mod, den, coordinate, depths, coefficients, slots, reduce[-1], last, {},
+            [_POWER_TABLE_CELLS])
+
+
+def _picks(indices: list[int]):
+    """``operator.itemgetter`` over the indices, returning a sequence also for
+    one index or none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: [row[j] for j in indices]
+
+
+def _power_row(x: Scalar, exponents: list[int], table: dict, room: list, mod: int | None) -> tuple:
+    """x's powers at the exponents, inserted whole into the power table while
+    its polynomial's budget has room: a cell per power and one for the key,
+    and over Q a cell per 64 bits of each power's numerator and denominator."""
+    row = tuple([pow(x, e, mod) for e in exponents])
+    cells = len(row) + 1
+    if not mod:
+        cells += sum(v.numerator.bit_length() + v.denominator.bit_length() for v in row) // 64
+    if table is not None and cells <= room[0]:
+        room[0] -= cells
+        table[x] = row
+    return row
 
 
 def _suffix_slices(f: MultiPoly, s: int) -> dict:

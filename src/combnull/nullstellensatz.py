@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from functools import reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -60,6 +61,7 @@ MAX_RATIONAL_HEIGHT_BITS = 1 << 20
 # coordinate set alone is longer: about 2 multiplications per entry to build,
 # against one head product per run.
 _MAX_RUN_TABLE = 1 << 8
+_VALUE = operator.itemgetter(1)
 
 
 def resolve_max_points(override: int | None = None) -> int:
@@ -275,13 +277,15 @@ def _weighted_sum_of_values(
     for table in tables[cut:]:
         tail = [mul(w, d) for w in tail for d in table]
     total = fld.zero
+    values = map(value_at, points)
+    exact = not isinstance(fld, PrimeField)
     for head in itertools.product(*tables[:cut]):
-        run = 0
-        # `tail` first: zip stops on it without drawing a point of the next run
-        for w, point in zip(tail, points):
-            value = value_at(point)
-            if value:
-                run += value * w
+        # `tail` first: map and zip stop on it without drawing a point of the
+        # next run; over Q a zero value skips its Fraction multiply
+        if exact:
+            run = sum(itertools.starmap(operator.mul, filter(_VALUE, zip(tail, values))))
+        else:
+            run = sum(map(operator.mul, tail, values))
         total = add(total, reduce(mul, head, element(run)))
     return total
 
@@ -344,26 +348,51 @@ def signed_two_element_sum(f: MultiPoly, grid: Grid) -> Scalar:
     return fld.mul(scale, _weighted_sum_of_values(f.evaluate, grid))
 
 
+def _alon_furedi_bound(sizes: Sequence[int], degree: int) -> int:
+    """The fewest points of a grid with sets of these sizes at which a
+    polynomial of total degree ``degree`` is nonzero, unless it vanishes on
+    the whole grid (Alon and Furedi, Eur. J. Combin. 1993, Thm. 5).
+
+    The bound is the minimum of y_1 * ... * y_n over 1 <= y_i <= |A_i| with
+    y_1 + ... + y_n >= |A_1| + ... + |A_n| - degree.  It is found greedily:
+    the excess over y_i = 1 goes to the largest sets first, each filled to
+    its size.  Below the degree bound it is at least 2, which is the
+    vanishing identity's "never exactly one"; it holds over every field.
+    """
+    excess = sum(sizes) - len(sizes) - degree
+    bound = 1
+    for size in sorted(sizes, reverse=True):
+        if excess <= 0:
+            break
+        y = min(size, 1 + excess)
+        bound *= y
+        excess -= y - 1
+    return bound
+
+
 def second_nonvanish(
     f: MultiPoly, grid: Grid, max_points: int | None = None
 ) -> list[GridPoint]:
     """All grid points where f is nonzero, in enumeration order, each as a
     ``GridPoint`` whose ``value`` is the point.
 
-    When total_degree(f) < grid.degree_bound() the count can never be exactly
-    one: a lone nonvanishing point alpha would make the weighted sum
-    f(alpha)/P(alpha) != 0, contradicting the vanishing identity.  A count of
-    one in that regime therefore raises TheoremViolation.
+    If there are any, there are at least ``_alon_furedi_bound`` of them; a
+    shorter list raises TheoremViolation.  Below the degree bound that rules
+    out a count of one, since a lone nonvanishing point alpha would make the
+    weighted sum f(alpha)/P(alpha) != 0, contradicting the vanishing
+    identity.
     """
     _check_poly_grid(f, grid)
     # evaluate returns a reduced residue or a Fraction, so its truth is "nonzero"
     hits = [GridPoint(point) for point in _points(grid.sets, max_points) if f.evaluate(point)]
-    if len(hits) == 1 and f.total_degree() < grid.degree_bound():
-        raise TheoremViolation(
-            "vanishing-sum identity violated: a polynomial of total degree "
-            f"{f.total_degree()} < {grid.degree_bound()} has exactly one "
-            "nonvanishing grid point"
-        )
+    if hits:
+        bound = _alon_furedi_bound([len(s) for s in grid.sets], f.total_degree())
+        if len(hits) < bound:
+            raise TheoremViolation(
+                "Alon-Furedi bound violated: a polynomial of total degree "
+                f"{f.total_degree()} is nonzero at {len(hits)} grid points, "
+                f"fewer than {bound}"
+            )
     return hits
 
 

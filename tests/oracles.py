@@ -13,6 +13,7 @@ tuple sets, where the package packs its state sets into ints.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -121,6 +122,14 @@ def boolean_sum(terms: dict, n: int) -> int:
 def zp_full_sum(terms: dict, n: int, p: int) -> int:
     """Sum of f over all of Z_p^n, mod p."""
     return sum(eval_terms(terms, pt) for pt in itertools.product(range(p), repeat=n)) % p
+
+
+def alon_furedi_minimum(sizes, degree: int) -> int:
+    """min of y_1 * ... * y_n over every 1 <= y_i <= sizes[i] with
+    y_1 + ... + y_n >= sum(sizes) - degree, by trying them all."""
+    need = sum(sizes) - degree
+    return min(math.prod(ys) for ys in itertools.product(*(range(1, a + 1) for a in sizes))
+               if sum(ys) >= need)
 
 
 def signed_two_element_sum(terms: dict, pairs, p: int | None = None):

@@ -214,6 +214,18 @@ def test_symdiff_past_the_work_cap_exits_three(cli):
     assert doc["error"].startswith("ResourceLimit: 8192 x 8193 differences over 15 elements")
 
 
+def test_symdiff_past_the_answer_cap_exits_three(cli):
+    # 2^9 + 1 random subsets of 40 elements: within the work cap, but their
+    # distinct differences pass the answer cap
+    rng = random.Random(0)
+    masks = rng.sample(range(1 << 40), (1 << 9) + 1)
+    sets = ";".join(",".join(str(i) for i in range(40) if m >> i & 1) for m in masks)
+    colors = ",".join("rb"[i % 2] for i in range(len(masks)))
+    code, doc, err = cli("symdiff", "--input", "-", stdin_text=f"sets {sets}\ncolors {colors}\n")
+    assert (code, doc["status"], len(err.splitlines())) == (3, "resource-limit", 1)
+    assert "past the answer cap" in doc["error"]
+
+
 def test_only_selftest_imports_the_selftest_module():
     code = "import sys, combnull.cli; print('combnull.selftest' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

@@ -1501,6 +1501,46 @@ def test_symdiff_work_cap_both_sides(monkeypatch):
         symdiff_check(narrow, colors)
 
 
+def _random_subsets(n, universe, seed=0):
+    """2^n + 1 distinct random subsets of the universe, alternately colored."""
+    rng = random.Random(seed)
+    count = (1 << n) + 1
+    sets = [[i for i in range(universe) if m >> i & 1] for m in rng.sample(range(1 << universe), count)]
+    return sets, ["rb"[i % 2] for i in range(count)]
+
+
+def test_symdiff_answer_cap_refuses_before_any_frozenset():
+    # n = 12 over 40 elements is within the work cap, but its 4.2M distinct
+    # differences would take over 10^8 cells; the first chunk of them passes
+    # the answer cap
+    sets, colors = _random_subsets(12, 40)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="past the answer cap of 1048576"):
+        symdiff_check(sets, colors)
+    assert time.perf_counter() - started < 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            symdiff_check(sets, colors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20  # measured 13 MB, inputs included
+
+
+def test_symdiff_answer_cap_both_sides(monkeypatch):
+    # the cap counts one cell per distinct difference and one per element in
+    # it; an answer of exactly the cap is given, one cell more is refused
+    sets, colors = _random_subsets(5, 9)
+    want = oracles.cross_symdiffs(sets, colors)
+    cells = len(want) + sum(map(len, want))
+    monkeypatch.setattr(combinatorics, "_SYMDIFF_ANSWER_CAP", cells)
+    assert symdiff_check(sets, colors) == want
+    monkeypatch.setattr(combinatorics, "_SYMDIFF_ANSWER_CAP", cells - 1)
+    with pytest.raises(ResourceLimit, match=f"reach {cells} cells"):
+        symdiff_check(sets, colors)
+
+
 # ------------------------------------------------------------ witness predicates
 
 

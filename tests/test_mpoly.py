@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -517,6 +518,81 @@ def test_evaluate_shared_polynomial_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def _table_cells(f):
+    """Cells of f's power tables, counted as ``mpoly._power_row`` counts them."""
+    plan = f._memo[0]
+    depths, last_table = plan[3], plan[8]
+    tables = [table for *_, table in depths if table is not None] + [last_table]
+    rows = [row for table in tables for row in table.values()]
+    if not isinstance(f.field, PrimeField):
+        return sum(len(row) + 1 + sum(v.numerator.bit_length() + v.denominator.bit_length()
+                                      for v in row) // 64 for row in rows)
+    return sum(len(row) + 1 for row in rows)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(data=st.data())
+def test_evaluate_power_tables_match_oracle(data):
+    # grid-order runs, then revisits of earlier points whose rows sit in the
+    # tables, against the term-by-term oracle: x and x + p as one coordinate,
+    # p near 2^31 in 8 to 10 variables (each product passes 60 bits and is
+    # reduced at every depth) and p = 65521 (reduced every other depth), Q on
+    # ints mixed with Fractions, the zero polynomial and one term, and cell
+    # budgets from none to the default, so that tables fill up
+    field = data.draw(st.sampled_from([F5, PrimeField(65521), PrimeField(2**31 - 1), Q]),
+                      label="field")
+    big = isinstance(field, PrimeField) and field.p > 2**30
+    n = data.draw(st.integers(8, 10) if big else st.integers(1, 4), label="n_vars")
+    max_terms = data.draw(st.sampled_from([0, 1, 6]), label="max_terms")
+    f = data.draw(poly_strategy(field, n, max_exp=5, max_terms=max_terms), label="f")
+    pools = []
+    for _ in range(n):
+        if isinstance(field, PrimeField):
+            values = data.draw(st.lists(st.integers(0, field.p - 1), min_size=1,
+                                        max_size=2 if big else 3, unique=True))
+            pools.append(values + [values[0] + field.p])  # one coordinate, two objects
+        else:
+            # a power of a 2^70 coordinate takes over 64 bits, so a cell per word
+            values = data.draw(st.lists(st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+                                        | st.just(Fraction(2**70 + 1, 3)),
+                                        min_size=1, max_size=3, unique=True))
+            pools.append(values)
+    points = list(itertools.islice(itertools.product(*pools), 300))
+    points += data.draw(st.lists(st.sampled_from(points), max_size=40), label="revisits")
+    budget = data.draw(st.sampled_from([0, 3, 40, mpoly._POWER_TABLE_CELLS]), label="budget")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpoly, "_POWER_TABLE_CELLS", budget)
+        _assert_evaluations_match_oracle(f, points)
+    room = f._memo[0][-1][0]
+    assert 0 <= room and _table_cells(f) == budget - room
+
+
+def test_power_tables_bound_the_certificate_memo():
+    # the 120 x 120 Cauchy-Davenport certificate over Z_1009 has 28,680 terms
+    # of degree 238 in x and y.  Only the last variable keeps a table, 120
+    # rows of 239 powers and a key; per-term columns would take 3.4M cells.
+    # Evaluated over its grid, the memo peaked at 2.7 MB (2.5 MB when every
+    # head change recomputed its powers and kept the deepest products).  The table is full after the first
+    # run over y, and each later run only replaces the products, so three
+    # runs are traced (tracing every allocation of all 120 takes 25 s)
+    field = PrimeField(1009)
+    x_plus_y = MultiPoly.variable(field, 2, 0) + MultiPoly.variable(field, 2, 1)
+    f = mpoly._product(field, 2, (x_plus_y - c for c in range(1, 477, 2)))
+    grid = list(itertools.product(range(0, 240, 2), range(1, 240, 2)))
+    tracemalloc.start()
+    try:
+        values = list(map(f.evaluate, grid[:360]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 << 19  # 3.5 MB
+    assert _table_cells(f) == 120 * 240
+    values += map(f.evaluate, grid[360:])
+    assert _table_cells(f) == 120 * 240
+    for i in (0, 7000, len(grid) - 1):
+        assert values[i] == _oracle_value(f, grid[i])
 
 
 def test_evaluate_memo_is_not_part_of_the_value():

@@ -575,6 +575,61 @@ def test_second_nonvanish_guard_trips_on_inconsistency():
         second_nonvanish(liar, Grid(F3, [[0, 1], [0, 1]]))
 
 
+@settings(derandomize=True, max_examples=300)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4), data=st.data())
+def test_alon_furedi_greedy_minimum_matches_brute_force(sizes, data):
+    degree = data.draw(st.integers(0, sum(sizes) + 1), label="degree")
+    assert nullstellensatz._alon_furedi_bound(sizes, degree) == \
+        oracles.alon_furedi_minimum(sizes, degree)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(data=st.data())
+def test_alon_furedi_bound_holds_on_random_polynomials(data):
+    # a nonzero count of hits is at least the bound, over Z_p and Q, past the
+    # degree bound too; second_nonvanish lists exactly the oracle's hits
+    field = data.draw(st.sampled_from([F2, F3, F5, F7, Q]), label="field")
+    n = data.draw(st.integers(1, 3), label="n")
+    elements = st.integers(-3, 3) if field is Q else st.integers(0, field.p - 1)
+    sets = data.draw(st.lists(st.lists(elements, min_size=1, max_size=4, unique=True),
+                              min_size=n, max_size=n), label="sets")
+    grid = Grid(field, sets)
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    coeffs = st.integers(1, 6) if field is not Q else st.fractions(-3, 3, max_denominator=3)
+    f = MultiPoly(field, n, data.draw(st.lists(st.tuples(exps, coeffs), max_size=4), label="f"))
+    want = [pt for pt in itertools.product(*grid.sets)
+            if field.element(oracles.eval_terms(f.terms, pt))]
+    assert [h.value for h in second_nonvanish(f, grid)] == want
+    if want:
+        sizes = [len(s) for s in grid.sets]
+        assert len(want) >= nullstellensatz._alon_furedi_bound(sizes, f.total_degree())
+
+
+@pytest.mark.parametrize("field", [F7, Q], ids=["Z7", "Q"])
+def test_second_nonvanish_dropped_hit_trips_alon_furedi(monkeypatch, field):
+    # (x1 - 1)(x1 - 2) on {0,1,2} x {0,1,2,3} is nonzero only at x1 = 0: four
+    # hits, exactly the bound min{y1*y2 : y1 + y2 >= 7 - 2} = 4 * 1.  An
+    # evaluate that loses one of them must raise
+    f = parse_poly("x1^2 - 3*x1 + 2", field, 2)
+    grid = Grid(field, [[0, 1, 2], [0, 1, 2, 3]])
+    assert len(second_nonvanish(f, grid)) == 4
+    assert nullstellensatz._alon_furedi_bound([3, 4], 2) == 4
+    evaluate = MultiPoly.evaluate
+    dropped = []
+
+    def lossy(self, point):
+        value = evaluate(self, point)
+        if value and not dropped:
+            dropped.append(point)
+            return field.zero
+        return value
+
+    monkeypatch.setattr(MultiPoly, "evaluate", lossy)
+    with pytest.raises(TheoremViolation, match="Alon-Furedi"):
+        second_nonvanish(f, grid)
+    assert dropped == [(0, 0)]
+
+
 # -------------------------------------------------------------- fault injection
 
 
