@@ -5,82 +5,61 @@ rationals, plus witness-producing solvers for the classical applications
 (Chevalley-Warning, Cauchy-Davenport, Erdos-Heilbronn, Erdos-Ginzburg-Ziv,
 zero-sum vectors, plane coverings, cycle labelings, p-regular subgraphs,
 distinct-sum permutations, symmetric differences).
+
+The public names below live in the layer modules (``errors``, ``field``,
+``mpoly``, ``nullstellensatz``, ``combinatorics``).  ``import combnull``
+loads none of them: each name is looked up in its module on first access
+(``combnull.egz_solve``, ``from combnull import Grid``), so a process pays
+only for the layers it uses.  A CLI request for ``coeff``, for instance,
+never compiles the solvers.
 """
 
-from .errors import (
-    ArityMismatch,
-    BadCount,
-    BadGridShape,
-    BadInput,
-    BadLength,
-    CombnullError,
-    EmptyInput,
-    FieldMismatch,
-    GridTooLarge,
-    HypothesisViolated,
-    InputError,
-    MonochromaticInput,
-    NotAMember,
-    NotPrime,
-    OddCycle,
-    OutOfRange,
-    RequiresDistinctSets,
-    ResourceLimit,
-    SchemaError,
-    SizeMismatch,
-    TheoremViolation,
-)
-from .field import (
-    FieldSpec,
-    PrimeField,
-    RationalField,
-    Scalar,
-    is_prime,
-)
-from .mpoly import NEG_INF, MultiPoly, format_poly, parse_poly, sorted_terms
-from .nullstellensatz import (
-    DEFAULT_MAX_GRID_POINTS,
-    MAX_GRID_POINTS_ENV,
-    Grid,
-    GridPoint,
-    boolean_sum,
-    grid_weighted_sum,
-    lagrange_denominator,
-    lagrange_interpolate,
-    second_nonvanish,
-    signed_two_element_sum,
-    weighted_power_sum,
-    zp_full_sum,
-)
-from .combinatorics import (
-    CycleLabels,
-    Graph,
-    PlaneCoverReport,
-    PlaneSet,
-    PolySystem,
-    SumsetReport,
-    cauchy_davenport_check,
-    chevalley_g,
-    common_roots,
-    cycle_selection,
-    cycle_selection_certificate,
-    cycle_selection_valid,
-    egz_solve,
-    egz_valid,
-    erdos_heilbronn_check,
-    olson_lower_witness,
-    olson_solve,
-    olson_valid,
-    plane_cover_construct,
-    plane_cover_verify,
-    regular_subgraph_find,
-    regular_subgraph_valid,
-    restricted_sumset,
-    snevily_mod_n,
-    snevily_solve,
-    sumset,
-    symdiff_check,
-    vandermonde_sq_coefficient,
-)
-
 __version__ = "0.1.0"
+
+# defining module -> the public names it provides
+_EXPORTS = {
+    "errors": (
+        "ArityMismatch", "BadCount", "BadGridShape", "BadInput", "BadLength",
+        "CombnullError", "EmptyInput", "FieldMismatch", "GridTooLarge",
+        "HypothesisViolated", "InputError", "MonochromaticInput", "NotAMember",
+        "NotPrime", "OddCycle", "OutOfRange", "RequiresDistinctSets",
+        "ResourceLimit", "SchemaError", "SizeMismatch", "TheoremViolation",
+    ),
+    "field": ("FieldSpec", "PrimeField", "RationalField", "Scalar", "is_prime"),
+    "mpoly": ("NEG_INF", "MultiPoly", "format_poly", "parse_poly", "sorted_terms"),
+    "nullstellensatz": (
+        "DEFAULT_MAX_GRID_POINTS", "MAX_GRID_POINTS_ENV", "Grid", "GridPoint",
+        "boolean_sum", "grid_weighted_sum", "lagrange_denominator",
+        "lagrange_interpolate", "second_nonvanish", "signed_two_element_sum",
+        "weighted_power_sum", "zp_full_sum",
+    ),
+    "combinatorics": (
+        "CycleLabels", "Graph", "PlaneCoverReport", "PlaneSet", "PolySystem",
+        "SumsetReport", "cauchy_davenport_check", "chevalley_g", "common_roots",
+        "cycle_selection", "cycle_selection_certificate", "cycle_selection_valid",
+        "egz_solve", "egz_valid", "erdos_heilbronn_check", "olson_lower_witness",
+        "olson_solve", "olson_valid", "plane_cover_construct", "plane_cover_verify",
+        "regular_subgraph_find", "regular_subgraph_valid", "restricted_sumset",
+        "snevily_mod_n", "snevily_solve", "sumset", "symdiff_check",
+        "vandermonde_sq_coefficient",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name, from its defining module, bound here once resolved."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # here: a bare `import combnull` needs none of it
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,62 +13,26 @@ Output is one document, ``key value`` lines or JSON (--format json), the same
 on every run but for time_ms.  Exit codes: 0 success, 1 no witness, 2 invalid
 input or failed --check, 3 resource limit (also a result past Python's
 int/str digit limit), 4 internal error (a guaranteed identity or a witness
-re-check failed); ``_FAILURES`` maps exceptions to them.
+re-check failed); ``_FAILURES`` maps exceptions to them.  A closed standard
+stream changes neither: a closed stdin holds no document, and a closed
+stdout or stderr loses its text.
+
+A process imports only what its command runs.  This module loads the errors,
+the fields and argparse; each handler imports its solver modules when it
+runs, so ``coeff``, ``witness`` and ``lagrange`` never compile
+``combinatorics``, and ``json`` is imported only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from fractions import Fraction
 
-from .combinatorics import (
-    CycleLabels,
-    Graph,
-    PlaneSet,
-    PolySystem,
-    _CERTIFICATE_VERTEX_CAP,
-    cauchy_davenport_check,
-    chevalley_g,
-    common_roots,
-    cycle_selection,
-    cycle_selection_certificate,
-    cycle_selection_valid,
-    egz_inputs,
-    egz_solve,
-    egz_valid,
-    erdos_heilbronn_check,
-    olson_inputs,
-    olson_lower_witness,
-    olson_solve,
-    olson_valid,
-    plane_cover_construct,
-    plane_cover_verify,
-    regular_subgraph_find,
-    regular_subgraph_valid,
-    restricted_sumset,
-    snevily_mod_n,
-    snevily_solve,
-    sumset,
-    symdiff_check,
-    vandermonde_sq_coefficient,
-)
 from .errors import InputError, ResourceLimit, SchemaError, TheoremViolation
 from .field import FieldSpec, PrimeField, RationalField
-from .mpoly import MultiPoly, format_poly, parse_poly
-from .nullstellensatz import (
-    Grid,
-    _points,
-    grid_weighted_sum,
-    lagrange_interpolate,
-    nonvanishing_valid,
-    resolve_max_points,
-    second_nonvanish,
-    weighted_power_sum,
-)
 
 EXIT_OK = 0
 EXIT_NO_WITNESS = 1
@@ -118,7 +82,9 @@ def _parse_edge(text: str, what: str) -> tuple[int, int]:
     return _parse_int(ends[0].strip(), what), _parse_int(ends[1].strip(), what)
 
 
-def _parse_poly(text: str, what: str, field: FieldSpec, n_vars: int) -> MultiPoly:
+def _parse_poly(text: str, what: str, field: FieldSpec, n_vars: int):
+    from .mpoly import parse_poly
+
     return parse_poly(text, field, n_vars)
 
 
@@ -193,15 +159,24 @@ def _fmt_edges(edges) -> str:
 
 def _read_document(path: str) -> dict[str, str]:
     """key value lines from a file, or from stdin for '-'; blank lines and
-    #-comments skipped."""
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    #-comments skipped.  A closed stdin, an unreadable file and a byte that
+    does not decode are each a SchemaError."""
+    source = "stdin" if path == "-" else f"input file {path!r}"
+    try:
+        if path == "-":
+            if sys.stdin is None:  # its descriptor was closed at startup
+                raise SchemaError("cannot read stdin: it is closed")
+            raw = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read input file {path!r}: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the whole stream is decoded in one piece, so exc.start is the
+        # offset from its first byte
+        bad = exc.object[exc.start]
+        raise SchemaError(f"{source} is not {exc.encoding}: byte {bad:#04x} at offset {exc.start}") from exc
     doc: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), 1):
         line = line.strip()
@@ -219,10 +194,13 @@ class Request:
     parsed by its declared type when the handler asks for it."""
 
     def __init__(self, args: argparse.Namespace, flags: dict):
+        from .nullstellensatz import resolve_max_points
+
         self._flags = {**_SHARED, **flags}
         self._flagged = {name: getattr(args, name.replace("-", "_")) for name in self._flags}
         self._source = args.input
-        implicit = args.command not in _ALL_OPTIONAL and not sys.stdin.isatty()
+        # a closed stdin (None) holds no document
+        implicit = args.command not in _ALL_OPTIONAL and sys.stdin is not None and not sys.stdin.isatty()
         if self._source is None and implicit and all(self._flagged[f] is None for f in flags):
             self._source = "-"
         self._doc: dict[str, str] | None = None
@@ -268,7 +246,10 @@ def _field_from(req: Request) -> FieldSpec:
     return PrimeField(p)
 
 
-def _poly_and_grid(req: Request) -> tuple[MultiPoly, Grid]:
+def _poly_and_grid(req: Request):
+    """The polynomial and grid of coeff and witness: (MultiPoly, Grid)."""
+    from .nullstellensatz import Grid
+
     field = _field_from(req)
     sets = req.require("sets", field)
     f = req.require("poly", field, len(sets))
@@ -285,6 +266,9 @@ def _checked(out: dict, ok: bool) -> tuple[dict, int]:
 
 
 def _cmd_coeff(req: Request) -> tuple[dict, int]:
+    from .mpoly import format_poly
+    from .nullstellensatz import grid_weighted_sum
+
     f, grid = _poly_and_grid(req)
     value = grid_weighted_sum(f, grid, req.max_points)
     target = grid.target_exponents()
@@ -310,6 +294,9 @@ def _cmd_coeff(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_witness(req: Request) -> tuple[dict, int]:
+    from .mpoly import format_poly
+    from .nullstellensatz import nonvanishing_valid, second_nonvanish
+
     f, grid = _poly_and_grid(req)
     out: dict = {"poly": format_poly(f), "sets": _fmt_sets(grid.sets)}
     claimed = req.get("check", grid.field)
@@ -322,6 +309,10 @@ def _cmd_witness(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_chevalley(req: Request) -> tuple[dict, int]:
+    from .combinatorics import PolySystem, chevalley_g, common_roots
+    from .mpoly import format_poly
+    from .nullstellensatz import _points
+
     p = req.require("p")
     field = PrimeField(p)
     n_vars = req.require("nvars")
@@ -348,6 +339,8 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_sumset(req: Request) -> tuple[dict, int]:
+    from .combinatorics import cauchy_davenport_check, erdos_heilbronn_check, restricted_sumset, sumset
+
     p = req.require("p")
     field = PrimeField(p)
     a = req.require("a")
@@ -383,6 +376,8 @@ def _cmd_sumset(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_egz(req: Request) -> tuple[dict, int]:
+    from .combinatorics import egz_inputs, egz_solve, egz_valid
+
     p = req.require("p")
     nums = req.require("nums")
     out = {"p": p, "nums": _fmt_list(nums)}
@@ -397,6 +392,8 @@ def _cmd_egz(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_olson(req: Request) -> tuple[dict, int]:
+    from .combinatorics import olson_inputs, olson_lower_witness, olson_solve, olson_valid
+
     p = req.require("p")
     k = req.require("k")
     construct = req.get("construct-lower")
@@ -421,6 +418,8 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_planes(req: Request) -> tuple[dict, int]:
+    from .combinatorics import PlaneSet, plane_cover_construct, plane_cover_verify
+
     n, cap = req.require("n"), req.max_points
     construct = req.get("construct")
     planes = plane_cover_construct(n, cap) if construct else PlaneSet(req.require("planes"))
@@ -440,6 +439,9 @@ def _cmd_planes(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
+    from .combinatorics import (_CERTIFICATE_VERTEX_CAP, CycleLabels, cycle_selection,
+                                cycle_selection_certificate, cycle_selection_valid)
+
     labels = CycleLabels(req.require("pairs"))
     n = len(labels)
     out: dict = {"n": n, "pairs": ";".join(map(_fmt_list, labels.pairs))}  # each pair sorted
@@ -456,6 +458,8 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
+    from .combinatorics import Graph, regular_subgraph_find, regular_subgraph_valid
+
     p = req.require("p")
     n_vertices = req.require("vertices")
     graph = Graph(n_vertices, req.require("edges"))
@@ -472,6 +476,8 @@ def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_snevily(req: Request) -> tuple[dict, int]:
+    from .combinatorics import snevily_mod_n, snevily_solve
+
     a = req.require("a")
     if req.given("p") == req.given("n"):
         raise SchemaError("pass exactly one of --p (odd prime form) or --n (1..k form)")
@@ -493,12 +499,16 @@ def _cmd_snevily(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_vandermonde(req: Request) -> tuple[dict, int]:
+    from .combinatorics import vandermonde_sq_coefficient
+
     k = req.require("k")
     verify = not req.get("closed-only")
     return {"k": k, "coefficient": vandermonde_sq_coefficient(k, verify=verify), "verified": verify}, EXIT_OK
 
 
 def _cmd_symdiff(req: Request) -> tuple[dict, int]:
+    from .combinatorics import symdiff_check
+
     sets = req.require("sets")
     colors = req.require("colors")
     diffs = symdiff_check(sets, colors)
@@ -515,6 +525,9 @@ def _cmd_symdiff(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_lagrange(req: Request) -> tuple[dict, int]:
+    from .mpoly import format_poly
+    from .nullstellensatz import lagrange_interpolate, weighted_power_sum
+
     field = _field_from(req)
     points = req.require("points", field)
     values = req.require("values", field)
@@ -531,7 +544,7 @@ def _cmd_lagrange(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_selftest(req: Request) -> tuple[dict, int]:
-    from . import selftest  # imported here: no other command needs it
+    from . import selftest
 
     results = selftest.run_suites(req.get("suite"), inject_fault=req.get("inject-fault"))
     out: dict = {f"suite.{name}": "pass" if ok else f"FAIL {detail}" for name, ok, detail in results}
@@ -671,6 +684,8 @@ def _render(command: str, payload: dict, status: str, fmt: str, started: float) 
     doc["time_ms"] = int((time.monotonic() - started) * 1000)
     try:
         if fmt == "json":
+            import json
+
             return json.dumps(doc, sort_keys=True, default=str) + "\n"
         return "".join(f"{key} {_fmt(value)}\n" for key, value in doc.items())
     except ValueError as exc:
@@ -679,15 +694,18 @@ def _render(command: str, payload: dict, status: str, fmt: str, started: float) 
         raise ResourceLimit(f"result too long to print: {exc}") from exc
 
 
-def _write(text: str) -> None:
+def _write(stream, text: str, dropped: type[OSError]) -> None:
+    """Write and flush text.  It is lost, and the exit code stays the
+    command's own, if the stream is None (its descriptor was closed at
+    startup) or raises `dropped`; such a stream is pointed at devnull so the
+    flush at interpreter exit cannot raise again."""
+    if stream is None:
+        return
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed early.  Point stdout at devnull so the flush at
-        # interpreter exit cannot raise again; the exit code stays the
-        # command's own.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        stream.write(text)
+        stream.flush()
+    except dropped:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -703,9 +721,10 @@ def run(argv: list[str] | None = None) -> int:
         kind = next(k for k in _FAILURES if isinstance(exc, k))
         status, code, name = _FAILURES[kind]
         internal = "internal error: " if code == EXIT_INTERNAL_ERROR else ""
-        print(f"combnull {command}: {internal}{exc}", file=sys.stderr)
+        # the diagnostic is best effort; the document and exit code stand
+        _write(sys.stderr, f"combnull {command}: {internal}{exc}\n", OSError)
         text = _render(command, {"error": f"{name or type(exc).__name__}: {exc}"}, status, fmt, started)
-    _write(text)
+    _write(sys.stdout, text, BrokenPipeError)  # a reader that closed early
     return code
 
 

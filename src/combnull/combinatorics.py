@@ -17,7 +17,6 @@ import collections
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -46,6 +45,45 @@ from .nullstellensatz import (Grid, _check_grid_cap, _points, _weighted_sum_of_v
                               grid_weighted_sum)
 
 
+class _Value:
+    """An immutable record.  Its fields are the subclass's ``__slots__``, set
+    once by ``__init__``, which takes them in that order.  As for a frozen
+    dataclass: equality and hash go field by field within one class, the
+    repr reads ``Name(field=value, ...)``, and assignment raises
+    AttributeError.  A pickle holds the fields and rebuilds through
+    ``__init__``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _binom_mod(n: int, k: int, p: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -55,13 +93,11 @@ def _binom_mod(n: int, k: int, p: int) -> int:
 # ----------------------------------------------------------- polynomial systems
 
 
-@dataclass(frozen=True)
-class PolySystem:
-    """A finite family of polynomials over one prime field, shared arity."""
+class PolySystem(_Value):
+    """A finite family of polynomials over one prime field, shared arity:
+    field (a PrimeField), n_vars and polys (a tuple of MultiPoly)."""
 
-    field: PrimeField
-    n_vars: int
-    polys: tuple[MultiPoly, ...]
+    __slots__ = ("field", "n_vars", "polys")
 
     def __init__(self, field: PrimeField, n_vars: int, polys: Iterable[MultiPoly] = ()):
         if not isinstance(field, PrimeField):
@@ -75,9 +111,7 @@ class PolySystem:
                 raise ArityMismatch(
                     f"system in {n_vars} variables contains a {f.n_vars}-variable member"
                 )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "polys", polys)
+        super().__init__(field, n_vars, polys)
 
     def degree_sum(self) -> int:
         """The total degrees of the nonzero members, summed: a zero member
@@ -279,17 +313,15 @@ def restricted_sumset(
     return _sumset(field.p, a, b, True)
 
 
-@dataclass(frozen=True)
-class SumsetReport:
+class SumsetReport(_Value):
     """Outcome of a sumset lower-bound check, with optional certificate."""
 
-    kind: str
-    a_set: tuple[int, ...]
-    b_set: tuple[int, ...]
-    result: tuple[int, ...]
-    bound: int
-    satisfied: bool
-    certificate: Optional[int] = None
+    __slots__ = ("kind", "a_set", "b_set", "result", "bound", "satisfied", "certificate")
+
+    def __init__(self, kind: str, a_set: tuple[int, ...], b_set: tuple[int, ...],
+                 result: tuple[int, ...], bound: int, satisfied: bool,
+                 certificate: Optional[int] = None):
+        super().__init__(kind, a_set, b_set, result, bound, satisfied, certificate)
 
 
 def cauchy_davenport_check(
@@ -552,11 +584,11 @@ def olson_lower_witness(
 # ------------------------------------------------------------ plane coverings
 
 
-@dataclass(frozen=True)
-class PlaneSet:
-    """Affine planes a*x + b*y + c*z + d = 0 with integer coefficients."""
+class PlaneSet(_Value):
+    """Affine planes a*x + b*y + c*z + d = 0 with integer coefficients, as
+    a tuple of (a, b, c, d) in ``planes``."""
 
-    planes: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("planes",)
 
     def __init__(self, planes: Iterable[Sequence[int]]):
         canon = []
@@ -567,17 +599,17 @@ class PlaneSet:
             if t[0] == 0 and t[1] == 0 and t[2] == 0:
                 raise BadInput(f"degenerate plane {t}: a, b, c all zero")
             canon.append(t)
-        object.__setattr__(self, "planes", tuple(canon))
+        super().__init__(tuple(canon))
 
     def __len__(self) -> int:
         return len(self.planes)
 
 
-@dataclass(frozen=True)
-class PlaneCoverReport:
-    covers: bool
-    origin_free: bool
-    missed: tuple[tuple[int, int, int], ...]
+class PlaneCoverReport(_Value):
+    __slots__ = ("covers", "origin_free", "missed")
+
+    def __init__(self, covers: bool, origin_free: bool, missed: tuple[tuple[int, int, int], ...]):
+        super().__init__(covers, origin_free, missed)
 
 
 def plane_cover_construct(n: int, max_points: int | None = None) -> PlaneSet:
@@ -636,11 +668,11 @@ def plane_cover_verify(
 # ------------------------------------------------------------- cycle labeling
 
 
-@dataclass(frozen=True)
-class CycleLabels:
-    """A two-element label set per vertex of a cycle, each pair sorted."""
+class CycleLabels(_Value):
+    """A two-element label set per vertex of a cycle, each pair sorted: a
+    tuple of (Fraction, Fraction) in ``pairs``."""
 
-    pairs: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("pairs",)
 
     def __init__(self, pairs: Iterable[Sequence]):
         canon = []
@@ -658,7 +690,7 @@ class CycleLabels:
                 raise BadInput(f"vertex {i} has equal labels {lo}")
         if not canon:
             raise EmptyInput("a cycle needs at least one vertex")
-        object.__setattr__(self, "pairs", tuple(canon))
+        super().__init__(tuple(canon))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -801,12 +833,11 @@ def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
 # ------------------------------------------------------------- regular graphs
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices 0..n_vertices-1, edges sorted."""
+class Graph(_Value):
+    """Simple undirected graph on vertices 0..n_vertices-1, edges sorted (a
+    tuple of (u, v) with u < v)."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n_vertices", "edges")
 
     def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]]):
         _check_positive_int(n_vertices, "vertex count", BadInput)
@@ -828,8 +859,7 @@ class Graph:
                 raise BadInput(f"duplicate edge {e}")
             seen.add(e)
             canon.append(e)
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        super().__init__(n_vertices, tuple(sorted(canon)))
 
     def degrees(self) -> list[int]:
         out = [0] * self.n_vertices

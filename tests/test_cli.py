@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combnull import PrimeField, combinatorics, parse_poly
+from combnull import PrimeField, combinatorics, nullstellensatz, parse_poly
 from combnull import cli as cli_mod
 from combnull.cli import run
 
@@ -230,6 +230,84 @@ def test_only_selftest_imports_the_selftest_module():
     code = "import sys, combnull.cli; print('combnull.selftest' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert out.stdout == "False\n", out.stderr
+
+
+# ------------------------------------------------------ what a process loads
+
+_HEAVY = ("combnull.combinatorics", "combnull.mpoly", "combnull.nullstellensatz",
+          "combnull.selftest", "dataclasses", "json")
+
+# imports the CLI and runs the request in argv, if any, with its document
+# kept off stdout; then prints which of _HEAVY the interpreter holds
+_PROBE = f"""
+import io, sys, combnull.cli
+if sys.argv[1:]:
+    sys.stdout = io.StringIO()
+    code = combnull.cli.run(sys.argv[1:])
+    sys.stdout = sys.__stdout__
+    assert code == 0, code
+print(*[m for m in {_HEAVY!r} if m in sys.modules])
+"""
+
+
+def _loaded_by(argv):
+    out = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+                         stdin=subprocess.DEVNULL, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_cli_imports_only_what_its_command_runs():
+    assert _loaded_by([]) == []
+    coeff = ["coeff", "--p", "3", "--poly", "x1*x2", "--sets", "0,1;0,1"]
+    assert _loaded_by(coeff) == ["combnull.mpoly", "combnull.nullstellensatz"]
+    egz = ["egz", "--p", "3", "--nums", "1,2,3,4,5"]
+    layers = ["combnull.combinatorics", "combnull.mpoly", "combnull.nullstellensatz"]
+    assert _loaded_by(egz) == layers
+    assert _loaded_by(egz + ["--format", "json"]) == layers + ["json"]
+
+
+# every public name of the package, by defining module, as the package
+# exported them when it imported every layer eagerly
+_PUBLIC = {
+    "errors": """ArityMismatch BadCount BadGridShape BadInput BadLength CombnullError
+        EmptyInput FieldMismatch GridTooLarge HypothesisViolated InputError
+        MonochromaticInput NotAMember NotPrime OddCycle OutOfRange RequiresDistinctSets
+        ResourceLimit SchemaError SizeMismatch TheoremViolation""",
+    "field": "FieldSpec PrimeField RationalField Scalar is_prime",
+    "mpoly": "NEG_INF MultiPoly format_poly parse_poly sorted_terms",
+    "nullstellensatz": """DEFAULT_MAX_GRID_POINTS MAX_GRID_POINTS_ENV Grid GridPoint
+        boolean_sum grid_weighted_sum lagrange_denominator lagrange_interpolate
+        second_nonvanish signed_two_element_sum weighted_power_sum zp_full_sum""",
+    "combinatorics": """CycleLabels Graph PlaneCoverReport PlaneSet PolySystem SumsetReport
+        cauchy_davenport_check chevalley_g common_roots cycle_selection
+        cycle_selection_certificate cycle_selection_valid egz_solve egz_valid
+        erdos_heilbronn_check olson_lower_witness olson_solve olson_valid
+        plane_cover_construct plane_cover_verify regular_subgraph_find
+        regular_subgraph_valid restricted_sumset snevily_mod_n snevily_solve sumset
+        symdiff_check vandermonde_sq_coefficient""",
+}
+
+
+def test_package_names_resolve_on_first_access():
+    import combnull
+
+    public = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+    assert sorted(combnull.__all__) == sorted(public)
+    assert set(public) <= set(dir(combnull))
+    star: dict = {}
+    exec("from combnull import *", star)
+    for name, module in public.items():
+        defined = getattr(importlib.import_module(f"combnull.{module}"), name)
+        assert getattr(combnull, name) is defined, name
+        assert star[name] is defined, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        combnull.no_such_name
+    with pytest.raises(ImportError):
+        exec("from combnull import no_such_name", {})
+    code = "import sys, combnull; print(*sorted(m for m in sys.modules if m.startswith('combnull.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() in ([], ["combnull.errors"]), out.stderr
 
 
 @pytest.mark.parametrize("command", ["coeff", "witness"])
@@ -474,7 +552,7 @@ def test_internal_error_exit_four(cli, monkeypatch):
     assert len(err.splitlines()) == 1
 
     fld = PrimeField(5)
-    monkeypatch.setattr(cli_mod, "lagrange_interpolate", lambda *args: parse_poly("x1", fld, 1))
+    monkeypatch.setattr(nullstellensatz, "lagrange_interpolate", lambda *args: parse_poly("x1", fld, 1))
     code, doc, _ = cli("lagrange", "--p", "5", "--points", "0,1", "--values", "2,3")
     assert code == 4
     assert doc["status"] == "internal-error"
@@ -601,6 +679,64 @@ def test_flagged_command_ignores_piped_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
     assert run(["egz", "--p", "3", "--nums", "1,1,1,2,2"]) == 0
     assert "indices 0,1,2" in capsys.readouterr().out
+
+
+_NOT_UTF8 = b"p 3\nnums 1,2,\xff\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_document_file_not_utf8_exits_two(fmt, tmp_path):
+    path = tmp_path / "req.txt"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = _run_raw(["egz", "--format", fmt, "--input", str(path)])
+    doc = _parsed(fmt, out)
+    assert (code, doc["status"], len(err.splitlines())) == (2, "input-error", 1)
+    assert doc["error"] == f"SchemaError: input file {str(path)!r} is not utf-8: byte 0xff at offset 13"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stdin_document_not_utf8_exits_two(fmt):
+    # strict decoding, as with PYTHONIOENCODING=utf-8; the locale's default
+    # error handler may let the byte through to the value parsers instead
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    out = subprocess.run(PYTHON + ["egz", "--format", fmt, "--input", "-"], input=_NOT_UTF8,
+                         capture_output=True, env=env, timeout=60)
+    doc = _parsed(fmt, out.stdout.decode())
+    assert (out.returncode, doc["status"]) == (2, "input-error"), out.stderr
+    assert doc["error"] == "SchemaError: stdin is not utf-8: byte 0xff at offset 13"
+    assert out.stderr.decode() == "combnull egz: stdin is not utf-8: byte 0xff at offset 13\n"
+
+
+def _with_closed(stream, argv):
+    """A CLI process whose stdin, stdout or stderr is closed before it starts."""
+    redirect = {"stdin": "<&-", "stdout": ">&-", "stderr": "2>&-"}[stream]
+    return subprocess.run(["sh", "-c", f'exec "$0" -m combnull.cli "$@" {redirect}', sys.executable, *argv],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("stream", ["stdin", "stdout", "stderr"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_standard_stream_keeps_the_exit_code(stream, fmt):
+    for argv, code, status in ((["egz", "--p", "3", "--nums", "1,2,3,4,5"], 0, "ok"),
+                               (["egz", "--p", "4", "--nums", "1,2,3"], 2, "input-error")):
+        out = _with_closed(stream, argv + ["--format", fmt])
+        assert out.returncode == code, out.stderr
+        assert "Traceback" not in out.stdout + out.stderr
+        assert "combnull egz:" not in out.stdout  # the diagnostic never joins the document
+        if stream == "stdout":
+            assert out.stdout == ""
+        else:
+            assert _parsed(fmt, out.stdout)["status"] == status
+        if stream == "stderr" or code == 0:
+            assert out.stderr == ""
+        else:
+            assert out.stderr == "combnull egz: EGZ needs a prime modulus, got 4\n"
+
+
+def test_a_closed_stdin_is_no_document():
+    out = _with_closed("stdin", ["egz", "--input", "-"])
+    assert (out.returncode, _status(out)) == (2, "input-error"), out.stderr
+    assert out.stderr == "combnull egz: cannot read stdin: it is closed\n"
 
 
 def test_malformed_document_rejected(cli, tmp_path):
@@ -945,7 +1081,7 @@ def test_chevalley_g_range_refused_before_the_root_scan(cli, monkeypatch):
     # 25^6 = 244,140,625 exponent vectors: exit 3 before any root is sought.
     # Past both caps (13^7 points) the grid's message comes first, as before.
     monkeypatch.delenv("COMBNULL_MAX_GRID_POINTS", raising=False)
-    monkeypatch.setattr(cli_mod, "common_roots", lambda *a: pytest.fail("roots were searched"))
+    monkeypatch.setattr(combinatorics, "common_roots", lambda *a: pytest.fail("roots were searched"))
     squares = "+".join(f"x{i}^2" for i in range(1, 7))
     started = time.monotonic()
     code, doc, err = cli("chevalley", "--p", "13", "--nvars", "6", "--polys", squares)
@@ -1038,6 +1174,15 @@ _EXAMPLES = {
 
 def test_examples_cover_every_command():
     assert sorted(_EXAMPLES) == sorted(cli_mod.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_EXAMPLES))
+def test_only_the_solver_commands_compile_the_solvers(command):
+    loaded = set(_loaded_by([command, *_flag_args(command, _EXAMPLES[command])]))
+    solvers = command not in ("coeff", "witness", "lagrange")
+    assert ("combnull.combinatorics" in loaded) == solvers
+    assert ("combnull.selftest" in loaded) == (command == "selftest")
+    assert not loaded & {"dataclasses", "json"}
 
 
 @pytest.mark.parametrize("command", sorted(_EXAMPLES))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -33,6 +34,7 @@ from combnull import (
     RequiresDistinctSets,
     ResourceLimit,
     SizeMismatch,
+    SumsetReport,
     TheoremViolation,
     cauchy_davenport_check,
     cycle_selection,
@@ -72,6 +74,55 @@ def _nonempty_subsets(p):
     universe = range(p)
     for r in range(1, p + 1):
         yield from itertools.combinations(universe, r)
+
+
+# ---------------------------------------------------------------- value classes
+
+# (constructor, repr) pairs; each repr is the one the frozen dataclasses these
+# classes replaced printed for the same value
+_VALUES = [
+    (lambda: PolySystem(F5, 2, [parse_poly("x1+2*x2", F5, 2)]),
+     "PolySystem(field=PrimeField(5), n_vars=2, polys=(MultiPoly(PrimeField(5), 2, 'x1 + 2*x2'),))"),
+    (lambda: PolySystem(F5, 1), "PolySystem(field=PrimeField(5), n_vars=1, polys=())"),
+    (lambda: SumsetReport("cauchy-davenport", (0, 1), (2,), (2, 3), 2, True),
+     "SumsetReport(kind='cauchy-davenport', a_set=(0, 1), b_set=(2,), result=(2, 3), bound=2, "
+     "satisfied=True, certificate=None)"),
+    (lambda: cauchy_davenport_check(F5, [0, 1], [0, 3]),
+     "SumsetReport(kind='cauchy-davenport', a_set=(0, 1), b_set=(0, 3), result=(0, 1, 3, 4), "
+     "bound=3, satisfied=True, certificate=2)"),
+    (lambda: PlaneSet([(1, 0, 0, -1), (0, 1, 0, -2)]), "PlaneSet(planes=((1, 0, 0, -1), (0, 1, 0, -2)))"),
+    (lambda: plane_cover_verify(PlaneSet([(1, 0, 0, -1)]), 1),
+     "PlaneCoverReport(covers=False, origin_free=True, missed=((0, 0, 1), (0, 1, 0), (0, 1, 1)))"),
+    (lambda: CycleLabels([(1, 2), (Fraction(3, 4), 0)]),
+     "CycleLabels(pairs=((Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(3, 4))))"),
+    (lambda: Graph(3, [(1, 0), (2, 1)]), "Graph(n_vertices=3, edges=((0, 1), (1, 2)))"),
+]
+
+
+@pytest.mark.parametrize("make, shown", _VALUES, ids=[shown.split("(")[0] for _, shown in _VALUES])
+def test_value_classes_behave_as_frozen_records(make, shown):
+    value, twin = make(), make()
+    assert repr(value) == shown
+    assert value == twin and hash(value) == hash(twin) and value is not twin
+    assert value != object() and not value == shown
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # PrimeField needs 2
+        clone = pickle.loads(pickle.dumps(value, protocol))
+        assert type(clone) is type(value) and clone == value and repr(clone) == shown
+    for name in (*value.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, value.__slots__[0])
+    assert repr(value) == shown
+
+
+def test_value_classes_compare_field_by_field():
+    report = SumsetReport("erdos-heilbronn", (0, 1), (0, 1), (1,), 1, True)
+    assert report.certificate is None
+    assert report == SumsetReport("erdos-heilbronn", (0, 1), (0, 1), (1,), 1, True, None)
+    assert report != SumsetReport("erdos-heilbronn", (0, 1), (0, 1), (1,), 1, True, 4)
+    assert SumsetReport("k", (), (), (), 0, True, certificate=3).certificate == 3
+    assert Graph(2, [(0, 1)]) != Graph(3, [(0, 1)])
 
 
 # ----------------------------------------------------------- polynomial systems
