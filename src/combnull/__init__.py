@@ -7,11 +7,12 @@ zero-sum vectors, plane coverings, cycle labelings, p-regular subgraphs,
 distinct-sum permutations, symmetric differences).
 
 The public names below live in the layer modules (``errors``, ``field``,
-``mpoly``, ``nullstellensatz``, ``combinatorics``).  ``import combnull``
-loads none of them: each name is looked up in its module on first access
-(``combnull.egz_solve``, ``from combnull import Grid``), so a process pays
-only for the layers it uses.  A CLI request for ``coeff``, for instance,
-never compiles the solvers.
+``mpoly``, ``nullstellensatz``, ``search``, ``combinatorics``).  ``import
+combnull`` loads none of them: each name is looked up in its defining module
+on first access (``combnull.egz_solve``, ``from combnull import Grid``), so a
+process pays only for the layers it uses.  ``from combnull import egz_solve``
+compiles ``search`` alone, and a CLI request for ``coeff`` never compiles the
+solvers.
 """
 
 __version__ = "0.1.0"
@@ -20,28 +21,30 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ArityMismatch", "BadCount", "BadGridShape", "BadInput", "BadLength",
-        "CombnullError", "EmptyInput", "FieldMismatch", "GridTooLarge",
-        "HypothesisViolated", "InputError", "MonochromaticInput", "NotAMember",
-        "NotPrime", "OddCycle", "OutOfRange", "RequiresDistinctSets",
-        "ResourceLimit", "SchemaError", "SizeMismatch", "TheoremViolation",
+        "CombnullError", "DEFAULT_MAX_GRID_POINTS", "EmptyInput", "FieldMismatch",
+        "GridTooLarge", "HypothesisViolated", "InputError", "MAX_GRID_POINTS_ENV",
+        "MonochromaticInput", "NotAMember", "NotPrime", "OddCycle", "OutOfRange",
+        "RequiresDistinctSets", "ResourceLimit", "SchemaError", "SizeMismatch",
+        "TheoremViolation",
     ),
     "field": ("FieldSpec", "PrimeField", "RationalField", "Scalar", "is_prime"),
     "mpoly": ("NEG_INF", "MultiPoly", "format_poly", "parse_poly", "sorted_terms"),
     "nullstellensatz": (
-        "DEFAULT_MAX_GRID_POINTS", "MAX_GRID_POINTS_ENV", "Grid", "GridPoint",
-        "boolean_sum", "grid_weighted_sum", "lagrange_denominator",
+        "Grid", "GridPoint", "boolean_sum", "grid_weighted_sum", "lagrange_denominator",
         "lagrange_interpolate", "second_nonvanish", "signed_two_element_sum",
         "weighted_power_sum", "zp_full_sum",
     ),
+    "search": (
+        "CycleLabels", "Graph", "PlaneCoverReport", "PlaneSet", "SumsetReport",
+        "cycle_selection", "cycle_selection_valid", "egz_solve", "egz_valid",
+        "erdos_heilbronn_check", "olson_lower_witness", "olson_solve", "olson_valid",
+        "plane_cover_construct", "plane_cover_verify", "regular_subgraph_find",
+        "regular_subgraph_valid", "restricted_sumset", "snevily_mod_n", "snevily_solve",
+        "sumset", "symdiff_check",
+    ),
     "combinatorics": (
-        "CycleLabels", "Graph", "PlaneCoverReport", "PlaneSet", "PolySystem",
-        "SumsetReport", "cauchy_davenport_check", "chevalley_g", "common_roots",
-        "cycle_selection", "cycle_selection_certificate", "cycle_selection_valid",
-        "egz_solve", "egz_valid", "erdos_heilbronn_check", "olson_lower_witness",
-        "olson_solve", "olson_valid", "plane_cover_construct", "plane_cover_verify",
-        "regular_subgraph_find", "regular_subgraph_valid", "restricted_sumset",
-        "snevily_mod_n", "snevily_solve", "sumset", "symdiff_check",
-        "vandermonde_sq_coefficient",
+        "PolySystem", "cauchy_davenport_check", "chevalley_g", "common_roots",
+        "cycle_selection_certificate", "vandermonde_sq_coefficient",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

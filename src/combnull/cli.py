@@ -15,12 +15,17 @@ input or failed --check, 3 resource limit (also a result past Python's
 int/str digit limit), 4 internal error (a guaranteed identity or a witness
 re-check failed); ``_FAILURES`` maps exceptions to them.  A closed standard
 stream changes neither: a closed stdin holds no document, and a closed
-stdout or stderr loses its text.
+stdout or stderr, or a reader that closes the pipe early, loses its text.
+Any other failure to write the answer to stdout (a full disk, an I/O error)
+exits 3 with one line on stderr.
 
-A process imports only what its command runs.  This module loads the errors,
-the fields and argparse; each handler imports its solver modules when it
-runs, so ``coeff``, ``witness`` and ``lagrange`` never compile
-``combinatorics``, and ``json`` is imported only for --format json.
+A process imports only what its command runs.  This module loads the errors
+(with the grid cap), the fields and argparse; each handler imports its solver
+modules from where they are defined when it runs.  ``coeff``, ``witness`` and
+``lagrange`` never compile ``search`` or ``combinatorics``; ``egz``,
+``olson``, ``planes``, ``regular-subgraph``, ``snevily``, ``symdiff`` and a
+sumset without a Cauchy-Davenport check compile ``search`` alone, none of the
+polynomial layers; ``json`` is imported only for --format json.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import InputError, ResourceLimit, SchemaError, TheoremViolation
+from .errors import InputError, ResourceLimit, SchemaError, TheoremViolation, resolve_max_points
 from .field import FieldSpec, PrimeField, RationalField
 
 EXIT_OK = 0
@@ -194,8 +199,6 @@ class Request:
     parsed by its declared type when the handler asks for it."""
 
     def __init__(self, args: argparse.Namespace, flags: dict):
-        from .nullstellensatz import resolve_max_points
-
         self._flags = {**_SHARED, **flags}
         self._flagged = {name: getattr(args, name.replace("-", "_")) for name in self._flags}
         self._source = args.input
@@ -339,7 +342,7 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_sumset(req: Request) -> tuple[dict, int]:
-    from .combinatorics import cauchy_davenport_check, erdos_heilbronn_check, restricted_sumset, sumset
+    from .search import erdos_heilbronn_check, restricted_sumset, sumset
 
     p = req.require("p")
     field = PrimeField(p)
@@ -361,6 +364,8 @@ def _cmd_sumset(req: Request) -> tuple[dict, int]:
     if check == "cauchy-davenport":
         if b is None:
             raise SchemaError("cauchy-davenport needs both --a and --b")
+        from .combinatorics import cauchy_davenport_check
+
         report = cauchy_davenport_check(field, a, b)
     elif check == "erdos-heilbronn":
         report = erdos_heilbronn_check(field, a, b)
@@ -376,7 +381,7 @@ def _cmd_sumset(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_egz(req: Request) -> tuple[dict, int]:
-    from .combinatorics import egz_inputs, egz_solve, egz_valid
+    from .search import egz_inputs, egz_solve, egz_valid
 
     p = req.require("p")
     nums = req.require("nums")
@@ -392,7 +397,7 @@ def _cmd_egz(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_olson(req: Request) -> tuple[dict, int]:
-    from .combinatorics import olson_inputs, olson_lower_witness, olson_solve, olson_valid
+    from .search import olson_inputs, olson_lower_witness, olson_solve, olson_valid
 
     p = req.require("p")
     k = req.require("k")
@@ -418,7 +423,7 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_planes(req: Request) -> tuple[dict, int]:
-    from .combinatorics import PlaneSet, plane_cover_construct, plane_cover_verify
+    from .search import PlaneSet, plane_cover_construct, plane_cover_verify
 
     n, cap = req.require("n"), req.max_points
     construct = req.get("construct")
@@ -439,8 +444,8 @@ def _cmd_planes(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
-    from .combinatorics import (_CERTIFICATE_VERTEX_CAP, CycleLabels, cycle_selection,
-                                cycle_selection_certificate, cycle_selection_valid)
+    from .combinatorics import _CERTIFICATE_VERTEX_CAP, cycle_selection_certificate
+    from .search import CycleLabels, cycle_selection, cycle_selection_valid
 
     labels = CycleLabels(req.require("pairs"))
     n = len(labels)
@@ -458,7 +463,7 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
-    from .combinatorics import Graph, regular_subgraph_find, regular_subgraph_valid
+    from .search import Graph, regular_subgraph_find, regular_subgraph_valid
 
     p = req.require("p")
     n_vertices = req.require("vertices")
@@ -476,7 +481,7 @@ def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_snevily(req: Request) -> tuple[dict, int]:
-    from .combinatorics import snevily_mod_n, snevily_solve
+    from .search import snevily_mod_n, snevily_solve
 
     a = req.require("a")
     if req.given("p") == req.given("n"):
@@ -507,7 +512,7 @@ def _cmd_vandermonde(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_symdiff(req: Request) -> tuple[dict, int]:
-    from .combinatorics import symdiff_check
+    from .search import symdiff_check
 
     sets = req.require("sets")
     colors = req.require("colors")
@@ -694,18 +699,20 @@ def _render(command: str, payload: dict, status: str, fmt: str, started: float) 
         raise ResourceLimit(f"result too long to print: {exc}") from exc
 
 
-def _write(stream, text: str, dropped: type[OSError]) -> None:
-    """Write and flush text.  It is lost, and the exit code stays the
-    command's own, if the stream is None (its descriptor was closed at
-    startup) or raises `dropped`; such a stream is pointed at devnull so the
-    flush at interpreter exit cannot raise again."""
+def _write(stream, text: str) -> OSError | None:
+    """Write and flush text; the OSError that lost it, if any.  Nothing is
+    written if the stream is None (its descriptor was closed at startup).  A
+    stream that fails is pointed at devnull, so the flush at interpreter exit
+    cannot raise again."""
     if stream is None:
-        return
+        return None
     try:
         stream.write(text)
         stream.flush()
-    except dropped:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -722,9 +729,14 @@ def run(argv: list[str] | None = None) -> int:
         status, code, name = _FAILURES[kind]
         internal = "internal error: " if code == EXIT_INTERNAL_ERROR else ""
         # the diagnostic is best effort; the document and exit code stand
-        _write(sys.stderr, f"combnull {command}: {internal}{exc}\n", OSError)
+        _write(sys.stderr, f"combnull {command}: {internal}{exc}\n")
         text = _render(command, {"error": f"{name or type(exc).__name__}: {exc}"}, status, fmt, started)
-    _write(sys.stdout, text, BrokenPipeError)  # a reader that closed early
+    lost = _write(sys.stdout, text)
+    # a reader that closed early leaves the exit code the command's own; any
+    # other failed write (a full disk, an I/O error) lost the answer
+    if lost is not None and not isinstance(lost, BrokenPipeError):
+        _write(sys.stderr, f"combnull {command}: cannot write output: {lost}\n")
+        return EXIT_RESOURCE_LIMIT
     return code
 
 

@@ -4,7 +4,13 @@ Input problems derive from both :class:`CombnullError` and ``ValueError`` so
 callers may catch either.  ``TheoremViolation`` is deliberately *not* an input
 error: it fires when an unconditional identity fails, which means the
 arithmetic itself is broken and the process should fail loudly.
+
+The grid cap is here too (``resolve_max_points``, ``_check_grid_cap``): every
+layer that bounds its work by it, and the CLI, which resolves it once per
+request, reads it without importing a polynomial or grid layer.
 """
+
+import os
 
 
 class CombnullError(Exception):
@@ -99,3 +105,33 @@ def _check_positive_int(value, name: str, error: type) -> None:
     """Raise ``error`` unless ``value`` is an int other than a bool, at least 1."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
+
+
+DEFAULT_MAX_GRID_POINTS = 1 << 24
+MAX_GRID_POINTS_ENV = "COMBNULL_MAX_GRID_POINTS"
+
+
+def resolve_max_points(override: int | None = None) -> int:
+    """Grid-size cap: explicit argument, else environment, else default."""
+    if override is not None:
+        if override < 1:
+            raise BadInput(f"grid point cap must be >= 1, got {override}")
+        return override
+    env = os.environ.get(MAX_GRID_POINTS_ENV)
+    if env is not None:
+        try:
+            cap = int(env)
+        except ValueError as exc:
+            raise BadInput(f"{MAX_GRID_POINTS_ENV} must be an integer, got {env!r}") from exc
+        if cap < 1:
+            raise BadInput(f"{MAX_GRID_POINTS_ENV} must be >= 1, got {cap}")
+        return cap
+    return DEFAULT_MAX_GRID_POINTS
+
+
+def _check_grid_cap(count: int, max_points: int | None, message: str) -> None:
+    """The one comparison against the grid cap: GridTooLarge, with message
+    formatted from ``count`` and ``cap``, when count exceeds it."""
+    cap = resolve_max_points(max_points)
+    if count > cap:
+        raise GridTooLarge(message.format(count=count, cap=cap))

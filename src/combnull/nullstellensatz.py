@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from functools import reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -40,18 +39,18 @@ from .errors import (
     BadInput,
     EmptyInput,
     FieldMismatch,
-    GridTooLarge,
     NotAMember,
     OutOfRange,
     ResourceLimit,
     SizeMismatch,
     TheoremViolation,
+    _check_grid_cap,
 )
+# the grid cap is defined in errors; its names also resolve here
+from .errors import DEFAULT_MAX_GRID_POINTS, MAX_GRID_POINTS_ENV, resolve_max_points  # noqa: F401
 from .field import FieldSpec, PrimeField, Scalar
 from .mpoly import MultiPoly, _product
 
-DEFAULT_MAX_GRID_POINTS = 1 << 24
-MAX_GRID_POINTS_ENV = "COMBNULL_MAX_GRID_POINTS"
 # Bit size allowed for a value over Q (``_check_poly_grid``).  At this size one
 # evaluation took about 50 ms at an integral coordinate and 1.3-1.9 s at a
 # fractional one, and at twice it 0.08 s and 4.9-6.3 s (2-CPU x86_64 VM,
@@ -62,24 +61,6 @@ MAX_RATIONAL_HEIGHT_BITS = 1 << 20
 # against one head product per run.
 _MAX_RUN_TABLE = 1 << 8
 _VALUE = operator.itemgetter(1)
-
-
-def resolve_max_points(override: int | None = None) -> int:
-    """Grid-size cap: explicit argument, else environment, else default."""
-    if override is not None:
-        if override < 1:
-            raise BadInput(f"grid point cap must be >= 1, got {override}")
-        return override
-    env = os.environ.get(MAX_GRID_POINTS_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise BadInput(f"{MAX_GRID_POINTS_ENV} must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise BadInput(f"{MAX_GRID_POINTS_ENV} must be >= 1, got {cap}")
-        return cap
-    return DEFAULT_MAX_GRID_POINTS
 
 
 class Grid:
@@ -149,14 +130,6 @@ def _points(sets: Sequence[Sequence], max_points: int | None = None) -> Iterator
     count = math.prod(len(s) for s in sets)
     _check_grid_cap(count, max_points, "grid has {count} points, cap is {cap}")
     return itertools.product(*sets)
-
-
-def _check_grid_cap(count: int, max_points: int | None, message: str) -> None:
-    """The one comparison against the grid cap: GridTooLarge, with message
-    formatted from ``count`` and ``cap``, when count exceeds it."""
-    cap = resolve_max_points(max_points)
-    if count > cap:
-        raise GridTooLarge(message.format(count=count, cap=cap))
 
 
 def lagrange_denominator(field: FieldSpec, elements: Sequence[Scalar], a: Scalar) -> Scalar:

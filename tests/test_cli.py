@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combnull import PrimeField, combinatorics, nullstellensatz, parse_poly
+from combnull import PrimeField, combinatorics, nullstellensatz, parse_poly, search
 from combnull import cli as cli_mod
 from combnull.cli import run
 
@@ -235,7 +235,7 @@ def test_only_selftest_imports_the_selftest_module():
 # ------------------------------------------------------ what a process loads
 
 _HEAVY = ("combnull.combinatorics", "combnull.mpoly", "combnull.nullstellensatz",
-          "combnull.selftest", "dataclasses", "json")
+          "combnull.search", "combnull.selftest", "dataclasses", "json")
 
 # imports the CLI and runs the request in argv, if any, with its document
 # kept off stdout; then prints which of _HEAVY the interpreter holds
@@ -262,9 +262,26 @@ def test_cli_imports_only_what_its_command_runs():
     coeff = ["coeff", "--p", "3", "--poly", "x1*x2", "--sets", "0,1;0,1"]
     assert _loaded_by(coeff) == ["combnull.mpoly", "combnull.nullstellensatz"]
     egz = ["egz", "--p", "3", "--nums", "1,2,3,4,5"]
-    layers = ["combnull.combinatorics", "combnull.mpoly", "combnull.nullstellensatz"]
-    assert _loaded_by(egz) == layers
-    assert _loaded_by(egz + ["--format", "json"]) == layers + ["json"]
+    assert _loaded_by(egz) == ["combnull.search"]
+    assert _loaded_by(egz + ["--format", "json"]) == ["combnull.search", "json"]
+
+
+def test_search_imports_no_polynomial_layer():
+    code = "import sys, combnull.search; print(*sorted(m for m in sys.modules if m.startswith('combnull.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["combnull.errors", "combnull.field", "combnull.search"], out.stderr
+
+
+def test_combinatorics_reexports_every_search_name():
+    import combnull
+
+    defined = [name for name, value in vars(search).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == search.__name__]
+    assert len(defined) == 24  # 22 package names, egz_inputs and olson_inputs
+    for name in defined:
+        assert getattr(combinatorics, name) is getattr(search, name), name
+        if name in combnull.__all__:
+            assert getattr(combnull, name) is getattr(search, name), name
 
 
 # every public name of the package, by defining module, as the package
@@ -535,7 +552,7 @@ def test_rational_height_budget_is_resource_limit(fmt):
 def test_internal_error_exit_four(cli, monkeypatch):
     # a solver whose witness fails its own re-check, and a CLI re-check that
     # fails, both end as status internal-error with exit 4, never exit 1
-    monkeypatch.setattr(combinatorics, "_distinct_sum_permutation", lambda a, b, m: (1, 1, 2))
+    monkeypatch.setattr(search, "_distinct_sum_permutation", lambda a, b, m: (1, 1, 2))
     code, doc, err = cli("snevily", "--p", "7", "--a", "0,0,0", "--b", "1,2,3")
     assert code == 4
     assert doc["status"] == "internal-error"
@@ -964,6 +981,23 @@ def test_reader_closing_early_keeps_exit_code():
     assert err == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_write_of_the_answer_exits_three(fmt):
+    # every write to /dev/full fails with ENOSPC: the answer is lost, which is
+    # a resource limit, not the command's own code, and gives no traceback
+    for argv, diagnostics in ((["egz", "--p", "3", "--nums", "1,2,3,4,5"], []),
+                              (["egz", "--p", "4", "--nums", "1,2,3"],
+                               ["combnull egz: EGZ needs a prime modulus, got 4"])):
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(PYTHON + argv + ["--format", fmt], stdin=subprocess.DEVNULL,
+                                 stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert out.returncode == 3, out.stderr
+        *first, last = out.stderr.splitlines()
+        assert first == diagnostics
+        assert last.startswith("combnull egz: cannot write output: [Errno 28]")
+
+
 # ------------------------------------------------------- witness --check, limits
 
 
@@ -1176,11 +1210,25 @@ def test_examples_cover_every_command():
     assert sorted(_EXAMPLES) == sorted(cli_mod.COMMANDS)
 
 
+# the solver layers each example of _EXAMPLES compiles: the grid commands the
+# polynomial layers, the searches search alone, and a polynomial certificate
+# (chevalley, the even-cycle certificate, vandermonde) all four
+_GRID = {"combnull.mpoly", "combnull.nullstellensatz"}
+_SEARCH = {"combnull.search"}
+_ALL_LAYERS = _GRID | _SEARCH | {"combnull.combinatorics"}
+_LAYERS = {
+    "coeff": _GRID, "witness": _GRID, "lagrange": _GRID,
+    "sumset": _SEARCH, "egz": _SEARCH, "olson": _SEARCH, "planes": _SEARCH,
+    "regular-subgraph": _SEARCH, "snevily": _SEARCH, "symdiff": _SEARCH,
+    "chevalley": _ALL_LAYERS, "cycle-labels": _ALL_LAYERS, "vandermonde": _ALL_LAYERS,
+    "selftest": _ALL_LAYERS,
+}
+
+
 @pytest.mark.parametrize("command", sorted(_EXAMPLES))
 def test_only_the_solver_commands_compile_the_solvers(command):
     loaded = set(_loaded_by([command, *_flag_args(command, _EXAMPLES[command])]))
-    solvers = command not in ("coeff", "witness", "lagrange")
-    assert ("combnull.combinatorics" in loaded) == solvers
+    assert loaded & _ALL_LAYERS == _LAYERS[command]
     assert ("combnull.selftest" in loaded) == (command == "selftest")
     assert not loaded & {"dataclasses", "json"}
 

@@ -61,7 +61,7 @@ from combnull import (
     vandermonde_sq_coefficient,
 )
 from combnull.errors import ArityMismatch
-from combnull import combinatorics
+from combnull import combinatorics, search
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -380,6 +380,71 @@ def test_common_roots_dropped_root_trips_chevalley_warning(monkeypatch):
         assert seen
 
 
+def test_common_roots_dropped_roots_trip_warnings_second_theorem(monkeypatch):
+    # x1 + x2 + x3 has degree 1 < n and p^(n-1) common roots, exactly the
+    # bound of Warning's second theorem.  A mask step that loses p roots of
+    # one slice keeps the count divisible by p, so only that bound catches
+    # it: on one empty prefix (Z_2^3, s = 3) and on the prefix path (Z_3^4,
+    # s = 3), where each prefix has its own slice values
+    real = combinatorics._slice_roots
+    seen = []
+
+    def lossy(values, columns, p):
+        bits = real(values, columns, p)
+        if bits.bit_count() >= p and not seen:
+            seen.append(values)
+            for _ in range(p):
+                bits &= bits - 1
+        return bits
+
+    for p, n in ((2, 3), (3, 4)):
+        fld = PrimeField(p)
+        system = PolySystem(fld, n, [parse_poly("x1 + x2 + x3", fld, n)])
+        assert len(common_roots(system)) == p ** (n - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(combinatorics, "_slice_roots", lossy)
+            seen.clear()
+            with pytest.raises(TheoremViolation, match="Warning's second theorem"):
+                common_roots(system)
+            assert seen
+
+
+@st.composite
+def _low_degree_systems(draw):
+    """(p, n, member term dicts) over Z_p^n, p <= 11 and n <= 3, each member
+    of total degree at most 2, so that the degree sum often falls below n."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]), label="p")
+    n = draw(st.integers(1, 3), label="n")
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    members = []
+    for terms in draw(st.lists(st.lists(st.tuples(exps, st.integers(0, p - 1)), max_size=4),
+                               max_size=2), label="members"):
+        merged = {}
+        for e, c in terms:
+            merged[e] = (merged.get(e, 0) + c) % p
+        members.append({e: c for e, c in merged.items() if c})
+    return p, n, members
+
+
+@given(_low_degree_systems())
+@example((3, 3, [{(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 1): 2}]))  # d = 2: p^1 roots
+@example((5, 3, [{(1, 1, 0): 1}]))  # d = 2: x1*x2 has 2p - 1 roots per x3
+@example((2, 3, [{}]))  # d = 0: the zero member is no constraint
+@settings(derandomize=True, max_examples=200)
+def test_common_roots_meet_warnings_second_bound(system):
+    # with a common root and degree sum d < n there are at least p^(n-d)
+    # roots; the bound is pinned on the oracle's roots, which common_roots
+    # lists exactly
+    p, n, members = system
+    fld = PrimeField(p)
+    polys = PolySystem(fld, n, [MultiPoly(fld, n, t) for t in members])
+    want = oracles.common_roots(members, p, n)
+    assert common_roots(polys) == want
+    d = polys.degree_sum()
+    if want and d < n:
+        assert len(want) >= p ** (n - d)
+
+
 def test_common_roots_grid_cap():
     system = PolySystem(F3, 3, [parse_poly("x1", F3, 3)])
     with pytest.raises(GridTooLarge):
@@ -471,8 +536,8 @@ def test_sumset_rotations_guard(monkeypatch):
     # 63 takes the rotations and 3 * 4 * 5 = 60 the pair set; at p = 3 two
     # singletons sit on the boundary.  Both routes give the pair oracle's answer
     calls = []
-    rotate = combinatorics._sumset_by_rotations
-    monkeypatch.setattr(combinatorics, "_sumset_by_rotations",
+    rotate = search._sumset_by_rotations
+    monkeypatch.setattr(search, "_sumset_by_rotations",
                         lambda *args: calls.append(args) or rotate(*args))
     for p, a, b, routed in [(61, [0, 5, 60], [1, 2, 3, 5, 8, 13, 21], True),
                             (61, [0, 5, 60, 61 + 7], [7, 9, 30, 40, 59], False),
@@ -505,9 +570,10 @@ def test_sumset_over_a_huge_prime_builds_no_mask():
 
 def test_sumset_checks_coerce_each_set_once(monkeypatch):
     seen = []
-    coerce = combinatorics._as_residue_set
-    monkeypatch.setattr(combinatorics, "_as_residue_set",
-                        lambda field, elements, name: seen.append(name) or coerce(field, elements, name))
+    coerce = search._as_residue_set
+    for module in (combinatorics, search):  # cauchy_davenport_check, erdos_heilbronn_check
+        monkeypatch.setattr(module, "_as_residue_set",
+                            lambda field, elements, name: seen.append(name) or coerce(field, elements, name))
     cauchy_davenport_check(F7, [0, 1, 2], [0, 3])
     assert seen == ["A", "B"]
     seen.clear()
@@ -719,7 +785,7 @@ def test_zero_sum_search_bounds_the_memory_of_its_sets(monkeypatch):
     def no_search(*args):
         raise Searched
 
-    monkeypatch.setattr(combinatorics, "_PackedStates", no_search)
+    monkeypatch.setattr(search, "_PackedStates", no_search)
     with pytest.raises(ResourceLimit):
         olson_solve(vectors, 1021)
     with pytest.raises(Searched):  # EGZ at p = 1021: 2,042 sets of 1021^2 bits
@@ -1276,13 +1342,13 @@ def test_snevily_validation():
 def test_distinct_sum_witnesses_are_revalidated(monkeypatch):
     # a search that returns a broken permutation must not get past its solver
     for bad in ((1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)):  # not permutations of 1..3
-        monkeypatch.setattr(combinatorics, "_distinct_sum_permutation", lambda a, b, m, bad=bad: bad)
+        monkeypatch.setattr(search, "_distinct_sum_permutation", lambda a, b, m, bad=bad: bad)
         with pytest.raises(TheoremViolation):
             snevily_solve([0, 0, 0], [1, 2, 3], 7)
         with pytest.raises(TheoremViolation):
             snevily_mod_n([0, 0, 0], 5)
     # the identity permutation, but a_1 + b_1 = a_2 + b_2 in both cases
-    monkeypatch.setattr(combinatorics, "_distinct_sum_permutation", lambda a, b, m: (1, 2, 3))
+    monkeypatch.setattr(search, "_distinct_sum_permutation", lambda a, b, m: (1, 2, 3))
     with pytest.raises(TheoremViolation):
         snevily_solve([1, 0, 0], [1, 2, 3], 7)
     with pytest.raises(TheoremViolation):
@@ -1314,16 +1380,16 @@ def test_snevily_deep_search_is_iterative():
 def test_distinct_sum_search_budget(monkeypatch):
     # sigma = (1, 2, 3), (1, 3, 2) and (2, 1, 3) all collide before (2, 3, 1):
     # the search takes 22 steps (candidates tested plus levels backed out of)
-    monkeypatch.setattr(combinatorics, "_SEARCH_NODE_CAP", 22)
+    monkeypatch.setattr(search, "_SEARCH_NODE_CAP", 22)
     assert snevily_solve([0, 0, 4], [1, 2, 3], 5) == (2, 3, 1)
-    monkeypatch.setattr(combinatorics, "_SEARCH_NODE_CAP", 21)
+    monkeypatch.setattr(search, "_SEARCH_NODE_CAP", 21)
     with pytest.raises(ResourceLimit):
         snevily_solve([0, 0, 4], [1, 2, 3], 5)
     # six sums in Z_5 cannot be distinct: a fruitless search that is
     # exhausted within the budget reports None, one that is not raises
     monkeypatch.undo()
     assert snevily_mod_n([0] * 6, 5, force_search=True) is None
-    monkeypatch.setattr(combinatorics, "_SEARCH_NODE_CAP", 100)
+    monkeypatch.setattr(search, "_SEARCH_NODE_CAP", 100)
     with pytest.raises(ResourceLimit):
         snevily_mod_n([0] * 6, 5, force_search=True)
 
@@ -1523,7 +1589,7 @@ def test_symdiff_eleven_within_a_second():
 
 
 def test_symdiff_work_cap_both_sides(monkeypatch):
-    cap = combinatorics._SYMDIFF_WORK_CAP
+    cap = search._SYMDIFF_WORK_CAP
     assert cap == 2048 * 2049  # the most pairs n = 12 can have
     # n = 12, colored 2048 / 2049: exactly the cap, still answered
     sets, _ = _bench_like(12)
@@ -1540,14 +1606,14 @@ def test_symdiff_work_cap_both_sides(monkeypatch):
         symdiff_check([[1]] * len(sets), colors)
     # the cap counts pairs times the 64-bit words of a mask: 3 x 6 pairs of
     # 64 elements are 18 pair words, of 65 elements 36
-    monkeypatch.setattr(combinatorics, "_SYMDIFF_WORK_CAP", 18)
+    monkeypatch.setattr(search, "_SYMDIFF_WORK_CAP", 18)
     colors = ["r", "b", "b", "r", "b", "b", "r", "b", "b"]
     narrow = [set(range(i, 64, 9)) for i in range(9)]
     assert symdiff_check(narrow, colors) == oracles.cross_symdiffs(narrow, colors)
     wide = narrow[:-1] + [narrow[-1] | {64}]
     with pytest.raises(ResourceLimit):
         symdiff_check(wide, colors)
-    monkeypatch.setattr(combinatorics, "_SYMDIFF_WORK_CAP", 17)
+    monkeypatch.setattr(search, "_SYMDIFF_WORK_CAP", 17)
     with pytest.raises(ResourceLimit):
         symdiff_check(narrow, colors)
 
@@ -1585,9 +1651,9 @@ def test_symdiff_answer_cap_both_sides(monkeypatch):
     sets, colors = _random_subsets(5, 9)
     want = oracles.cross_symdiffs(sets, colors)
     cells = len(want) + sum(map(len, want))
-    monkeypatch.setattr(combinatorics, "_SYMDIFF_ANSWER_CAP", cells)
+    monkeypatch.setattr(search, "_SYMDIFF_ANSWER_CAP", cells)
     assert symdiff_check(sets, colors) == want
-    monkeypatch.setattr(combinatorics, "_SYMDIFF_ANSWER_CAP", cells - 1)
+    monkeypatch.setattr(search, "_SYMDIFF_ANSWER_CAP", cells - 1)
     with pytest.raises(ResourceLimit, match=f"reach {cells} cells"):
         symdiff_check(sets, colors)
 
