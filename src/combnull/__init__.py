@@ -7,17 +7,19 @@ zero-sum vectors, plane coverings, cycle labelings, p-regular subgraphs,
 distinct-sum permutations, symmetric differences).
 
 The public names below live in the layer modules (``errors``, ``field``,
-``mpoly``, ``nullstellensatz``, ``search``, ``combinatorics``).  ``import
-combnull`` loads none of them: each name is looked up in its defining module
-on first access (``combnull.egz_solve``, ``from combnull import Grid``), so a
-process pays only for the layers it uses.  ``from combnull import egz_solve``
-compiles ``search`` alone, and a CLI request for ``coeff`` never compiles the
-solvers.
+``mpoly``, ``nullstellensatz``, the family modules of ``search``,
+``combinatorics``).  ``import combnull`` loads none of them: each name is
+looked up in its defining module on first access (``combnull.egz_solve``,
+``from combnull import Grid``), so a process pays only for the layers it
+uses.  ``from combnull import egz_solve`` compiles ``search.zero_sums``
+alone, and a CLI request for ``coeff`` never compiles the solvers.
+``_EXPORTS`` is also where ``combinatorics`` finds the search names it
+re-exports.
 """
 
 __version__ = "0.1.0"
 
-# defining module -> the public names it provides
+# defining module -> the names it provides
 _EXPORTS = {
     "errors": (
         "ArityMismatch", "BadCount", "BadGridShape", "BadInput", "BadLength",
@@ -34,14 +36,16 @@ _EXPORTS = {
         "lagrange_interpolate", "second_nonvanish", "signed_two_element_sum",
         "weighted_power_sum", "zp_full_sum",
     ),
-    "search": (
-        "CycleLabels", "Graph", "PlaneCoverReport", "PlaneSet", "SumsetReport",
-        "cycle_selection", "cycle_selection_valid", "egz_solve", "egz_valid",
-        "erdos_heilbronn_check", "olson_lower_witness", "olson_solve", "olson_valid",
-        "plane_cover_construct", "plane_cover_verify", "regular_subgraph_find",
-        "regular_subgraph_valid", "restricted_sumset", "snevily_mod_n", "snevily_solve",
-        "sumset", "symdiff_check",
+    "search.sumsets": ("SumsetReport", "erdos_heilbronn_check", "restricted_sumset", "sumset"),
+    "search.zero_sums": (
+        "egz_inputs", "egz_solve", "egz_valid", "olson_inputs", "olson_lower_witness",
+        "olson_solve", "olson_valid",
     ),
+    "search.planes": ("PlaneCoverReport", "PlaneSet", "plane_cover_construct", "plane_cover_verify"),
+    "search.cycles": ("CycleLabels", "cycle_selection", "cycle_selection_valid"),
+    "search.graphs": ("Graph", "regular_subgraph_find", "regular_subgraph_valid"),
+    "search.shuffles": ("snevily_mod_n", "snevily_solve"),
+    "search.symdiff": ("symdiff_check",),
     "combinatorics": (
         "PolySystem", "cauchy_davenport_check", "chevalley_g", "common_roots",
         "cycle_selection_certificate", "vandermonde_sq_coefficient",
@@ -49,7 +53,9 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_HOME)
+# the input checks the CLI makes before a --check: combinatorics re-exports
+# them with every other search name, the package does not list them
+__all__ = [name for name in _HOME if name not in ("egz_inputs", "olson_inputs")]
 
 
 def __getattr__(name: str):

@@ -20,12 +20,24 @@ Any other failure to write the answer to stdout (a full disk, an I/O error)
 exits 3 with one line on stderr.
 
 A process imports only what its command runs.  This module loads the errors
-(with the grid cap), the fields and argparse; each handler imports its solver
-modules from where they are defined when it runs.  ``coeff``, ``witness`` and
-``lagrange`` never compile ``search`` or ``combinatorics``; ``egz``,
-``olson``, ``planes``, ``regular-subgraph``, ``snevily``, ``symdiff`` and a
-sumset without a Cauchy-Davenport check compile ``search`` alone, none of the
-polynomial layers; ``json`` is imported only for --format json.
+(with the grid cap), the fields and argparse, and ``run`` builds the
+subparser of the command named first in argv alone (every subparser for
+--help, no command or an unknown one).  Each handler imports its solver
+modules from where they are defined when it runs:
+
+- ``coeff``, ``witness`` and ``lagrange``: ``mpoly`` and ``nullstellensatz``;
+- ``sumset``: ``search.sumsets``, and with the Cauchy-Davenport check also
+  ``combinatorics`` and the polynomial layers;
+- ``egz`` and ``olson``: ``search.zero_sums``; ``planes``: ``search.planes``;
+  ``regular-subgraph``: ``search.graphs``; ``snevily``: ``search.shuffles``;
+  ``symdiff``: ``search.symdiff``;
+- ``cycle-labels``: ``search.cycles``, and ``combinatorics`` with the
+  polynomial layers only for the even-cycle certificate of a found selection;
+- ``chevalley`` and ``vandermonde``: ``combinatorics`` and the polynomial
+  layers, no search family;
+- ``selftest``: everything.
+
+``json`` is imported only for --format json.
 """
 
 from __future__ import annotations
@@ -67,9 +79,19 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise SchemaError(f"{what}: expected a rational like 3 or 3/4, got {text!r}") from exc
 
 
+_SWITCH_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
+
+
 def _switch(value, what: str) -> bool:
-    """True from the command line; 1, true, yes or on in a document."""
-    return value is True or value.lower() in {"1", "true", "yes", "on"}
+    """True from the command line; in a document 1, true, yes or on is set and
+    0, false, no or off unset, in any case."""
+    if value is True:
+        return True
+    setting = _SWITCH_TEXT.get(value.lower())
+    if setting is None:
+        raise SchemaError(f"{what}: expected one of 1, true, yes, on, 0, false, no, off, got {value!r}")
+    return setting
 
 
 def _text(text: str, what: str) -> str:
@@ -342,7 +364,7 @@ def _cmd_chevalley(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_sumset(req: Request) -> tuple[dict, int]:
-    from .search import erdos_heilbronn_check, restricted_sumset, sumset
+    from .search.sumsets import erdos_heilbronn_check, restricted_sumset, sumset
 
     p = req.require("p")
     field = PrimeField(p)
@@ -381,7 +403,7 @@ def _cmd_sumset(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_egz(req: Request) -> tuple[dict, int]:
-    from .search import egz_inputs, egz_solve, egz_valid
+    from .search.zero_sums import egz_inputs, egz_solve, egz_valid
 
     p = req.require("p")
     nums = req.require("nums")
@@ -397,7 +419,7 @@ def _cmd_egz(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_olson(req: Request) -> tuple[dict, int]:
-    from .search import olson_inputs, olson_lower_witness, olson_solve, olson_valid
+    from .search.zero_sums import olson_inputs, olson_lower_witness, olson_solve, olson_valid
 
     p = req.require("p")
     k = req.require("k")
@@ -423,7 +445,7 @@ def _cmd_olson(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_planes(req: Request) -> tuple[dict, int]:
-    from .search import PlaneSet, plane_cover_construct, plane_cover_verify
+    from .search.planes import PlaneSet, plane_cover_construct, plane_cover_verify
 
     n, cap = req.require("n"), req.max_points
     construct = req.get("construct")
@@ -444,8 +466,12 @@ def _cmd_planes(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
-    from .combinatorics import _CERTIFICATE_VERTEX_CAP, cycle_selection_certificate
-    from .search import CycleLabels, cycle_selection, cycle_selection_valid
+    from .search.cycles import (
+        _CERTIFICATE_VERTEX_CAP,
+        CycleLabels,
+        cycle_selection,
+        cycle_selection_valid,
+    )
 
     labels = CycleLabels(req.require("pairs"))
     n = len(labels)
@@ -458,12 +484,14 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
     if selection is None:
         return out, EXIT_NO_WITNESS
     if n % 2 == 0 and n <= _CERTIFICATE_VERTEX_CAP:
+        from .combinatorics import cycle_selection_certificate
+
         out["certificate"] = cycle_selection_certificate(labels)
     return out, EXIT_OK
 
 
 def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
-    from .search import Graph, regular_subgraph_find, regular_subgraph_valid
+    from .search.graphs import Graph, regular_subgraph_find, regular_subgraph_valid
 
     p = req.require("p")
     n_vertices = req.require("vertices")
@@ -481,7 +509,7 @@ def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_snevily(req: Request) -> tuple[dict, int]:
-    from .search import snevily_mod_n, snevily_solve
+    from .search.shuffles import snevily_mod_n, snevily_solve
 
     a = req.require("a")
     if req.given("p") == req.given("n"):
@@ -512,7 +540,7 @@ def _cmd_vandermonde(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_symdiff(req: Request) -> tuple[dict, int]:
-    from .search import symdiff_check
+    from .search.symdiff import symdiff_check
 
     sets = req.require("sets")
     colors = req.require("colors")
@@ -655,13 +683,22 @@ COMMANDS = {
 _ALL_OPTIONAL = frozenset({"selftest"})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command named.  A
+    subcommand's usage, help and errors do not depend on its siblings, so
+    both parsers read a command's arguments alike and print the same text.
+    An argument the subcommand does not know is reported by the top level,
+    whose usage lists every command in both."""
     parser = argparse.ArgumentParser(
         prog="combnull",
         description="Exact coefficient identities on grids and their combinatorial applications.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
+    # the full parser lists its choices by itself; a metavar there would also
+    # replace "command" in its error for a missing one
+    listed = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in COMMANDS if command is None else (command,):
+        _, help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="key-value document file ('-' for stdin)")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -716,7 +753,10 @@ def _write(stream, text: str) -> OSError | None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command name first: its subparser alone; else (help, no command, an
+    # unknown one) every command, for the top-level help and errors
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     started = time.monotonic()
     command, fmt = args.command, args.format
     handler, _, flags = COMMANDS[command]

@@ -4,9 +4,14 @@ Defined here: the Chevalley-Warning system (``PolySystem``, ``chevalley_g``,
 ``common_roots``), the Cauchy-Davenport certificate, the even-cycle
 certificate and the squared Vandermonde coefficient.  Each builds a
 polynomial with ``mpoly`` or sums over a grid with ``nullstellensatz``.
-The solvers that build no polynomial are defined in ``search`` and
-re-exported here, so every solver is ``combinatorics.<name>``; a process
-that needs only those imports ``search`` and compiles none of the polynomial
+
+The solvers that build no polynomial are defined in the family modules of
+``search`` and re-exported here, so every solver is ``combinatorics.<name>``.
+This module imports no family: a re-exported name is looked up in the
+package's ``_EXPORTS`` table on first access and bound here, and the two
+certificates that use a family's code import it when they run.  So
+``chevalley`` and ``vandermonde`` compile no search family, and a process
+that needs only the searches imports its family and none of the polynomial
 layers.
 
 Each solver validates the hypotheses of the theorem it executes and
@@ -35,37 +40,21 @@ from .errors import (
 from .field import PrimeField, RationalField, Scalar
 from .mpoly import MultiPoly, _product, _suffix_slices
 from .nullstellensatz import Grid, _points, _weighted_sum_of_values, grid_weighted_sum
-from .search import (  # noqa: F401 -- the names from search are re-exported
-    _ROTATION_BITS_PER_PAIR,
-    CycleLabels,
-    Graph,
-    PlaneCoverReport,
-    PlaneSet,
-    SumsetReport,
-    _as_residue_set,
-    _binom_mod,
-    _sumset,
-    _Value,
-    cycle_selection,
-    cycle_selection_valid,
-    egz_inputs,
-    egz_solve,
-    egz_valid,
-    erdos_heilbronn_check,
-    olson_inputs,
-    olson_lower_witness,
-    olson_solve,
-    olson_valid,
-    plane_cover_construct,
-    plane_cover_verify,
-    regular_subgraph_find,
-    regular_subgraph_valid,
-    restricted_sumset,
-    snevily_mod_n,
-    snevily_solve,
-    sumset,
-    symdiff_check,
-)
+from .search import _Value
+
+
+def __getattr__(name: str):
+    """A search solver's name, from its family module, bound here once resolved."""
+    from . import _HOME
+
+    module = _HOME.get(name, "")
+    if not module.startswith("search."):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
 
 
 # ----------------------------------------------------------- polynomial systems
@@ -242,6 +231,8 @@ def cauchy_davenport_check(
     binomial C(|A|+|B|-2, |A|-1), which has no factor p.  Were A + B contained
     in such a C', f would vanish on the whole grid and the sum would be 0.
     """
+    from .search.sumsets import SumsetReport, _as_residue_set, _binom_mod, _sumset
+
     a = _as_residue_set(field, a_set, "A")
     b = _as_residue_set(field, b_set, "B")
     p = field.p
@@ -272,10 +263,6 @@ def cauchy_davenport_check(
 # ----------------------------------------------------- even-cycle certificate
 
 
-# the largest cycle whose certificate is recomputed: both routes cost 2^n
-_CERTIFICATE_VERTEX_CAP = 10
-
-
 def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
     """Recompute the coefficient of x_1*...*x_n in prod(x_i - x_{i+1}) as the
     weighted sum of the factored product over the grid of label pairs; direct
@@ -285,6 +272,8 @@ def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
     routes share nothing but scalar arithmetic: the first never expands the
     product, the second never evaluates it.
     """
+    from .search.cycles import _CERTIFICATE_VERTEX_CAP
+
     n = len(labels)
     if n % 2 == 1:
         raise OddCycle(f"certificate is for even cycles, got length {n}")

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combnull import PrimeField, combinatorics, nullstellensatz, parse_poly, search
+from combnull import PrimeField, combinatorics, nullstellensatz, parse_poly
 from combnull import cli as cli_mod
 from combnull.cli import run
+from combnull.search import shuffles
 
 PYTHON = [sys.executable, "-m", "combnull.cli"]
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -234,8 +235,10 @@ def test_only_selftest_imports_the_selftest_module():
 
 # ------------------------------------------------------ what a process loads
 
+_FAMILIES = ("cycles", "graphs", "planes", "shuffles", "sumsets", "symdiff", "zero_sums")
 _HEAVY = ("combnull.combinatorics", "combnull.mpoly", "combnull.nullstellensatz",
-          "combnull.search", "combnull.selftest", "dataclasses", "json")
+          "combnull.search", *(f"combnull.search.{family}" for family in _FAMILIES),
+          "combnull.selftest", "dataclasses", "json")
 
 # imports the CLI and runs the request in argv, if any, with its document
 # kept off stdout; then prints which of _HEAVY the interpreter holds
@@ -262,26 +265,44 @@ def test_cli_imports_only_what_its_command_runs():
     coeff = ["coeff", "--p", "3", "--poly", "x1*x2", "--sets", "0,1;0,1"]
     assert _loaded_by(coeff) == ["combnull.mpoly", "combnull.nullstellensatz"]
     egz = ["egz", "--p", "3", "--nums", "1,2,3,4,5"]
-    assert _loaded_by(egz) == ["combnull.search"]
-    assert _loaded_by(egz + ["--format", "json"]) == ["combnull.search", "json"]
+    family = ["combnull.search", "combnull.search.zero_sums"]
+    assert _loaded_by(egz) == family
+    assert _loaded_by(egz + ["--format", "json"]) == [*family, "json"]
+
+
+def _combnull_modules_after(imports):
+    code = f"import sys, {imports}; print(*sorted(m for m in sys.modules if m.startswith('combnull.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
 
 
 def test_search_imports_no_polynomial_layer():
-    code = "import sys, combnull.search; print(*sorted(m for m in sys.modules if m.startswith('combnull.')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["combnull.errors", "combnull.field", "combnull.search"], out.stderr
+    families = [f"combnull.search.{family}" for family in _FAMILIES]
+    assert _combnull_modules_after(", ".join(families)) == [
+        "combnull.errors", "combnull.field", "combnull.search", *families]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_each_search_family_loads_no_other_family(family):
+    loaded = set(_combnull_modules_after(f"combnull.search.{family}"))
+    assert loaded - {"combnull.errors", "combnull.field"} == {
+        "combnull.search", f"combnull.search.{family}"}
 
 
 def test_combinatorics_reexports_every_search_name():
     import combnull
 
-    defined = [name for name, value in vars(search).items()
-               if not name.startswith("_") and getattr(value, "__module__", None) == search.__name__]
+    families = [importlib.import_module(f"combnull.search.{family}") for family in _FAMILIES]
+    defined = [(name, family) for family in families for name, value in vars(family).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == family.__name__]
     assert len(defined) == 24  # 22 package names, egz_inputs and olson_inputs
-    for name in defined:
-        assert getattr(combinatorics, name) is getattr(search, name), name
+    for name, family in defined:
+        assert getattr(combinatorics, name) is getattr(family, name), name
         if name in combnull.__all__:
-            assert getattr(combnull, name) is getattr(search, name), name
+            assert getattr(combnull, name) is getattr(family, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        combinatorics.no_such_name
 
 
 # every public name of the package, by defining module, as the package
@@ -552,7 +573,7 @@ def test_rational_height_budget_is_resource_limit(fmt):
 def test_internal_error_exit_four(cli, monkeypatch):
     # a solver whose witness fails its own re-check, and a CLI re-check that
     # fails, both end as status internal-error with exit 4, never exit 1
-    monkeypatch.setattr(search, "_distinct_sum_permutation", lambda a, b, m: (1, 1, 2))
+    monkeypatch.setattr(shuffles, "_distinct_sum_permutation", lambda a, b, m: (1, 1, 2))
     code, doc, err = cli("snevily", "--p", "7", "--a", "0,0,0", "--b", "1,2,3")
     assert code == 4
     assert doc["status"] == "internal-error"
@@ -1211,17 +1232,41 @@ def test_examples_cover_every_command():
 
 
 # the solver layers each example of _EXAMPLES compiles: the grid commands the
-# polynomial layers, the searches search alone, and a polynomial certificate
-# (chevalley, the even-cycle certificate, vandermonde) all four
+# polynomial layers, a search its own family of the search package, and a
+# polynomial certificate (chevalley, vandermonde) combinatorics with the
+# polynomial layers and the package, but no family
 _GRID = {"combnull.mpoly", "combnull.nullstellensatz"}
-_SEARCH = {"combnull.search"}
-_ALL_LAYERS = _GRID | _SEARCH | {"combnull.combinatorics"}
+_POLY = _GRID | {"combnull.combinatorics", "combnull.search"}
+_ALL_LAYERS = _POLY | {f"combnull.search.{family}" for family in _FAMILIES}
+
+
+def _family(name):
+    return {"combnull.search", f"combnull.search.{name}"}
+
+
 _LAYERS = {
     "coeff": _GRID, "witness": _GRID, "lagrange": _GRID,
-    "sumset": _SEARCH, "egz": _SEARCH, "olson": _SEARCH, "planes": _SEARCH,
-    "regular-subgraph": _SEARCH, "snevily": _SEARCH, "symdiff": _SEARCH,
-    "chevalley": _ALL_LAYERS, "cycle-labels": _ALL_LAYERS, "vandermonde": _ALL_LAYERS,
+    "sumset": _family("sumsets"), "egz": _family("zero_sums"), "olson": _family("zero_sums"),
+    "planes": _family("planes"), "regular-subgraph": _family("graphs"),
+    "snevily": _family("shuffles"), "symdiff": _family("symdiff"),
+    "chevalley": _POLY, "vandermonde": _POLY,
+    # the example's even cycle of 4 vertices gets its certificate
+    "cycle-labels": _POLY | _family("cycles"),
     "selftest": _ALL_LAYERS,
+}
+
+# requests beyond _EXAMPLES whose branch decides the layers: only an even
+# cycle within the certificate cap, and only the Cauchy-Davenport check,
+# compile the polynomial layers
+_BRANCH_LAYERS = {
+    "cycle-check": (["cycle-labels", "--pairs", "1,2;3,4;1,2;3,4", "--check", "1,3,1,4"],
+                    _family("cycles")),
+    "cycle-odd": (["cycle-labels", "--pairs", "1,2;3,4;5,6", "--force-search"], _family("cycles")),
+    "cycle-past-cap": (["cycle-labels", "--pairs", ";".join(["1,2;3,4"] * 6)], _family("cycles")),
+    "sumset-cd": (["sumset", "--p", "7", "--a", "0,1,2", "--b", "0,3", "--check", "cauchy-davenport"],
+                  _POLY | _family("sumsets")),
+    "sumset-eh": (["sumset", "--p", "7", "--a", "0,1,2", "--check", "erdos-heilbronn"],
+                  _family("sumsets")),
 }
 
 
@@ -1231,6 +1276,12 @@ def test_only_the_solver_commands_compile_the_solvers(command):
     assert loaded & _ALL_LAYERS == _LAYERS[command]
     assert ("combnull.selftest" in loaded) == (command == "selftest")
     assert not loaded & {"dataclasses", "json"}
+
+
+@pytest.mark.parametrize("request_name", sorted(_BRANCH_LAYERS))
+def test_a_branch_compiles_only_the_layers_it_runs(request_name):
+    argv, layers = _BRANCH_LAYERS[request_name]
+    assert set(_loaded_by(argv)) & _ALL_LAYERS == layers
 
 
 @pytest.mark.parametrize("command", sorted(_EXAMPLES))
@@ -1245,6 +1296,71 @@ def test_flag_and_document_forms_agree(command, fmt):
         doc.pop("time_ms")
     assert docs[0] == docs[1]
     assert docs[0]["status"] == "ok"
+
+
+def test_switch_words_in_any_case():
+    for word in ("1", "TRUE", "Yes", "on"):
+        assert cli_mod._switch(word, "restricted") is True
+    for word in ("0", "False", "NO", "off"):
+        assert cli_mod._switch(word, "restricted") is False
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, values, switch", [
+    ("sumset", {"p": "5", "a": "0,1", "b": "1,2", "restricted": "maybe"}, "restricted"),
+    ("vandermonde", {"k": "3", "closed-only": "nope"}, "closed-only"),
+])
+def test_document_switch_refuses_other_text(command, values, switch, fmt):
+    code, out, err = _run_raw([command, "--format", fmt, "--input", "-"], _document(values))
+    doc = _parsed(fmt, out)
+    assert (code, doc["status"]) == (2, "input-error")
+    assert doc["error"].startswith(f"SchemaError: {switch}: ")
+    assert repr(values[switch]) in doc["error"]
+
+
+def _outcome(call):
+    """(exit code, stdout, stderr) of a call that exits, else what it returns."""
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        return call()
+    except SystemExit as exc:
+        return exc.code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdout, sys.stderr = saved
+
+
+@pytest.mark.parametrize("command", sorted(cli_mod.COMMANDS))
+@pytest.mark.parametrize("tail", [["--help"], ["--no-such-flag"], ["--input"], ["--format", "xml"]],
+                         ids=["help", "unknown-flag", "flag-without-value", "bad-format"])
+def test_one_command_parser_prints_what_the_full_parser_prints(command, tail):
+    argv = [command, *tail]
+    full = _outcome(lambda: cli_mod.build_parser().parse_args(argv))
+    assert _outcome(lambda: cli_mod.build_parser(command).parse_args(argv)) == full
+    assert _outcome(lambda: run(argv)) == full  # run builds the one subparser
+    code, out, err = full
+    assert code == (0 if tail == ["--help"] else 2)
+    # an unknown flag is reported by the top level, the rest by the subcommand
+    usage = "usage: combnull [-h]" if tail == ["--no-such-flag"] else f"usage: combnull {command} "
+    assert (out if code == 0 else err).startswith(usage)
+
+
+@pytest.mark.parametrize("command", sorted(_EXAMPLES))
+def test_one_command_parser_reads_each_example_as_the_full_parser(command):
+    requests = [[command, *_flag_args(command, _EXAMPLES[command])],
+                [command, "--format", "json", "--input", "-"],
+                *(argv for argv, _ in _BRANCH_LAYERS.values() if argv[0] == command)]
+    for argv in requests:
+        assert cli_mod.build_parser(command).parse_args(argv) == cli_mod.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"]],
+                         ids=["help", "no-command", "unknown-command"])
+def test_top_level_help_and_errors_list_every_command(argv):
+    code, out, err = _outcome(lambda: run(argv))
+    assert code == (0 if argv == ["--help"] else 2)
+    assert len(cli_mod.COMMANDS) == 14  # the 13 solver commands and selftest
+    assert "{" + ",".join(cli_mod.COMMANDS) + "}" in (out if code == 0 else err)
 
 
 @pytest.mark.parametrize("command", ["coeff", "egz", "symdiff"])

@@ -61,7 +61,8 @@ from combnull import (
     vandermonde_sq_coefficient,
 )
 from combnull.errors import ArityMismatch
-from combnull import combinatorics, search
+from combnull import combinatorics
+from combnull.search import shuffles, sumsets, symdiff, zero_sums
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -497,7 +498,7 @@ def test_sumset_routes_match_pair_oracle(data):
     # each example lands on a drawn side of the rotations guard p <= k |A| |B|
     # (Z_2 and Z_3 have only the rotations side); the inputs are unreduced,
     # with repeated residues, and oracles.sumset is the pair route
-    k = combinatorics._ROTATION_BITS_PER_PAIR
+    k = sumsets._ROTATION_BITS_PER_PAIR
     p = data.draw(st.sampled_from([2, 3, 5, 7, 101, 997, 10007, 100003]), "p")
     shapes = ["sets", "A = B", "singleton"] + (["all of Z_p"] if p <= 10007 else [])
     shape = data.draw(st.sampled_from(shapes), "shape")
@@ -536,8 +537,8 @@ def test_sumset_rotations_guard(monkeypatch):
     # 63 takes the rotations and 3 * 4 * 5 = 60 the pair set; at p = 3 two
     # singletons sit on the boundary.  Both routes give the pair oracle's answer
     calls = []
-    rotate = search._sumset_by_rotations
-    monkeypatch.setattr(search, "_sumset_by_rotations",
+    rotate = sumsets._sumset_by_rotations
+    monkeypatch.setattr(sumsets, "_sumset_by_rotations",
                         lambda *args: calls.append(args) or rotate(*args))
     for p, a, b, routed in [(61, [0, 5, 60], [1, 2, 3, 5, 8, 13, 21], True),
                             (61, [0, 5, 60, 61 + 7], [7, 9, 30, 40, 59], False),
@@ -570,10 +571,10 @@ def test_sumset_over_a_huge_prime_builds_no_mask():
 
 def test_sumset_checks_coerce_each_set_once(monkeypatch):
     seen = []
-    coerce = search._as_residue_set
-    for module in (combinatorics, search):  # cauchy_davenport_check, erdos_heilbronn_check
-        monkeypatch.setattr(module, "_as_residue_set",
-                            lambda field, elements, name: seen.append(name) or coerce(field, elements, name))
+    coerce = sumsets._as_residue_set
+    # cauchy_davenport_check and erdos_heilbronn_check both call it from sumsets
+    monkeypatch.setattr(sumsets, "_as_residue_set",
+                        lambda field, elements, name: seen.append(name) or coerce(field, elements, name))
     cauchy_davenport_check(F7, [0, 1, 2], [0, 3])
     assert seen == ["A", "B"]
     seen.clear()
@@ -680,7 +681,7 @@ def test_erdos_heilbronn_forms_agree(data):
     # A +' A = (A minus min A) +' A, so the one-set report carries the
     # two-set report's sumset, bound and certificate; |A| is drawn on either
     # side of the rotations guard p <= k |A|^2 where Z_p has room for both
-    k = combinatorics._ROTATION_BITS_PER_PAIR
+    k = sumsets._ROTATION_BITS_PER_PAIR
     p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 101, 997]), "p")
     edge = math.isqrt((p - 1) // k)  # the largest n with k n^2 < p
     if edge >= 2 and data.draw(st.booleans(), "pair route"):
@@ -785,7 +786,7 @@ def test_zero_sum_search_bounds_the_memory_of_its_sets(monkeypatch):
     def no_search(*args):
         raise Searched
 
-    monkeypatch.setattr(search, "_PackedStates", no_search)
+    monkeypatch.setattr(zero_sums, "_PackedStates", no_search)
     with pytest.raises(ResourceLimit):
         olson_solve(vectors, 1021)
     with pytest.raises(Searched):  # EGZ at p = 1021: 2,042 sets of 1021^2 bits
@@ -1342,13 +1343,13 @@ def test_snevily_validation():
 def test_distinct_sum_witnesses_are_revalidated(monkeypatch):
     # a search that returns a broken permutation must not get past its solver
     for bad in ((1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)):  # not permutations of 1..3
-        monkeypatch.setattr(search, "_distinct_sum_permutation", lambda a, b, m, bad=bad: bad)
+        monkeypatch.setattr(shuffles, "_distinct_sum_permutation", lambda a, b, m, bad=bad: bad)
         with pytest.raises(TheoremViolation):
             snevily_solve([0, 0, 0], [1, 2, 3], 7)
         with pytest.raises(TheoremViolation):
             snevily_mod_n([0, 0, 0], 5)
     # the identity permutation, but a_1 + b_1 = a_2 + b_2 in both cases
-    monkeypatch.setattr(search, "_distinct_sum_permutation", lambda a, b, m: (1, 2, 3))
+    monkeypatch.setattr(shuffles, "_distinct_sum_permutation", lambda a, b, m: (1, 2, 3))
     with pytest.raises(TheoremViolation):
         snevily_solve([1, 0, 0], [1, 2, 3], 7)
     with pytest.raises(TheoremViolation):
@@ -1380,16 +1381,16 @@ def test_snevily_deep_search_is_iterative():
 def test_distinct_sum_search_budget(monkeypatch):
     # sigma = (1, 2, 3), (1, 3, 2) and (2, 1, 3) all collide before (2, 3, 1):
     # the search takes 22 steps (candidates tested plus levels backed out of)
-    monkeypatch.setattr(search, "_SEARCH_NODE_CAP", 22)
+    monkeypatch.setattr(shuffles, "_SEARCH_NODE_CAP", 22)
     assert snevily_solve([0, 0, 4], [1, 2, 3], 5) == (2, 3, 1)
-    monkeypatch.setattr(search, "_SEARCH_NODE_CAP", 21)
+    monkeypatch.setattr(shuffles, "_SEARCH_NODE_CAP", 21)
     with pytest.raises(ResourceLimit):
         snevily_solve([0, 0, 4], [1, 2, 3], 5)
     # six sums in Z_5 cannot be distinct: a fruitless search that is
     # exhausted within the budget reports None, one that is not raises
     monkeypatch.undo()
     assert snevily_mod_n([0] * 6, 5, force_search=True) is None
-    monkeypatch.setattr(search, "_SEARCH_NODE_CAP", 100)
+    monkeypatch.setattr(shuffles, "_SEARCH_NODE_CAP", 100)
     with pytest.raises(ResourceLimit):
         snevily_mod_n([0] * 6, 5, force_search=True)
 
@@ -1589,7 +1590,7 @@ def test_symdiff_eleven_within_a_second():
 
 
 def test_symdiff_work_cap_both_sides(monkeypatch):
-    cap = search._SYMDIFF_WORK_CAP
+    cap = symdiff._SYMDIFF_WORK_CAP
     assert cap == 2048 * 2049  # the most pairs n = 12 can have
     # n = 12, colored 2048 / 2049: exactly the cap, still answered
     sets, _ = _bench_like(12)
@@ -1606,14 +1607,14 @@ def test_symdiff_work_cap_both_sides(monkeypatch):
         symdiff_check([[1]] * len(sets), colors)
     # the cap counts pairs times the 64-bit words of a mask: 3 x 6 pairs of
     # 64 elements are 18 pair words, of 65 elements 36
-    monkeypatch.setattr(search, "_SYMDIFF_WORK_CAP", 18)
+    monkeypatch.setattr(symdiff, "_SYMDIFF_WORK_CAP", 18)
     colors = ["r", "b", "b", "r", "b", "b", "r", "b", "b"]
     narrow = [set(range(i, 64, 9)) for i in range(9)]
     assert symdiff_check(narrow, colors) == oracles.cross_symdiffs(narrow, colors)
     wide = narrow[:-1] + [narrow[-1] | {64}]
     with pytest.raises(ResourceLimit):
         symdiff_check(wide, colors)
-    monkeypatch.setattr(search, "_SYMDIFF_WORK_CAP", 17)
+    monkeypatch.setattr(symdiff, "_SYMDIFF_WORK_CAP", 17)
     with pytest.raises(ResourceLimit):
         symdiff_check(narrow, colors)
 
@@ -1651,9 +1652,9 @@ def test_symdiff_answer_cap_both_sides(monkeypatch):
     sets, colors = _random_subsets(5, 9)
     want = oracles.cross_symdiffs(sets, colors)
     cells = len(want) + sum(map(len, want))
-    monkeypatch.setattr(search, "_SYMDIFF_ANSWER_CAP", cells)
+    monkeypatch.setattr(symdiff, "_SYMDIFF_ANSWER_CAP", cells)
     assert symdiff_check(sets, colors) == want
-    monkeypatch.setattr(search, "_SYMDIFF_ANSWER_CAP", cells - 1)
+    monkeypatch.setattr(symdiff, "_SYMDIFF_ANSWER_CAP", cells - 1)
     with pytest.raises(ResourceLimit, match=f"reach {cells} cells"):
         symdiff_check(sets, colors)
 
