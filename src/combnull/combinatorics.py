@@ -40,6 +40,7 @@ from .errors import (
 from .field import PrimeField, RationalField, Scalar
 from .mpoly import MultiPoly, _product, _suffix_slices
 from .nullstellensatz import Grid, _points, _weighted_sum_of_values, grid_weighted_sum
+from . import search
 from .search import _Value
 
 
@@ -185,8 +186,12 @@ def common_roots(
     p alone exceeds that bound.
 
     When d = ``system.degree_sum()`` is below n, the count must be divisible
-    by p (Chevalley-Warning) and, if the system has a root, at least p^(n-d)
-    (Warning's second theorem, 1935); a violation raises TheoremViolation.
+    by p (Chevalley-Warning), if the system has a root at least p^(n-d)
+    (Warning's second theorem, 1935), and divisible by p^mu with
+    mu = ceil((n - d) / D), D the largest degree of the nonzero members
+    (Ax, Amer. J. Math. 1964, for one polynomial; Katz, Amer. J. Math. 1971,
+    for systems).  A violation raises TheoremViolation.  When every nonzero
+    member is a constant there are no roots, and no divisibility to check.
     """
     fld = system.field
     p, n = fld.p, system.n_vars
@@ -213,6 +218,15 @@ def common_roots(
                 f"{degree_sum} < {n} but {len(roots)} common roots, fewer than "
                 f"{p}^{n - degree_sum}, found over Z_{p}"
             )
+        top = max((f.total_degree() for f in polys), default=0)
+        if top:
+            mu = -(-(n - degree_sum) // top)
+            if len(roots) % p**mu:
+                raise TheoremViolation(
+                    f"Ax-Katz divisibility violated: degree sum {degree_sum} < {n} and "
+                    f"largest degree {top}, but {len(roots)} common roots, not "
+                    f"divisible by {p}^{mu}, found over Z_{p}"
+                )
     return roots
 
 
@@ -221,7 +235,7 @@ def common_roots(
 
 def cauchy_davenport_check(
     field: PrimeField, a_set: Sequence[int], b_set: Sequence[int]
-) -> SumsetReport:
+) -> search.sumsets.SumsetReport:
     """|A + B| >= min(|A| + |B| - 1, p), with a coefficient certificate.
 
     When |A| + |B| - 1 <= p the certificate replays the contradiction behind
@@ -263,7 +277,7 @@ def cauchy_davenport_check(
 # ----------------------------------------------------- even-cycle certificate
 
 
-def cycle_selection_certificate(labels: CycleLabels) -> Fraction:
+def cycle_selection_certificate(labels: search.cycles.CycleLabels) -> Fraction:
     """Recompute the coefficient of x_1*...*x_n in prod(x_i - x_{i+1}) as the
     weighted sum of the factored product over the grid of label pairs; direct
     expansion is the independent second route.

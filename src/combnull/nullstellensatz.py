@@ -356,8 +356,10 @@ def second_nonvanish(
     identity.
     """
     _check_poly_grid(f, grid)
-    # evaluate returns a reduced residue or a Fraction, so its truth is "nonzero"
-    hits = [GridPoint(point) for point in _points(grid.sets, max_points) if f.evaluate(point)]
+    # evaluate returns a reduced residue or a Fraction, so its truth is
+    # "nonzero"; each hit becomes GridPoint((point,)) at C level
+    hits = list(map(tuple.__new__, itertools.repeat(GridPoint),
+                    zip(filter(f.evaluate, _points(grid.sets, max_points)))))
     if hits:
         bound = _alon_furedi_bound([len(s) for s in grid.sets], f.total_degree())
         if len(hits) < bound:

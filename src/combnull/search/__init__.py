@@ -30,6 +30,20 @@ import math
 from typing import Iterable, Sequence
 
 
+def __getattr__(name: str):
+    """A family module, imported on first access: ``search.sumsets``.
+    ``combinatorics`` names the families' value classes this way in its
+    annotations, so that ``typing.get_type_hints`` resolves them while
+    loading ``combinatorics`` imports no family."""
+    from .. import _EXPORTS
+
+    if f"search.{name}" not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return import_module(f"{__name__}.{name}")
+
+
 class _Value:
     """An immutable record.  Its fields are the subclass's ``__slots__``, set
     once by ``__init__``, which takes them in that order.  As for a frozen

@@ -4,6 +4,8 @@ import itertools
 import math
 import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -444,6 +446,98 @@ def test_common_roots_meet_warnings_second_bound(system):
     d = polys.degree_sum()
     if want and d < n:
         assert len(want) >= p ** (n - d)
+
+
+@st.composite
+def _ax_katz_systems(draw):
+    """(p, n, member term dicts) over Z_p^n with up to 6 variables and one or
+    two members of degree at most 2, so that n - d often exceeds the largest
+    degree and mu = ceil((n - d) / D) reaches 2 or 3."""
+    p = draw(st.sampled_from([2, 3, 5]), label="p")
+    n = draw(st.integers(1, {2: 6, 3: 5, 5: 3}[p]), label="n")
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    members = [{e: c % p for e, c in terms if c % p}
+               for terms in draw(st.lists(st.lists(st.tuples(exps, st.integers(1, p - 1)),
+                                                   max_size=4, unique_by=lambda t: t[0]),
+                                          min_size=1, max_size=2), label="members")]
+    return p, n, members
+
+
+@given(_ax_katz_systems())
+@example((2, 5, [{(1, 1, 0, 0, 0): 1}]))  # d = D = 2: mu = 2, 24 roots
+@example((2, 6, [{(1, 0, 0, 0, 0, 0): 1}]))  # d = D = 1: mu = 5, 32 roots
+@example((3, 3, [{(0, 0, 0): 2}]))  # a nonzero constant: no roots, nothing to divide
+@settings(derandomize=True, max_examples=150)
+def test_common_roots_meet_ax_katz_divisibility(system):
+    # with degree sum d < n and largest member degree D, p^ceil((n-d)/D)
+    # divides the root count (Ax-Katz); pinned on the oracle's roots, which
+    # common_roots lists exactly
+    p, n, members = system
+    fld = PrimeField(p)
+    polys = PolySystem(fld, n, [MultiPoly(fld, n, t) for t in members])
+    want = oracles.common_roots(members, p, n)
+    assert common_roots(polys) == want
+    d = polys.degree_sum()
+    top = max((f.total_degree() for f in polys.polys if f.terms), default=0)
+    if d < n and top:
+        assert len(want) % p ** -(-(n - d) // top) == 0
+
+
+def test_common_roots_dropped_roots_trip_ax_katz(monkeypatch):
+    # x1*x2 has degree 2 and 5 - 2 = 3 > 2, so mu = 2: over Z_2^5 its 24
+    # roots are divisible by 4 and over Z_3^5 its 135 by 9.  A mask step that
+    # loses p roots of one slice keeps the count divisible by p and above
+    # p^(n-d), so only Ax-Katz catches it: on one empty prefix (Z_2^5, s = 5)
+    # and on the prefix path (Z_3^5, s = 3)
+    real = combinatorics._slice_roots
+    seen = []
+
+    def lossy(values, columns, p):
+        bits = real(values, columns, p)
+        if bits.bit_count() >= p and not seen:
+            seen.append(values)
+            for _ in range(p):
+                bits &= bits - 1
+        return bits
+
+    for p, count in ((2, 24), (3, 135)):
+        fld = PrimeField(p)
+        system = PolySystem(fld, 5, [parse_poly("x1*x2", fld, 5)])
+        assert len(common_roots(system)) == count
+        with monkeypatch.context() as patched:
+            patched.setattr(combinatorics, "_slice_roots", lossy)
+            seen.clear()
+            with pytest.raises(TheoremViolation, match="Ax-Katz"):
+                common_roots(system)
+            assert seen
+
+
+def test_type_hints_of_every_public_function_resolve():
+    # combinatorics names two value classes of the families in its
+    # annotations, as attributes of the search package, which imports a
+    # family when its hints are resolved, not when combinatorics loads; so
+    # every hint of a public function or method resolves
+    code = """
+import inspect, sys, typing
+import combnull, combnull.combinatorics
+assert not [m for m in sys.modules if m.startswith("combnull.search.")]
+hints = typing.get_type_hints(combnull.combinatorics.cauchy_davenport_check)
+assert hints["return"] is combnull.SumsetReport
+hints = typing.get_type_hints(combnull.combinatorics.cycle_selection_certificate)
+assert hints["labels"] is combnull.CycleLabels
+assert not hasattr(combnull.search, "no_such_family")
+checked = 0
+for name in combnull.__all__:
+    value = getattr(combnull, name)
+    members = vars(value).values() if inspect.isclass(value) else [value]
+    for function in filter(inspect.isfunction, members):
+        typing.get_type_hints(function)
+        checked += 1
+print(checked)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 40
 
 
 def test_common_roots_grid_cap():

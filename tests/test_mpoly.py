@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import re
+import subprocess
 import sys
 import threading
 import time
@@ -28,7 +30,7 @@ from combnull import (
     parse_poly,
     sorted_terms,
 )
-from combnull import mpoly
+from combnull import gridkernel, mpoly
 
 F5 = PrimeField(5)
 F2 = PrimeField(2)
@@ -645,6 +647,193 @@ def test_rational_value_is_divided_by_gcds_against_den_only():
         value = f.evaluate((x,))
         assert time.perf_counter() - started < 0.4
         assert type(value) is Fraction and value == want
+
+
+# ------------------------------------------------------- grid-order kernels
+
+
+def _bad_points(point):
+    """Points that swap one coordinate for a value the field refuses: True or
+    1.0 first, True at the deepest head coordinate, 2.0 or True last."""
+    bad = [(True,) + point[1:], (1.0,) + point[1:], point[:-1] + (2.0,), point[:-1] + (True,)]
+    if len(point) > 1:
+        bad.append(point[:-2] + (True,) + point[-1:])
+    return bad
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_route_matches_generic_route_and_oracle(data):
+    # at every point, the kernel (called first, a miss is None), evaluate,
+    # the generic route (an equal polynomial that never reaches the call
+    # threshold) and the term-by-term oracle agree.  Drawn around each bound:
+    # variables, terms and the call threshold; with products reduced at
+    # every depth (p near 2^31, 8 to 10 variables) and at none (Z_2); with
+    # one term per slot and every term in one slot; in grid order (the
+    # deepest head coordinate moves alone), shuffled (deeper moves) and on
+    # list points.  Right after a kernel hit, refused coordinates still raise
+    field = data.draw(st.sampled_from([F2, F5, PrimeField(101), PrimeField(2**31 - 1)]),
+                      label="field")
+    big = field.p > 2**30
+    n = data.draw(st.integers(8, 10) if big else st.integers(1, 5), label="n_vars")
+    terms = dict(data.draw(poly_strategy(field, n, max_exp=4, max_terms=10), label="f").terms)
+    slots = data.draw(st.sampled_from(["drawn", "one term each", "one slot"]), label="slots")
+    if slots == "one term each":
+        terms = {exps[:-1] + (k,): c for k, (exps, c) in enumerate(terms.items())}
+    elif slots == "one slot":
+        terms = {exps[:-1] + (2,): c for exps, c in terms.items()}
+    f, g = MultiPoly(field, n, terms), MultiPoly(field, n, terms)
+    calls = data.draw(st.sampled_from([1, 2, 7]), label="calls")
+    max_vars = data.draw(st.sampled_from([n - 1, n]), label="max_vars")
+    max_terms = data.draw(st.sampled_from([len(f.terms) - 1, len(f.terms)]), label="max_terms")
+    pools = []
+    for i in range(n):
+        values = data.draw(st.lists(st.integers(0, field.p - 1), min_size=2 if i == n - 1 else 1,
+                                    max_size=2 if big else 3, unique=True))
+        pools.append(values + [values[0] + field.p])  # one coordinate, two objects
+    grid = list(itertools.islice(itertools.product(*pools), 200))
+    order = data.draw(st.sampled_from(["grid", "shuffled", "lists"]), label="order")
+    if order == "shuffled":
+        points = data.draw(st.permutations(grid)) * 2
+    elif order == "lists":
+        points = [list(point) for point in grid * 2]
+    else:
+        points = grid * 2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpoly, "_KERNEL_CALLS", 1 << 30)
+        g.evaluate(grid[0])
+        patch.setattr(mpoly, "_KERNEL_CALLS", calls)
+        patch.setattr(gridkernel, "_MAX_VARS", max_vars)
+        patch.setattr(gridkernel, "_MAX_TERMS", max_terms)
+        hits = 0
+        for point in points:
+            memo = f._memo
+            hit = memo[4](f, point, memo) if memo and memo[4] else None
+            value = f.evaluate(point)
+            assert value == g.evaluate(point) == _oracle_value(f, point), (f, point)
+            assert hit in (None, value)
+            hits += hit is not None
+        fits = 0 < len(f.terms) <= max_terms and n <= max_vars and len(points) >= calls
+        assert (f._memo[4] is not None) == fits and g._memo[4] is None
+        if fits and order == "grid":
+            assert hits
+            point = grid[-1]
+            for bad in _bad_points(point):
+                memo = f._memo
+                assert memo[4](f, point, memo) == f.evaluate(point)
+                with pytest.raises(BadInput):
+                    f.evaluate(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_kernel_hit_keeps_every_refusal(monkeypatch, n):
+    # right after the kernel answered a point, by the same head or with only
+    # the deepest head coordinate moved, a refused coordinate anywhere still
+    # raises, and a list point is read as its own values
+    monkeypatch.setattr(mpoly, "_KERNEL_CALLS", 1)
+    f = MultiPoly(PrimeField(7), n, {(1,) * n: 3, (2,) + (0,) * (n - 1): 1, (0,) * n: 5})
+    grid = list(itertools.product(*[[1, 2, 3]] * n))
+    for point in grid:
+        f.evaluate(point)
+    assert f._memo[4] is not None
+    for point in grid[-6:]:
+        for bad in _bad_points(point):
+            value = f.evaluate(point)
+            memo = f._memo
+            assert memo[4](f, point, memo) == value == _oracle_value(f, point)
+            with pytest.raises(BadInput):
+                f.evaluate(bad)
+            with pytest.raises(BadInput):
+                f.evaluate(list(bad))
+    point = list(grid[-1])
+    f.evaluate(point)
+    point[0] = 5
+    assert f.evaluate(point) == _oracle_value(f, tuple(point))
+
+
+def test_kernel_bounds_and_call_threshold():
+    # a polynomial over Z_p compiles its kernel at its _KERNEL_CALLS-th call
+    # when it has at most gridkernel._MAX_TERMS terms in at most
+    # gridkernel._MAX_VARS variables; past either bound, over Q, or with no
+    # terms, it never does
+    field = PrimeField(101)
+    top, most = gridkernel._MAX_VARS, gridkernel._MAX_TERMS
+    cases = [
+        (MultiPoly(field, top, {(1,) * top: 2, (0,) * (top - 1) + (2,): 3}), True),
+        (MultiPoly(field, top + 1, {(1,) * (top + 1): 2}), False),
+        (MultiPoly(field, 3, {(e, e % 3, e % 5): 1 for e in range(most)}), True),
+        (MultiPoly(field, 3, {(e, e % 3, e % 5): 1 for e in range(most + 1)}), False),
+        (MultiPoly(Q, 2, {(1, 1): Fraction(1, 2)}), False),
+        (MultiPoly.zero(field, 2), False),
+    ]
+    for f, compiles in cases:
+        point = (3,) * f.n_vars
+        for _ in range(mpoly._KERNEL_CALLS - 1):
+            f.evaluate(point)
+        assert f._memo[4] is None
+        f.evaluate(point)
+        assert (f._memo[4] is not None) is compiles, f.n_vars
+        assert f._memo[5] == 0
+        assert f.evaluate(point) == _oracle_value(f, point)
+
+
+def test_polynomials_of_one_shape_compile_one_kernel(monkeypatch):
+    # these two differ in every coefficient and exponent but share the
+    # shape: variables, slots, the deepest head variable's picks and the
+    # reduce flags.  The source holds none of their numbers: each number in
+    # it is a count, an index, a name's suffix (all at most 3 here) or a
+    # memo slot (0 to 5)
+    sources = []
+
+    def recorded(*shape):
+        sources.append(source(*shape))
+        return sources[-1]
+
+    source = gridkernel._source
+    monkeypatch.setattr(gridkernel, "_source", recorded)
+    monkeypatch.setattr(mpoly, "_KERNEL_CALLS", 1)
+    gridkernel._compile_shape.cache_clear()
+    field = PrimeField(1000003)
+    f = MultiPoly(field, 3, {(4321, 2, 7): 98765, (1, 1, 0): 5, (0, 9, 3): 77})
+    g = MultiPoly(field, 3, {(4320, 3, 8): 11, (2, 2, 0): 6, (0, 8, 4): 12})
+    for h in (f, g):
+        for point in itertools.product([2, 3], [5, 6], [7, 11]):
+            assert h.evaluate(point) == _oracle_value(h, point)
+    info = gridkernel._compile_shape.cache_info()
+    assert (info.misses, info.currsize, len(sources)) == (1, 1, 1)
+    assert f._memo[4] is not g._memo[4] and f._memo[4].__code__ is g._memo[4].__code__
+    assert max(map(int, re.findall(r"\d+", sources[0]))) <= 5
+    gridkernel._compile_shape.cache_clear()
+
+
+def test_small_request_imports_no_kernel_module():
+    # a command-line request on a small grid stays below the call threshold,
+    # so it never compiles a kernel, nor even imports the module
+    code = """
+import io, sys, combnull.cli
+sys.stdout = io.StringIO()
+code = combnull.cli.run(["coeff", "--p", "7", "--poly", "x1^2*x2*x3 + 3*x1*x3^2 + 1",
+                         "--sets", "0,1,2;1,2,3;2,4,6"])
+sys.stdout = sys.__stdout__
+print(code, "combnull.gridkernel" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         stdin=subprocess.DEVNULL, timeout=60)
+    assert out.stdout.split() == ["0", "False"], out.stderr
+
+
+def test_kernel_compile_failure_keeps_the_generic_route(monkeypatch):
+    # compiling from a stack near the recursion limit can fail; the
+    # polynomial then stays on the generic route
+    def deep(*shape):
+        raise RecursionError
+
+    monkeypatch.setattr(gridkernel, "_compile_shape", deep)
+    monkeypatch.setattr(mpoly, "_KERNEL_CALLS", 1)
+    f = parse_poly("x1^2*x2*x3 + 3*x3^2 + 1", F5, 3)
+    for point in itertools.product(range(5), repeat=3):
+        assert f.evaluate(point) == _oracle_value(f, point)
+    assert f._memo[4] is None
 
 
 @given(data=st.data())
