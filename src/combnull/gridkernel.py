@@ -7,25 +7,30 @@ count, the number of slots (distinct last exponents), and for the deepest
 head variable the power each term picks, the slots' spans and where products
 are reduced; the source is built from these ints alone, never from a
 coefficient, exponent or coordinate.  It is compiled once per shape and bound
-to each polynomial's modulus and power tables.
+to each polynomial's modulus, its power tables, and the picks and reduce
+flags of the depths between the first and the deepest.
 
-The kernel does the two cases of grid order without the generic route's
-per-call set-up.  With the head the memo holds (unrolled identity tests), the
-value is one table lookup for the last coordinate and an unrolled dot product
-mod p.  With only the deepest head coordinate moved, the slot sums are first
-redone from the memo's deepest level and that coordinate's power row,
-reduced exactly where the plan reduces, and stored as a new memo in one
-attribute store.  Anything else, a non-int coordinate, a row not yet in its
-table or a deeper head change, returns None, a miss, and ``evaluate`` takes
-its generic route, the only one that coerces, refuses or inserts into a power
-table.
+The kernel does the three cases of grid order without the generic route's
+per-call set-up.  Unrolled identity tests find the first head coordinate
+that moved.  With none moved, the value is one table lookup for the last
+coordinate and an unrolled dot product mod p.  With only the deepest head
+coordinate moved, its per-term products and the slot sums are redone,
+unrolled, from the memo's last level.  With a move at a depth k between the
+first and the deepest, the depths from k to the one above the deepest are
+redone first, from the memo's level k - 1, each one C-level multiply by its
+picked powers, reduced where the plan reduces it, as on the generic route.
+The new levels go into a new list, and the new memo into one attribute
+store, so the memo's lists are never changed in place.  A move
+of the first coordinate (which keeps no table), a non-int coordinate or a row
+not yet in its table returns None, a miss, and ``evaluate`` takes its generic
+route, the only one that coerces, refuses or inserts into a power table.
 
-Bounds, measured on a 2-CPU x86_64 VM with Python 3.11: compiling took
-0.7-1.1 ms up to 16 terms, 2.0 ms at 64, 3.4 ms at 128 and 5.3 ms at 256,
-and a shape kept 4-11 KB once compiled; a kernel saves about 1 us per grid
-point, so ``mpoly._KERNEL_CALLS`` calls come first.  The gain shrinks with the
-variables, since a head change deeper than the deepest coordinate misses: on
-{0,1}^n it was 1.42x at 16 variables, 1.19x at 32 and 1.11x at 48.  A slot's
+Bounds, measured on a 2-CPU x86_64 VM with Python 3.11: at the bound shape,
+32 variables and 64 terms, compiling took 1.5 ms with four slots and 2.2 ms
+with a slot per term (medians of 15), and a shape kept about 5 and 9 KB once
+compiled; the depths above the deepest run as a loop, so the source grows by
+a few lines per variable, not per term and variable.  A kernel saves about
+1 us per grid point, so ``mpoly._KERNEL_CALLS`` calls come first.  A slot's
 width needs no bound of its own: at 64 terms in one slot the kernel still ran
 1.9 times as fast as the generic route, and every unrolled sum has at most
 ``_MAX_TERMS`` operands, far below the 3,000 at which a sum's compile raised
@@ -50,7 +55,7 @@ def kernel_for(plan: tuple):
     n = len(depths) + 1
     if not mod or not coefficients or n > _MAX_VARS or len(coefficients) > _MAX_TERMS:
         return None
-    deep = deep_get = None
+    deep = deep_get = middle = None
     if n > 2:  # the first variable keeps no table, so with two a head change misses
         exponents, picks, reduce, deep_table = depths[-1]
         deep_get = deep_table.get
@@ -58,18 +63,23 @@ def kernel_for(plan: tuple):
         # picks maps a row to one entry per term, so a row of indices to the
         # index each term picks
         deep = (tuple(picks(range(len(exponents)))), len(exponents), reduce, spans, reduce_sums)
+        # depths 1 to n - 3, which the kernel runs as the generic route does
+        middle = tuple((picks, reduce, depth_table.get)
+                       for _, picks, reduce, depth_table in depths[1:-1])
     try:
         build = _compile_shape(n, len(last), deep)
     except RecursionError:  # compiled from a stack near the recursion limit
         return None
-    return build(mod, table.get, deep_get)
+    return build(mod, table.get, deep_get, middle)
 
 
 @lru_cache(maxsize=_SHAPES)
 def _compile_shape(n: int, width: int, deep: tuple | None):
-    """``build(mod, last, deep)``, which binds the kernel of this shape to a
-    modulus and the ``get`` of the last and the deepest head variable's power
-    tables; compiled from ``_source`` once per shape."""
+    """``build(mod, last, deep, middle)``, which binds the kernel of this
+    shape to a modulus, the ``get`` of the last and the deepest head
+    variable's power tables, and for each depth between the first and the
+    deepest its picks, reduce flag and table ``get``; compiled from
+    ``_source`` once per shape."""
     namespace: dict = {}
     exec(compile(_source(n, width, deep), "<grid-order kernel>", "exec"), namespace)
     return namespace["build"]
@@ -85,45 +95,66 @@ def _source(n: int, width: int, deep: tuple | None) -> str:
         return "".join(f"{stem}{i}, " for i in range(count))
 
     head = n - 1
-    lines = ["def build(mod, last, deep):",
+    # the value from the slot sums c0, c1, ... and the last coordinate x
+    value = [f"{names('c', width)}= memo[3]",
+             "if type(x) is not int:",
+             "    return None",
+             "r = last(x % mod)",
+             "if r is None:",
+             "    return None",
+             f"{names('r', width)}= r",
+             "return (" + " + ".join(f"c{k} * r{k}" for k in range(width)) + ") % mod"]
+    lines = ["from operator import mul",
+             "def build(mod, last, deep, middle):",
+             "    rmod = mod.__rmod__",
              "    def kernel(self, point, memo):",
              f"        if len(point) != {n}:",
              "            return None",
              f"        {names('a', head)}x, = point"]
     if head:
-        lines.append(f"        {names('h', head)}= memo[1]")
-        fixed = head - 1 if deep else head  # coordinates that must match
-        if fixed:
-            lines += ["        if " + " or ".join(f"a{i} is not h{i}" for i in range(fixed)) + ":",
-                      "            return None"]
-    if deep:
-        picks, row_width, reduce, spans, reduce_sums = deep
-        d = head - 1
-        lines += [f"        if a{d} is h{d}:",
-                  f"            {names('c', width)}= memo[3]",
-                  "        else:",
-                  f"            if type(a{d}) is not int:",
-                  "                return None",
-                  f"            r = deep(a{d} % mod)",
-                  "            if r is None:",
-                  "                return None",
-                  f"            {names('r', row_width)}= r",
-                  f"            {names('b', len(picks))}= memo[2][-1]"]
-        mod_products = " % mod" if reduce else ""
-        lines += [f"            t{k} = b{k} * r{j}{mod_products}" for k, j in enumerate(picks)]
-        for k, (start, stop) in enumerate(spans or [(k, k + 1) for k in range(len(picks))]):
-            total = " + ".join(f"t{i}" for i in range(start, stop))
-            lines.append(f"            c{k} = " + (f"({total}) % mod" if reduce_sums else total))
-        lines.append(f"            self._memo = (memo[0], ({names('a', head)}), memo[2], "
-                     f"[{names('c', width)}], memo[4], 0)")
-    else:
-        lines.append(f"        {names('c', width)}= memo[3]")
-    lines += ["        if type(x) is not int:",
+        lines += [f"        {names('h', head)}= memo[1]",
+                  "        if a0 is not h0:",
+                  "            return None"]
+    if not deep:
+        return "\n".join(lines + ["        " + line for line in value] + ["    return kernel\n"])
+    # the first head coordinate that moved is k; with none moved, the value
+    # comes from the memo's slot sums
+    picks, row_width, reduce, spans, reduce_sums = deep
+    d = head - 1
+    for i in range(1, head):
+        lines += [f"        {'if' if i == 1 else 'elif'} a{i} is not h{i}:",
+                  f"            k = {i}"]
+    lines += ["        else:"] + ["            " + line for line in value]
+    lines += [f"        head = ({names('a', head)})",
+              "        levels = memo[2]"]
+    if d > 1:
+        # the generic route's loop, from depth k to the one above the
+        # deepest, into a new list of levels
+        lines += [f"        if k < {d}:",
+                  "            levels = levels[:k]",
+                  "            products = levels[-1]",
+                  f"            for v, (picks, reduce, get) in zip(head[k:{d}], middle[k - 1:]):",
+                  "                if type(v) is not int:",
+                  "                    return None",
+                  "                row = get(v % mod)",
+                  "                if row is None:",
+                  "                    return None",
+                  "                products = list(map(mul, products, picks(row)))",
+                  "                if reduce:",
+                  "                    products = list(map(rmod, products))",
+                  "                levels.append(products)"]
+    lines += [f"        if type(a{d}) is not int:",
               "            return None",
-              "        r = last(x % mod)",
+              f"        r = deep(a{d} % mod)",
               "        if r is None:",
               "            return None",
-              f"        {names('r', width)}= r",
-              "        return (" + " + ".join(f"c{k} * r{k}" for k in range(width)) + ") % mod",
-              "    return kernel"]
-    return "\n".join(lines) + "\n"
+              f"        {names('r', row_width)}= r",
+              f"        {names('b', len(picks))}= levels[-1]"]
+    mod_products = " % mod" if reduce else ""
+    lines += [f"        t{k} = b{k} * r{j}{mod_products}" for k, j in enumerate(picks)]
+    for k, (start, stop) in enumerate(spans or [(k, k + 1) for k in range(len(picks))]):
+        total = " + ".join(f"t{i}" for i in range(start, stop))
+        lines.append(f"        c{k} = " + (f"({total}) % mod" if reduce_sums else total))
+    lines.append(f"        self._memo = (memo[0], head, levels, [{names('c', width)}], memo[4], 0)")
+    lines += ["        " + line for line in value[1:]]
+    return "\n".join(lines + ["    return kernel\n"])

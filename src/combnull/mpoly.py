@@ -31,11 +31,12 @@ common denominator, so integral coordinates cost int arithmetic and each
 value is divided once.
 
 Over Z_p a polynomial evaluated often gets a kernel (``gridkernel``):
-straight-line code for the same head and for a move of the deepest head
-coordinate alone, tried before the route above, which takes every miss.  On
+straight-line code for the same head and for a move of any head coordinate
+but the first, tried before the route above, which takes every miss.  On
 the benchmark's seed-0 instances (2-CPU x86_64 VM, Python 3.11) it made the
-full Z_p^n sums 2.4 times faster, ``second_nonvanish`` 1.7, the Z_101
-weighted sums 1.6 and the Boolean and signed two-element sums 1.3.
+full Z_p^n sums 2.5 times faster, the Boolean sums 2.4, the signed
+two-element sums 2.0, the Z_101 weighted sums 1.9 and ``second_nonvanish``
+1.7.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and

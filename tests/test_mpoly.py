@@ -20,14 +20,17 @@ from combnull import (
     ArityMismatch,
     BadInput,
     FieldMismatch,
+    Grid,
     InputError,
     MultiPoly,
     NEG_INF,
     PrimeField,
     RationalField,
     SchemaError,
+    boolean_sum,
     format_poly,
     parse_poly,
+    signed_two_element_sum,
     sorted_terms,
 )
 from combnull import gridkernel, mpoly
@@ -749,6 +752,164 @@ def test_kernel_hit_keeps_every_refusal(monkeypatch, n):
     f.evaluate(point)
     point[0] = 5
     assert f.evaluate(point) == _oracle_value(f, tuple(point))
+
+
+def _grid_walk(sets, rng, steps):
+    """Points of the grid in grid order, as ``itertools.product`` yields them
+    (each coordinate one of its set's own objects), though not every one:
+    each step advances a random coordinate, the last one half the time,
+    carrying into the ones before it, so head coordinates at every depth
+    move; a step that would carry past the first coordinate is not taken."""
+    n = len(sets)
+    digits = [0] * n
+    walk = [tuple(s[0] for s in sets)]
+    for _ in range(20 * steps):
+        if len(walk) == steps:
+            break
+        j = n - 1 if rng.random() < 0.5 else rng.randrange(n)
+        moved = digits[:]
+        while j >= 0 and moved[j] == len(sets[j]) - 1:
+            moved[j] = 0
+            j -= 1
+        if j >= 0:
+            moved[j] += 1
+            digits = moved
+            walk.append(tuple(s[d] for s, d in zip(sets, digits)))
+    return walk
+
+
+def _count_kernel_calls(f):
+    """Wraps the kernel in f's memo.  The list it returns gains an entry per
+    kernel call: the first coordinate that is not the memo's head object for
+    object (None for the same head) and whether the kernel answered."""
+    calls = []
+    memo = f._memo
+    kernel = memo[4]
+
+    def counted(self, point, memo):
+        moved = next((j for j, (a, h) in enumerate(zip(point, memo[1])) if a is not h), None)
+        value = kernel(self, point, memo)
+        calls.append((moved, value is not None))
+        return value
+
+    f._memo = memo[:4] + (counted,) + memo[5:]
+    return calls
+
+
+def _outcome(f, point):
+    """f's value at the point, or the type and text of what it raised."""
+    try:
+        return f.evaluate(point)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_route_at_every_head_depth(data):
+    # from its first call the kernel answers a move of any head coordinate
+    # but the first.  Walked in grid order, reversed and shuffled, over sets
+    # of two to four elements in 3 to _MAX_VARS variables, every value
+    # matches the oracle and an equal polynomial on the generic route.  Once
+    # every power table holds every element, the kernel answers every point
+    # whose first coordinate stayed.  Right after a kernel hit, a head
+    # coordinate set to True, 1.0 or a Fraction gets what the generic route
+    # gives it: the same refusal, or the same value
+    field = data.draw(st.sampled_from([F2, F5, PrimeField(101), PrimeField(2**31 - 1)]),
+                      label="field")
+    n = data.draw(st.integers(3, gridkernel._MAX_VARS), label="n_vars")
+    terms = dict(data.draw(poly_strategy(field, n, max_exp=3, max_terms=8), label="f").terms)
+    terms = terms or {(1,) * n: 1}
+    f, g = MultiPoly(field, n, terms), MultiPoly(field, n, terms)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    sets = [rng.sample(range(min(field.p, 10**6)), min(rng.randint(2, 4), field.p))
+            for _ in range(n)]
+    walk = _grid_walk(sets, rng, 300)
+    order = data.draw(st.sampled_from(["grid", "reversed", "shuffled"]), label="order")
+    if order == "reversed":
+        walk.reverse()
+    elif order == "shuffled":
+        rng.shuffle(walk)
+    warm = data.draw(st.booleans(), label="warm tables")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpoly, "_KERNEL_CALLS", 1 << 30)
+        g.evaluate(walk[0])
+        patch.setattr(mpoly, "_KERNEL_CALLS", 1)
+        f.evaluate(walk[0])
+    if warm:
+        for i in range(4):
+            f.evaluate(tuple(s[i % len(s)] for s in sets))
+    calls = _count_kernel_calls(f)
+    for i, point in enumerate(walk):
+        value = f.evaluate(point)
+        assert value == g.evaluate(point) == _oracle_value(f, point), (f, point)
+        if calls[-1][1] and i % 5 == 0:
+            j = rng.randrange(1, n - 1)
+            bad = rng.choice([True, 1.0, Fraction(point[j]), Fraction(1, 2)])
+            bad = point[:j] + (bad,) + point[j + 1:]
+            kept = len(calls)
+            assert _outcome(f, bad) == _outcome(g, bad), (f, bad)
+            assert calls.pop() == (j, False) and len(calls) == kept
+    assert 0 not in {moved for moved, hit in calls if hit}
+    if warm:
+        assert {moved for moved, hit in calls if not hit} <= {0}
+
+
+@pytest.mark.parametrize("n", [3, 12, 32])
+def test_kernel_misses_only_where_the_first_coordinate_moves(monkeypatch, n):
+    # on {0,1}^n and on a grid of two-element sets, walked in grid order:
+    # once the kernel exists and every power table holds both rows, the
+    # kernel answers every point but those where the first coordinate moved
+    monkeypatch.setattr(mpoly, "_KERNEL_CALLS", 1)
+    rng = random.Random(n)
+    terms = {tuple(rng.randrange(2) for _ in range(n)): 1 for _ in range(6)}
+    terms[(1,) * n] = 1
+    f = MultiPoly(F2, n, terms)
+    for point in [(0,) * n, (1,) * n]:
+        f.evaluate(point)
+    calls = _count_kernel_calls(f)
+    if n < 16:
+        assert boolean_sum(f) == oracles.boolean_sum(f.terms, n)
+        assert len(calls) == 2**n
+    else:
+        for point in _grid_walk([(0, 1)] * n, rng, 3000):
+            assert f.evaluate(point) == _oracle_value(f, point)
+    assert {moved for moved, _ in calls} >= set(range(n - 1))
+    assert [moved for moved, hit in calls if not hit] == [moved for moved, _ in calls if moved == 0]
+
+    field = PrimeField(101)
+    sets = [tuple(rng.sample(range(101), 2)) for _ in range(min(n, 10))]
+    f = MultiPoly(field, len(sets), {tuple(rng.randrange(3) for _ in sets): rng.randrange(1, 101)
+                                    for _ in range(8)})
+    for point in zip(*sets):
+        f.evaluate(point)
+    calls = _count_kernel_calls(f)
+    grid = Grid(field, sets)
+    assert signed_two_element_sum(f, grid) == oracles.signed_two_element_sum(f.terms, sets, 101)
+    assert len(calls) == 2 ** len(sets)
+    assert [moved for moved, hit in calls if not hit] == [moved for moved, _ in calls if moved == 0]
+
+
+def test_kernel_source_grows_with_the_variables_not_the_terms(monkeypatch):
+    # the kernel runs the depths between the first and the deepest head
+    # variable in one loop, not unrolled per term: for one term set its
+    # source at 32 variables stays within 2.5 times its source at 16, and
+    # the 16 more variables add as much source to 64 terms as to 2
+    shapes = []
+    monkeypatch.setattr(gridkernel, "_compile_shape",
+                        lambda *shape: shapes.append(shape) or (lambda *bound: None))
+    rng = random.Random(0)
+    size = {}
+    for count in (2, 64):
+        terms = {}
+        while len(terms) < count:
+            terms[tuple(rng.randrange(4) for _ in range(16))] = rng.randrange(1, 101)
+        for n in (16, 32):
+            f = MultiPoly(PrimeField(101), n, {(0,) * (n - 16) + e: c for e, c in terms.items()})
+            gridkernel.kernel_for(mpoly._eval_plan(f))
+            size[count, n] = len(gridkernel._source(*shapes.pop()))
+    assert size[64, 32] <= 2.5 * size[64, 16]
+    assert size[64, 32] - size[64, 16] <= 1.1 * (size[2, 32] - size[2, 16])
 
 
 def test_kernel_bounds_and_call_threshold():
