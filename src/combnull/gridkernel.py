@@ -8,22 +8,23 @@ head variable the power each term picks, the slots' spans and where products
 are reduced; the source is built from these ints alone, never from a
 coefficient, exponent or coordinate.  It is compiled once per shape and bound
 to each polynomial's modulus, its power tables, and the picks and reduce
-flags of the depths between the first and the deepest.
+flags of the depths above the deepest.
 
 The kernel does the three cases of grid order without the generic route's
 per-call set-up.  Unrolled identity tests find the first head coordinate
 that moved.  With none moved, the value is one table lookup for the last
 coordinate and an unrolled dot product mod p.  With only the deepest head
 coordinate moved, its per-term products and the slot sums are redone,
-unrolled, from the memo's last level.  With a move at a depth k between the
-first and the deepest, the depths from k to the one above the deepest are
-redone first, from the memo's level k - 1, each one C-level multiply by its
-picked powers, reduced where the plan reduces it, as on the generic route.
-The new levels go into a new list, and the new memo into one attribute
-store, so the memo's lists are never changed in place.  A move
-of the first coordinate (which keeps no table), a non-int coordinate or a row
-not yet in its table returns None, a miss, and ``evaluate`` takes its generic
-route, the only one that coerces, refuses or inserts into a power table.
+unrolled, from the memo's last level.  With a move at any depth k above the
+deepest, the first coordinate's included, the depths from k to the one above
+the deepest are redone first, from the memo's level k, each one C-level
+multiply by its picked powers, reduced where the plan reduces it: the
+generic route's rule, at every depth.  The new levels go into a new list,
+and the new memo into one attribute store, so the memo's lists are never
+changed in place.  A non-int coordinate or a row not yet in its table
+returns None, a miss, and ``evaluate`` takes its generic route, the only one
+that coerces, refuses or inserts into a power table; once the tables hold a
+polynomial's grid, its kernel answers every point.
 
 Bounds, measured on a 2-CPU x86_64 VM with Python 3.11: at the bound shape,
 32 variables and 64 terms, compiling took 1.5 ms with four slots and 2.2 ms
@@ -56,16 +57,16 @@ def kernel_for(plan: tuple):
     if not mod or not coefficients or n > _MAX_VARS or len(coefficients) > _MAX_TERMS:
         return None
     deep = deep_get = middle = None
-    if n > 2:  # the first variable keeps no table, so with two a head change misses
+    if depths:
         exponents, picks, reduce, deep_table = depths[-1]
         deep_get = deep_table.get
         spans = None if slots is None else tuple((s.start, s.stop) for s in slots)
         # picks maps a row to one entry per term, so a row of indices to the
         # index each term picks
         deep = (tuple(picks(range(len(exponents)))), len(exponents), reduce, spans, reduce_sums)
-        # depths 1 to n - 3, which the kernel runs as the generic route does
+        # the depths above the deepest, which the kernel runs as the generic route does
         middle = tuple((picks, reduce, depth_table.get)
-                       for _, picks, reduce, depth_table in depths[1:-1])
+                       for _, picks, reduce, depth_table in depths[:-1])
     try:
         build = _compile_shape(n, len(last), deep)
     except RecursionError:  # compiled from a stack near the recursion limit
@@ -77,9 +78,9 @@ def kernel_for(plan: tuple):
 def _compile_shape(n: int, width: int, deep: tuple | None):
     """``build(mod, last, deep, middle)``, which binds the kernel of this
     shape to a modulus, the ``get`` of the last and the deepest head
-    variable's power tables, and for each depth between the first and the
-    deepest its picks, reduce flag and table ``get``; compiled from
-    ``_source`` once per shape."""
+    variable's power tables, and for each depth above the deepest its
+    picks, reduce flag and table ``get``; compiled from ``_source`` once per
+    shape."""
     namespace: dict = {}
     exec(compile(_source(n, width, deep), "<grid-order kernel>", "exec"), namespace)
     return namespace["build"]
@@ -111,38 +112,35 @@ def _source(n: int, width: int, deep: tuple | None) -> str:
              f"        if len(point) != {n}:",
              "            return None",
              f"        {names('a', head)}x, = point"]
-    if head:
-        lines += [f"        {names('h', head)}= memo[1]",
-                  "        if a0 is not h0:",
-                  "            return None"]
     if not deep:
         return "\n".join(lines + ["        " + line for line in value] + ["    return kernel\n"])
     # the first head coordinate that moved is k; with none moved, the value
     # comes from the memo's slot sums
     picks, row_width, reduce, spans, reduce_sums = deep
     d = head - 1
-    for i in range(1, head):
-        lines += [f"        {'if' if i == 1 else 'elif'} a{i} is not h{i}:",
+    lines.append(f"        {names('h', head)}= memo[1]")
+    for i in range(head):
+        lines += [f"        {'elif' if i else 'if'} a{i} is not h{i}:",
                   f"            k = {i}"]
     lines += ["        else:"] + ["            " + line for line in value]
+    # the generic route's loop, from depth k to the one above the deepest,
+    # into a new list of levels; levels[k] holds the products depth k takes
     lines += [f"        head = ({names('a', head)})",
-              "        levels = memo[2]"]
-    if d > 1:
-        # the generic route's loop, from depth k to the one above the
-        # deepest, into a new list of levels
-        lines += [f"        if k < {d}:",
-                  "            levels = levels[:k]",
-                  "            products = levels[-1]",
-                  f"            for v, (picks, reduce, get) in zip(head[k:{d}], middle[k - 1:]):",
-                  "                if type(v) is not int:",
-                  "                    return None",
-                  "                row = get(v % mod)",
-                  "                if row is None:",
-                  "                    return None",
-                  "                products = list(map(mul, products, picks(row)))",
-                  "                if reduce:",
-                  "                    products = list(map(rmod, products))",
-                  "                levels.append(products)"]
+              "        levels = memo[2]",
+              f"        if k < {d}:",
+              "            products = levels[k]",
+              "            levels = levels[:k]",
+              f"            for v, (picks, reduce, get) in zip(head[k:{d}], middle[k:]):",
+              "                if type(v) is not int:",
+              "                    return None",
+              "                row = get(v % mod)",
+              "                if row is None:",
+              "                    return None",
+              "                levels.append(products)",
+              "                products = list(map(mul, products, picks(row)))",
+              "                if reduce:",
+              "                    products = list(map(rmod, products))",
+              "            levels.append(products)"]
     lines += [f"        if type(a{d}) is not int:",
               "            return None",
               f"        r = deep(a{d} % mod)",

@@ -8,35 +8,36 @@ operation.  ``terms`` must not be changed once a polynomial is built:
 
 Evaluation is partial.  Each polynomial keeps a memo of its last evaluation
 in six slots: the static plan, the coordinates before the last as passed
-(the raw head), for each leading depth k but the deepest the list of
-per-term products c * x_0^e_0 * ... * x_k^e_k, the deepest depth's products
-summed per distinct last exponent (the slot sums), the kernel, and the
-calls left before the kernel is compiled.  The plan also holds a power
-table for each variable but a leading first one, from a coerced coordinate
-to its powers at that variable's distinct exponents; in grid order the
-first coordinate changes once per run over the others, so its powers would
-recur only across calls.  The tables only gain entries, each complete before
-it is inserted, and one polynomial's tables hold at most
-``_POWER_TABLE_CELLS`` cells; past that, powers are computed and not kept.
-When a point's head is the raw head object for object, as
-``itertools.product`` yields it, only the last coordinate is coerced, and
-the value is the slot sums times its power row, one C-level dot product.
-Otherwise the head is coerced from the first coordinate object that differs
-and the depths are redone from there, each one C-level multiply of the
-previous depth's products by the picked powers.  Matching by identity rather
-than ``==``, and looking a table up only by a coerced coordinate, keeps
-every refusal of ``field.element``: ``True`` or ``1.0`` never stands in for
-``1``.  Over Q the coefficients are integer numerators over their least
-common denominator, so integral coordinates cost int arithmetic and each
-value is divided once.
+(the raw head), the levels, the deepest depth's products summed per distinct
+last exponent (the slot sums), the kernel, and the calls left before the
+kernel is compiled.  Level k holds the products that head depth k takes:
+level 0 is the coefficients, and level k the per-term products
+c * x_0^e_0 * ... * x_(k-1)^e_(k-1).  The plan also holds a power table for
+every variable, from a coerced coordinate to its powers at that variable's
+distinct exponents.  The tables only gain entries, each complete before it
+is inserted, and one polynomial's tables hold at most ``_POWER_TABLE_CELLS``
+cells; past that, powers are computed and not kept.  When a point's head is
+the raw head object for object, as ``itertools.product`` yields it, only the
+last coordinate is coerced, and the value is the slot sums times its power
+row, one C-level dot product.  Otherwise, with k the first head coordinate
+object that differs, the head is coerced from k on and each depth from k on
+is redone from its level, one C-level multiply by the picked powers: one
+rule at every depth.  Matching by identity rather than ``==``, and looking a
+table up only by a coerced coordinate, keeps every refusal of
+``field.element``: ``True`` or ``1.0`` never stands in for ``1``.  Over Q
+the coefficients are integer numerators over their least common
+denominator, so integral coordinates cost int arithmetic and each value is
+divided once.
 
 Over Z_p a polynomial evaluated often gets a kernel (``gridkernel``):
-straight-line code for the same head and for a move of any head coordinate
-but the first, tried before the route above, which takes every miss.  On
-the benchmark's seed-0 instances (2-CPU x86_64 VM, Python 3.11) it made the
-full Z_p^n sums 2.5 times faster, the Boolean sums 2.4, the signed
-two-element sums 2.0, the Z_101 weighted sums 1.9 and ``second_nonvanish``
-1.7.
+straight-line code for the same head and for a move of any head coordinate,
+by the same rule, tried before the route above.  It misses only on the
+first call, on a non-int coordinate and on a row not yet in its table, and
+the route above takes every miss; once the tables hold a polynomial's grid,
+the kernel answers every point.  On the benchmark's seed-0 instances (2-CPU
+x86_64 VM, Python 3.11) it made the full Z_p^n sums 2.5 times faster, the
+Boolean sums 2.4, the signed two-element sums 2.0, the Z_101 weighted sums
+1.9 and ``second_nonvanish`` 1.7.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -73,11 +74,11 @@ from .field import FieldSpec, PrimeField, Scalar
 
 NEG_INF = float("-inf")
 _UNSET = object()
-# Cells the power tables of one polynomial may hold (``_power_row``).  The
-# 120 x 120 Cauchy-Davenport certificate over Z_1009 takes 28,800 for its last
-# variable, and its peak RSS as a process went from 23.4 to 23.8 MB; with a
-# table for its first variable too (57,600 cells) it went to 26.0 MB (2-CPU
-# x86_64, Python 3.11).
+# Cells the power tables of one polynomial may hold (``_power_row``), every
+# variable's rows counted alike.  The 120 x 120 Cauchy-Davenport certificate
+# over Z_1009 takes 28,800 for each of its two variables, 57,600 in all; as a
+# process, its peak RSS went from 23.1 to 24.1 MB when its first variable got
+# a table, at 0.65-0.74 s either way (2-CPU x86_64, Python 3.11).
 _POWER_TABLE_CELLS = 1 << 16
 # A polynomial over Z_p asks ``gridkernel`` for its grid-order kernel at this
 # call, so a small one-shot grid, as in a command-line request, never imports
@@ -243,11 +244,13 @@ class MultiPoly:
         Partial evaluation against the previous call's memo (see the module
         docstring): a head that is the previous raw head object for object
         costs one lookup of the last coordinate's power row and one C-level
-        dot product with the slot sums; otherwise the head is coerced from the
-        first coordinate object that differs and the per-term prefix products
-        are redone from there.  Over Z_p, from the ``_KERNEL_CALLS``-th call
-        on, a kernel (``gridkernel``) is tried first, and a miss takes the
-        route above.  The value is a residue over Z_p and a ``Fraction`` over
+        dot product with the slot sums; otherwise, with k the first
+        coordinate object that differs, the head is coerced from k on and
+        each depth from k on is redone from its level, by one rule at every
+        depth.  Over Z_p, from the ``_KERNEL_CALLS``-th call on, a kernel
+        (``gridkernel``) is tried first, and a miss (the first call, a
+        non-int coordinate, a row not yet in its table) takes the route
+        above.  The value is a residue over Z_p and a ``Fraction`` over
         Q.  The memo is O(terms * n_vars) plus power tables of at most
         ``_POWER_TABLE_CELLS`` cells.  It is replaced by one attribute store,
         and the tables only gain complete entries, so a concurrent call on a
@@ -262,11 +265,12 @@ class MultiPoly:
         if len(point) != self.n_vars:
             raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
         if memo is None:
-            # a head of n_vars placeholders, which no point matches
+            # a head of n_vars placeholders, which no point matches, and
+            # level 0, the coefficients
             plan = _eval_plan(self)
-            memo = (plan, (_UNSET,) * self.n_vars, [], None, None, _KERNEL_CALLS if plan[0] else 0)
+            memo = (plan, (_UNSET,) * self.n_vars, [plan[4]], None, None, _KERNEL_CALLS if plan[0] else 0)
         plan, head, levels, coeffs, kernel, calls = memo
-        mod, den, coordinate, depths, coefficients, slots, reduce_sums, last, table, room = plan
+        mod, den, coordinate, depths, _, slots, reduce_sums, last, table, room = plan
         stale = calls
         if calls:  # counted down to the call that compiles the kernel
             calls -= 1
@@ -277,19 +281,17 @@ class MultiPoly:
         if not all(map(is_, point, head)):  # in grid order, only when a head coordinate moves
             first = list(map(is_, point, head)).index(False)
             head = tuple(point[:self.n_vars - 1])
+            products = levels[first]
             levels = levels[:first]
-            products = levels[-1] if levels else coefficients
             for (exponents, picks, reduce, powers), x in zip(depths[first:],
                                                              map(coordinate, head[first:])):
-                row = None if powers is None else powers.get(x)
+                row = powers.get(x)
                 if row is None:
                     row = _power_row(x, exponents, powers, room, mod)
+                levels.append(products)
                 products = list(map(mul, products, picks(row)))
                 if reduce:
                     products = list(map(mod.__rmod__, products))
-                levels.append(products)
-            if levels:  # the deepest products are only ever summed into slots
-                levels.pop()
             if slots:
                 products = list(map(sum, map(products.__getitem__, slots)))
             if reduce_sums:
@@ -369,16 +371,17 @@ def _eval_plan(f: MultiPoly) -> tuple:
     distinct exponents in descending order and ``picks``, an
     ``operator.itemgetter`` that maps a row of its powers at those exponents
     to one power per term, so each term's prefix product takes one multiply.
-    The products are seeded with the coefficients, which over Q are integer
-    numerators over their least common denominator (``_numerators``).  Over
-    Z_p a depth's products, and the slot sums, are reduced only where one
-    more multiply could pass 60 bits.  ``coordinate`` coerces one coordinate:
-    a residue over Z_p, and over Q an int when it is integral.  Each variable
-    but a leading first one has a power table, a dict from a coerced
-    coordinate to its power row, and ``room`` holds the cells the tables may
-    still take (``_power_row``).  Returns (modulus or None, denominator,
-    coordinate, depths as (exponents, picks, reduce, table), coefficients,
-    slots, reduce the slot sums, last exponents, last table, room).
+    The coefficients are level 0 of the memo, the products the first depth
+    takes; over Q they are integer numerators over their least common
+    denominator (``_numerators``).  Over Z_p a depth's products, and the
+    slot sums, are reduced only where one more multiply could pass 60 bits.
+    ``coordinate`` coerces one coordinate: a residue over Z_p, and over Q an
+    int when it is integral.  Every variable has a power table, a dict from
+    a coerced coordinate to its power row, and ``room`` holds the cells the
+    tables may still take (``_power_row``).  Returns (modulus or None,
+    denominator, coordinate, depths as (exponents, picks, reduce, table),
+    coefficients, slots, reduce the slot sums, last exponents, last table,
+    room).
     """
     order = sorted(f.terms, key=lambda exps: -exps[-1])
     rows = []
@@ -416,7 +419,7 @@ def _eval_plan(f: MultiPoly) -> tuple:
             if type(x) is not Fraction:
                 x = element(x)
             return x.numerator if x.denominator == 1 else x
-    depths = [(exponents, _picks(indices), reduce[k], {} if k else None)
+    depths = [(exponents, _picks(indices), reduce[k], {})
               for k, (exponents, indices) in enumerate(rows)]
     return (mod, den, coordinate, depths, coefficients, slots, reduce[-1], last, {},
             [_POWER_TABLE_CELLS])
@@ -438,7 +441,7 @@ def _power_row(x: Scalar, exponents: list[int], table: dict, room: list, mod: in
     cells = len(row) + 1
     if not mod:
         cells += sum(v.numerator.bit_length() + v.denominator.bit_length() for v in row) // 64
-    if table is not None and cells <= room[0]:
+    if cells <= room[0]:
         room[0] -= cells
         table[x] = row
     return row
