@@ -41,7 +41,7 @@ from .field import PrimeField, RationalField, Scalar
 from .mpoly import MultiPoly, _product, _suffix_slices
 from .nullstellensatz import Grid, _points, _weighted_sum_of_values, grid_weighted_sum
 from . import search
-from .search import _Value
+from .search import _Value, _members
 
 
 def __getattr__(name: str):
@@ -168,11 +168,7 @@ def _roots_by_slices(polys: list[MultiPoly], p: int, n: int, s: int) -> list[tup
             if not mask:
                 break
         if mask:
-            digits = f"{mask:b}"[::-1]  # bit j at index j, read in one pass
-            j = digits.find("1")
-            while j >= 0:
-                roots.append(prefix + suffixes[j])
-                j = digits.find("1", j + 1)
+            roots += [prefix + suffix for suffix in _members(suffixes, mask)]
     return roots
 
 

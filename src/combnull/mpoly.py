@@ -66,7 +66,7 @@ import sys
 from array import array
 from operator import is_, itemgetter, mul
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (ArityMismatch, BadInput, FieldMismatch, ResourceLimit, SchemaError,
                      _check_positive_int)
@@ -533,14 +533,20 @@ def _mul_terms(a: dict, b: dict, field: FieldSpec) -> dict:
 
 
 def _product(field: FieldSpec, n_vars: int, factors: Iterable[MultiPoly]) -> MultiPoly:
-    """The product of the factors as a balanced product tree, so each multiply
-    meets operands of like size; the constant 1 when there are none."""
+    """The product of the factors as a balanced product tree (``_pairwise``),
+    so each multiply meets operands of like size; the constant 1 when there
+    are none."""
     level = list(factors)
     if not level:
         return MultiPoly.constant(field, n_vars, field.one)
+    return _pairwise(level, mul)
+
+
+def _pairwise(level: list, merge: Callable) -> object:
+    """A nonempty list merged as a balanced tree: neighbours pair up level by
+    level, and an odd last item waits a level."""
     while len(level) > 1:
-        # neighbours pair up level by level; an odd last factor waits a level
-        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+        level = [merge(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
     return level[0]
 
 

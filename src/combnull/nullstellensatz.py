@@ -49,7 +49,7 @@ from .errors import (
 # the grid cap is defined in errors; its names also resolve here
 from .errors import DEFAULT_MAX_GRID_POINTS, MAX_GRID_POINTS_ENV, resolve_max_points  # noqa: F401
 from .field import FieldSpec, PrimeField, Scalar
-from .mpoly import MultiPoly, _product
+from .mpoly import MultiPoly, _pairwise
 
 # Bit size allowed for a value over Q (``_check_poly_grid``).  At this size one
 # evaluation took about 50 ms at an integral coordinate and 1.3-1.9 s at a
@@ -165,11 +165,13 @@ def lagrange_interpolate(
 ) -> MultiPoly:
     """Unique univariate polynomial of degree < len(points) through the data.
 
-    It is the sum over the points a of y_a * M(x) / ((x - a) * denom(A, a)),
-    with M the master polynomial, the product of (x - b) over all points b,
-    taken as one balanced product (``_product``).  Each M / (x - a) comes
-    from M by synthetic division, and 1/denom(A, a) are the weights the grid
-    sums use.
+    It is the sum over the points a of w_a * y_a * M(x) / (x - a), with M the
+    master polynomial, the product of (x - b) over all points b, and
+    w_a = 1/denom(A, a) the weights the grid sums use.  Both are built on one
+    balanced tree (``_pairwise``): a leaf is (x - a, w_a * y_a), and two
+    neighbours (M_L, N_L), (M_R, N_R) merge into (M_L * M_R, N_L * M_R +
+    N_R * M_L), so each node's N is the sum over its own points and the
+    root's N is the interpolant.  Only the denominators stay quadratic.
     """
     xs = [field.element(x) for x in points]
     if not xs:
@@ -179,20 +181,17 @@ def lagrange_interpolate(
     if len(values) != len(xs):
         raise SizeMismatch(f"{len(values)} values for {len(xs)} points")
     ys = [field.element(y) for y in values]
-    add, mul, zero = field.add, field.mul, field.zero
-    x, top = MultiPoly.variable(field, 1, 0), len(xs) - 1
-    terms = _product(field, 1, (x - b for b in xs)).terms
-    # M's coefficients of x^|A| down to x^1, the ones synthetic division reads
-    master = [terms.get((e,), zero) for e in range(top + 1, 0, -1)]
-    coeffs = [zero] * len(xs)
-    for a, y, inverse in zip(xs, ys, _inverse_denominators(field, tuple(xs))):
-        if field.is_zero(y):
-            continue
-        weight, quotient = mul(y, inverse), zero
-        for i, c in enumerate(master):
-            quotient = add(c, mul(a, quotient))
-            coeffs[i] = add(coeffs[i], mul(weight, quotient))
-    return MultiPoly(field, 1, {(top - i,): c for i, c in enumerate(coeffs)})
+    x = MultiPoly.variable(field, 1, 0)
+    leaves = [(x - a, MultiPoly.constant(field, 1, field.mul(w, y)))
+              for a, y, w in zip(xs, ys, _inverse_denominators(field, tuple(xs)))]
+    return _pairwise(leaves, _merge_interpolants)[1]
+
+
+def _merge_interpolants(left: tuple[MultiPoly, MultiPoly],
+                        right: tuple[MultiPoly, MultiPoly]) -> tuple[MultiPoly, MultiPoly]:
+    """(M, N) of two neighbouring runs of points, from the (M, N) of each."""
+    (m_left, n_left), (m_right, n_right) = left, right
+    return m_left * m_right, n_left * m_right + n_right * m_left
 
 
 def _check_poly_grid(f: MultiPoly, grid: Grid) -> None:

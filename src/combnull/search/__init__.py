@@ -7,7 +7,7 @@ permutations (``shuffles``) and symmetric differences (``symdiff``).  Each is
 a search, a packed bitset DP or a direct count over its input.  A family
 imports only ``errors``, ``field`` and this package, which holds what the
 families share: the record base ``_Value``, the packed state sets of the
-zero-sum and regular-subgraph searches and a bit table.  So a CLI request
+zero-sum and regular-subgraph searches and a bit-set reader.  So a CLI request
 compiles the one family its command runs, and never ``mpoly``,
 ``nullstellensatz`` or ``combinatorics``.  The applications whose
 certificate is a polynomial live in ``combinatorics``, which re-exports
@@ -26,8 +26,9 @@ sorted index (or position-by-position value) sequence.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def __getattr__(name: str):
@@ -84,8 +85,14 @@ class _Value:
 
 
 # the digits of a binary numeral as flag bytes 0 and 1, as itertools.compress
-# reads them (the sumsets and the symmetric differences)
+# reads them
 _BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(items: Sequence, mask: int) -> Iterator:
+    """items[i] for each bit i set in mask, in order: the reversed binary
+    digits, byte i = bit i, read in one pass as compress flags."""
+    return itertools.compress(items, format(mask, "b")[::-1].encode().translate(_BITS))
 
 
 class _PackedStates:

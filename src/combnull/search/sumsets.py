@@ -4,13 +4,12 @@ in ``combinatorics``."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional, Sequence
 
 from ..errors import EmptyInput, FieldMismatch, RequiresDistinctSets, TheoremViolation
 from ..field import PrimeField
-from . import _BITS, _Value
+from . import _Value, _members
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -66,8 +65,7 @@ def _sumset_by_rotations(
     for x in a:
         reach |= (mask & ~(1 << x) if restricted else mask) << x
     reach = (reach | reach >> p) & ((1 << p) - 1)  # x + y < 2p wraps at most once
-    flags = format(reach, f"0{p}b")[::-1].encode().translate(_BITS)  # byte i = bit i
-    return tuple(itertools.compress(range(p), flags))
+    return tuple(_members(range(p), reach))
 
 
 def sumset(field: PrimeField, a_set: Sequence[int], b_set: Sequence[int]) -> tuple[int, ...]:

@@ -3,7 +3,6 @@ CLI's ``symdiff``."""
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 from ..errors import (
@@ -14,7 +13,7 @@ from ..errors import (
     SizeMismatch,
     TheoremViolation,
 )
-from . import _BITS
+from . import _members
 
 
 # XOR work symdiff_check may do, counted as |first|·|second| pairs times the
@@ -98,6 +97,4 @@ def symdiff_check(
             f"symmetric-difference lower bound violated: {len(masks)} < {1 << n} "
             f"distinct differences across the coloring"
         )
-    # byte i of a mask's reversed binary digits is bit i
-    return {frozenset(itertools.compress(elements, format(m, "b")[::-1].encode().translate(_BITS)))
-            for m in masks}
+    return {frozenset(_members(elements, m)) for m in masks}

@@ -248,10 +248,15 @@ def test_lagrange_interpolate_rational():
 @given(data=st.data())
 @settings(max_examples=150)
 def test_lagrange_interpolate_matches_basis_product_oracle(data):
-    p = data.draw(st.sampled_from([None, 2, 3, 5, 7, 13]), label="p")
-    if p is None:
-        field, scalars = Q, st.fractions(-5, 5, max_denominator=4)
-        points = data.draw(st.lists(scalars, min_size=1, max_size=8, unique=True), label="points")
+    # with up to 70 points over Z_1000003 and 20 over Q, odd counts wait at
+    # several levels of the tree; one point is a lone leaf
+    p = data.draw(st.sampled_from([None, 2, 3, 5, 7, 13, 1000003]), label="p")
+    if p is None or p > 13:
+        field = Q if p is None else PrimeField(p)
+        scalars = st.fractions(-5, 5, max_denominator=4) if p is None else st.integers(0, p - 1)
+        # the count first, so the large trees are drawn as often as the small
+        n = data.draw(st.integers(1, 20 if p is None else 70), label="n")
+        points = data.draw(st.lists(scalars, min_size=n, max_size=n, unique=True), label="points")
     else:
         field, scalars = PrimeField(p), st.integers(0, p - 1)
         # all p residues take the Wilson branch of the inverse denominators
@@ -282,8 +287,8 @@ def test_lagrange_master_is_the_list_oracle(data):
 
 
 def test_lagrange_interpolate_two_hundred_points_with_one_product_tree(monkeypatch):
-    # the master polynomial is one balanced product of the 200 linear
-    # factors, 199 multiplies; one basis product per point took about 9 s
+    # the 200 leaves (x - a, w_a * y_a) merge on one balanced tree, 199
+    # merges of three multiplies each; one basis product per point took about 9 s
     products = []
     multiply = MultiPoly.__mul__
 
@@ -297,9 +302,9 @@ def test_lagrange_interpolate_two_hundred_points_with_one_product_tree(monkeypat
     f = lagrange_interpolate(fld, range(200), range(200))
     assert time.perf_counter() - started < 1.0
     assert f.terms == {(1,): 1}
-    assert len(products) == 199
+    assert len(products) == 3 * 199
     # pairwise level by level the root joins degrees 128 and 72; left to
-    # right the last multiply would take an operand of degree 199
+    # right the last merge would take an operand of degree 199
     assert max(products) == (128, 72)
 
 
