@@ -7,16 +7,15 @@ operation.  ``terms`` must not be changed once a polynomial is built:
 ``__hash__`` and the evaluation memo both assume it never changes.
 
 Evaluation is partial.  Each polynomial keeps a memo of its last evaluation
-in six slots: the static plan, the coordinates before the last as passed
+in five slots: the static plan, the coordinates before the last as passed
 (the raw head), the levels, the deepest depth's products summed per distinct
-last exponent (the slot sums), the kernel, and the calls left before the
-kernel is compiled.  Level k holds the products that head depth k takes:
-level 0 is the coefficients, and level k the per-term products
-c * x_0^e_0 * ... * x_(k-1)^e_(k-1).  The plan also holds a power table for
-every variable, from a coerced coordinate to its powers at that variable's
-distinct exponents.  The tables only gain entries, each complete before it
-is inserted, and one polynomial's tables hold at most ``_POWER_TABLE_CELLS``
-cells; past that, powers are computed and not kept.  When a point's head is
+last exponent (the slot sums), and the kernel.  Level k holds the products
+that head depth k takes: level 0 is the coefficients, and level k the
+per-term products c * x_0^e_0 * ... * x_(k-1)^e_(k-1).  The plan also holds
+a power table for every variable, from a coerced coordinate to its powers
+at that variable's distinct exponents.  The tables only gain entries, each
+complete before it is inserted, and one polynomial's tables hold at most
+``_POWER_TABLE_CELLS`` cells; past that, powers are computed and not kept.  When a point's head is
 the raw head object for object, as ``itertools.product`` yields it, only the
 last coordinate is coerced, and the value is the slot sums times its power
 row, one C-level dot product.  Otherwise, with k the first head coordinate
@@ -29,15 +28,15 @@ the coefficients are integer numerators over their least common
 denominator, so integral coordinates cost int arithmetic and each value is
 divided once.
 
-Over Z_p a polynomial evaluated often gets a kernel (``gridkernel``):
-straight-line code for the same head and for a move of any head coordinate,
-by the same rule, tried before the route above.  It misses only on the
-first call, on a non-int coordinate and on a row not yet in its table, and
-the route above takes every miss; once the tables hold a polynomial's grid,
-the kernel answers every point.  On the benchmark's seed-0 instances (2-CPU
-x86_64 VM, Python 3.11) it made the full Z_p^n sums 2.5 times faster, the
-Boolean sums 2.4, the signed two-element sums 2.0, the Z_101 weighted sums
-1.9 and ``second_nonvanish`` 1.7.
+Over Z_p a polynomial gets a kernel (``gridkernel``) when its plan is built,
+at its first call: straight-line code for the same head and for a move of
+any head coordinate, by the same rule, which answers every call.  The route
+above is the only route over Q, past the kernel's bounds on terms and
+variables (``gridkernel._MAX_TERMS``, ``gridkernel._MAX_VARS``), for the
+zero polynomial and when a kernel fails to compile.  On the benchmark's
+seed-0 instances (2-CPU x86_64 VM, Python 3.11) the kernel made the full
+Z_p^n sums 2.5 times faster, the Boolean sums 2.4, the signed two-element
+sums 2.0, the Z_101 weighted sums 1.9 and ``second_nonvanish`` 1.7.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -80,14 +79,6 @@ _UNSET = object()
 # process, its peak RSS went from 23.1 to 24.1 MB when its first variable got
 # a table, at 0.65-0.74 s either way (2-CPU x86_64, Python 3.11).
 _POWER_TABLE_CELLS = 1 << 16
-# A polynomial over Z_p asks ``gridkernel`` for its grid-order kernel at this
-# call, so a small one-shot grid, as in a command-line request, never imports
-# that module.  A new shape's compile (1-2 ms, once per process) is repaid
-# within a few thousand more points; a compiled one costs only its binding.
-# The benchmark's common_roots, whose slice polynomials are built anew per
-# call, ran 1.31 times as fast with 128 here and 1.11 times with 1,024
-# (in-process passes, 2-CPU x86_64 VM, Python 3.11).
-_KERNEL_CALLS = 1 << 8
 
 _TermsLike = Union[Mapping[tuple, Scalar], Iterable[tuple]]
 
@@ -247,37 +238,34 @@ class MultiPoly:
         dot product with the slot sums; otherwise, with k the first
         coordinate object that differs, the head is coerced from k on and
         each depth from k on is redone from its level, by one rule at every
-        depth.  Over Z_p, from the ``_KERNEL_CALLS``-th call on, a kernel
-        (``gridkernel``) is tried first, and a miss (the first call, a
-        non-int coordinate, a row not yet in its table) takes the route
-        above.  The value is a residue over Z_p and a ``Fraction`` over
-        Q.  The memo is O(terms * n_vars) plus power tables of at most
-        ``_POWER_TABLE_CELLS`` cells.  It is replaced by one attribute store,
-        and the tables only gain complete entries, so a concurrent call on a
-        shared polynomial at worst recomputes.  ``terms`` must not be
-        mutated in place.
+        depth.  Over Z_p, within its bounds, a kernel (``gridkernel``)
+        built with the plan at the first call takes every call by the same
+        rule; the route above is the only one over Q, past those bounds or
+        when a compile fails.  The value is a residue over Z_p and a
+        ``Fraction`` over Q.  The memo is O(terms * n_vars) plus power
+        tables of at most ``_POWER_TABLE_CELLS`` cells.  It is replaced by
+        one attribute store, and the tables only gain complete entries, so a
+        concurrent call on a shared polynomial at worst recomputes.
+        ``terms`` must not be mutated in place.
         """
         memo = self._memo
-        if memo is not None and (kernel := memo[4]) is not None:
-            value = kernel(self, point, memo)
-            if value is not None:
-                return value
-        if len(point) != self.n_vars:
-            raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
         if memo is None:
-            # a head of n_vars placeholders, which no point matches, and
-            # level 0, the coefficients
+            # a head of placeholders, which no point matches, and the
+            # coefficients as level 0 and as the slot sums, which they are
+            # with one variable; with more, the first call replaces them
             plan = _eval_plan(self)
-            memo = (plan, (_UNSET,) * self.n_vars, [plan[4]], None, None, _KERNEL_CALLS if plan[0] else 0)
-        plan, head, levels, coeffs, kernel, calls = memo
-        mod, den, coordinate, depths, _, slots, reduce_sums, last, table, room = plan
-        stale = calls
-        if calls:  # counted down to the call that compiles the kernel
-            calls -= 1
-            if not calls:
+            kernel = None
+            if plan[0]:
                 from .gridkernel import kernel_for
 
                 kernel = kernel_for(plan)
+            memo = self._memo = (plan, (_UNSET,) * (self.n_vars - 1), [plan[4]], plan[4], kernel)
+        if (kernel := memo[4]) is not None:
+            return kernel(self, point, memo)
+        if len(point) != self.n_vars:
+            raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
+        plan, head, levels, coeffs, _ = memo
+        mod, den, coordinate, depths, _, slots, reduce_sums, last, table, room = plan
         if not all(map(is_, point, head)):  # in grid order, only when a head coordinate moves
             first = list(map(is_, point, head)).index(False)
             head = tuple(point[:self.n_vars - 1])
@@ -297,9 +285,7 @@ class MultiPoly:
             if reduce_sums:
                 products = list(map(mod.__rmod__, products))
             coeffs = products
-            stale = True
-        if stale:
-            self._memo = (plan, head, levels, coeffs, kernel, calls)
+            self._memo = (plan, head, levels, coeffs, None)
         x = point[-1]
         if type(x) is not int:
             x = coordinate(x)

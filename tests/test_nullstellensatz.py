@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -246,16 +246,16 @@ def test_lagrange_interpolate_rational():
 
 
 @given(data=st.data())
-@settings(max_examples=150)
+@settings(max_examples=130)
 def test_lagrange_interpolate_matches_basis_product_oracle(data):
-    # with up to 70 points over Z_1000003 and 20 over Q, odd counts wait at
+    # with up to 40 points over Z_1000003 and 20 over Q, odd counts wait at
     # several levels of the tree; one point is a lone leaf
     p = data.draw(st.sampled_from([None, 2, 3, 5, 7, 13, 1000003]), label="p")
     if p is None or p > 13:
         field = Q if p is None else PrimeField(p)
         scalars = st.fractions(-5, 5, max_denominator=4) if p is None else st.integers(0, p - 1)
         # the count first, so the large trees are drawn as often as the small
-        n = data.draw(st.integers(1, 20 if p is None else 70), label="n")
+        n = data.draw(st.integers(1, 20 if p is None else 40), label="n")
         points = data.draw(st.lists(scalars, min_size=n, max_size=n, unique=True), label="points")
     else:
         field, scalars = PrimeField(p), st.integers(0, p - 1)
@@ -263,6 +263,26 @@ def test_lagrange_interpolate_matches_basis_product_oracle(data):
         points = data.draw(st.one_of(st.permutations(range(p)),
                                      st.lists(scalars, min_size=1, max_size=p, unique=True)),
                            label="points")
+    _assert_interpolant_matches_basis_product_oracle(data, field, p, points, scalars)
+
+
+@given(data=st.data())
+@settings(max_examples=20, phases=[phase for phase in Phase if phase is not Phase.shrink])
+def test_lagrange_interpolate_large_trees_match_basis_product_oracle(data):
+    # 41 to 70 points over Z_1000003: deeper trees, with odd counts waiting
+    # at several levels.  A failure here is reported as drawn, unshrunk,
+    # since shrinking lists of residues this long against the quadratic
+    # oracle takes minutes
+    p = 1000003
+    scalars = st.integers(0, p - 1)
+    n = data.draw(st.integers(41, 70), label="n")
+    points = data.draw(st.lists(scalars, min_size=n, max_size=n, unique=True), label="points")
+    _assert_interpolant_matches_basis_product_oracle(data, PrimeField(p), p, points, scalars)
+
+
+def _assert_interpolant_matches_basis_product_oracle(data, field, p, points, scalars):
+    """Draws a value per point, zeros included, and checks the interpolant
+    term for term against the basis-product oracle."""
     values = data.draw(st.lists(st.one_of(st.just(0), scalars),
                                 min_size=len(points), max_size=len(points)), label="values")
     got = lagrange_interpolate(field, points, values)
