@@ -7,36 +7,36 @@ operation.  ``terms`` must not be changed once a polynomial is built:
 ``__hash__`` and the evaluation memo both assume it never changes.
 
 Evaluation is partial.  Each polynomial keeps a memo of its last evaluation
-in five slots: the static plan, the coordinates before the last as passed
-(the raw head), the levels, the deepest depth's products summed per distinct
-last exponent (the slot sums), and the kernel.  Level k holds the products
-that head depth k takes: level 0 is the coefficients, and level k the
-per-term products c * x_0^e_0 * ... * x_(k-1)^e_(k-1).  The plan also holds
-a power table for every variable, from a coerced coordinate to its powers
-at that variable's distinct exponents.  The tables only gain entries, each
-complete before it is inserted, and one polynomial's tables hold at most
-``_POWER_TABLE_CELLS`` cells; past that, powers are computed and not kept.  When a point's head is
-the raw head object for object, as ``itertools.product`` yields it, only the
-last coordinate is coerced, and the value is the slot sums times its power
-row, one C-level dot product.  Otherwise, with k the first head coordinate
-object that differs, the head is coerced from k on and each depth from k on
-is redone from its level, one C-level multiply by the picked powers: one
-rule at every depth.  Matching by identity rather than ``==``, and looking a
-table up only by a coerced coordinate, keeps every refusal of
-``field.element``: ``True`` or ``1.0`` never stands in for ``1``.  Over Q
-the coefficients are integer numerators over their least common
-denominator, so integral coordinates cost int arithmetic and each value is
-divided once.
+in four slots: the kernel, the coordinates before the last as passed (the
+raw head), the levels, and the deepest depth's products summed per distinct
+last exponent (the slot sums).  Level k holds the products that head depth
+k takes: level 0 is the coefficients, and level k the per-term products
+c * x_0^e_0 * ... * x_(k-1)^e_(k-1).  The static plan (``_eval_plan``),
+bound into the kernel, holds a power table for every variable, from a
+coerced coordinate to its powers at that variable's distinct exponents.
+The tables only gain entries, each complete before it is inserted, and one
+polynomial's tables hold at most ``_POWER_TABLE_CELLS`` cells; past that,
+powers are computed and not kept.  When a point's head is the raw head
+object for object, as ``itertools.product`` yields it, only the last
+coordinate is coerced, and the value is the slot sums times its power row,
+one dot product.  Otherwise, with k the first head coordinate object that
+differs, the head is coerced from k on and each depth from k on is redone
+from its level, one C-level multiply by the picked powers: one rule at
+every depth.  Matching by identity rather than ``==``, and looking a table
+up only by a coerced coordinate, keeps every refusal of ``field.element``:
+``True`` or ``1.0`` never stands in for ``1``.  Over Q the coefficients are
+integer numerators over their least common denominator, so integral
+coordinates cost int arithmetic and each value is divided once.
 
-Over Z_p a polynomial gets a kernel (``gridkernel``) when its plan is built,
-at its first call: straight-line code for the same head and for a move of
-any head coordinate, by the same rule, which answers every call.  The route
-above is the only route over Q, past the kernel's bounds on terms and
-variables (``gridkernel._MAX_TERMS``, ``gridkernel._MAX_VARS``), for the
-zero polynomial and when a kernel fails to compile.  On the benchmark's
-seed-0 instances (2-CPU x86_64 VM, Python 3.11) the kernel made the full
-Z_p^n sums 2.5 times faster, the Boolean sums 2.4, the signed two-element
-sums 2.0, the Z_101 weighted sums 1.9 and ``second_nonvanish`` 1.7.
+Every polynomial, over either field, gets its kernel (``gridkernel``) when
+its plan is built, at its first call: code generated for its shape that
+answers every call by the rule above, unrolled within
+``gridkernel._MAX_TERMS`` terms and ``gridkernel._MAX_VARS`` variables and
+in C-level forms past them.  On the benchmark's seed-0 instances (2-CPU
+x86_64 VM, Python 3.11) the unrolled kernel made the full Z_p^n sums 2.5
+times faster than the C-level forms, the Boolean sums 2.4, the signed
+two-element sums 2.0, the Z_101 weighted sums 1.9 and ``second_nonvanish``
+1.7.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -63,7 +63,7 @@ import math
 import re
 import sys
 from array import array
-from operator import is_, itemgetter, mul
+from operator import itemgetter, mul
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -233,77 +233,30 @@ class MultiPoly:
         """Value at a point, using the 0**0 = 1 convention.
 
         Partial evaluation against the previous call's memo (see the module
-        docstring): a head that is the previous raw head object for object
-        costs one lookup of the last coordinate's power row and one C-level
-        dot product with the slot sums; otherwise, with k the first
-        coordinate object that differs, the head is coerced from k on and
-        each depth from k on is redone from its level, by one rule at every
-        depth.  Over Z_p, within its bounds, a kernel (``gridkernel``)
-        built with the plan at the first call takes every call by the same
-        rule; the route above is the only one over Q, past those bounds or
-        when a compile fails.  The value is a residue over Z_p and a
-        ``Fraction`` over Q.  The memo is O(terms * n_vars) plus power
-        tables of at most ``_POWER_TABLE_CELLS`` cells.  It is replaced by
-        one attribute store, and the tables only gain complete entries, so a
-        concurrent call on a shared polynomial at worst recomputes.
-        ``terms`` must not be mutated in place.
+        docstring), by the polynomial's kernel (``gridkernel``), built with
+        the plan at the first call: a head that is the previous raw head
+        object for object costs one lookup of the last coordinate's power
+        row and one dot product with the slot sums; otherwise, with k the
+        first coordinate object that differs, the head is coerced from k on
+        and each depth from k on is redone from its level, by one rule at
+        every depth.  The value is a residue over Z_p and a ``Fraction``
+        over Q.  The memo is O(terms * n_vars) plus power tables of at most
+        ``_POWER_TABLE_CELLS`` cells.  It is replaced by one attribute
+        store, and the tables only gain complete entries, so a concurrent
+        call on a shared polynomial at worst recomputes.  ``terms`` must not
+        be mutated in place.
         """
         memo = self._memo
         if memo is None:
+            from .gridkernel import kernel_for
+
             # a head of placeholders, which no point matches, and the
             # coefficients as level 0 and as the slot sums, which they are
             # with one variable; with more, the first call replaces them
             plan = _eval_plan(self)
-            kernel = None
-            if plan[0]:
-                from .gridkernel import kernel_for
-
-                kernel = kernel_for(plan)
-            memo = self._memo = (plan, (_UNSET,) * (self.n_vars - 1), [plan[4]], plan[4], kernel)
-        if (kernel := memo[4]) is not None:
-            return kernel(self, point, memo)
-        if len(point) != self.n_vars:
-            raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
-        plan, head, levels, coeffs, _ = memo
-        mod, den, coordinate, depths, _, slots, reduce_sums, last, table, room = plan
-        if not all(map(is_, point, head)):  # in grid order, only when a head coordinate moves
-            first = list(map(is_, point, head)).index(False)
-            head = tuple(point[:self.n_vars - 1])
-            products = levels[first]
-            levels = levels[:first]
-            for (exponents, picks, reduce, powers), x in zip(depths[first:],
-                                                             map(coordinate, head[first:])):
-                row = powers.get(x)
-                if row is None:
-                    row = _power_row(x, exponents, powers, room, mod)
-                levels.append(products)
-                products = list(map(mul, products, picks(row)))
-                if reduce:
-                    products = list(map(mod.__rmod__, products))
-            if slots:
-                products = list(map(sum, map(products.__getitem__, slots)))
-            if reduce_sums:
-                products = list(map(mod.__rmod__, products))
-            coeffs = products
-            self._memo = (plan, head, levels, coeffs, None)
-        x = point[-1]
-        if type(x) is not int:
-            x = coordinate(x)
-        elif mod:
-            x %= mod
-        row = table.get(x)
-        if row is None:
-            row = _power_row(x, last, table, room, mod)
-        if mod:
-            return sum(map(mul, coeffs, row)) % mod
-        value = sum(map(mul, coeffs, row))
-        # a Fraction value is already reduced: dividing it by den takes
-        # gcds against den only, never over the whole value
-        if type(value) is int:
-            value = Fraction(value)
-        if den > 1:
-            value /= den
-        return value
+            memo = self._memo = (kernel_for(plan), (_UNSET,) * (self.n_vars - 1), [plan[4]],
+                                 plan[4])
+        return memo[0](self, point, memo)
 
     def is_restricted(self, d: Sequence[int]) -> bool:
         """True iff no monomial other than x^d itself dominates d coordinatewise."""

@@ -7,7 +7,11 @@ inverses go through Fermat exponentiation (the package uses extended
 Euclid), primes come from trial division (the package uses Miller-Rabin),
 and searches are flat scans in lexicographic order.  The mid-size zero-sum
 oracles are the exception: greedy passes over suffix tables of lists or
-tuple sets, where the package packs its state sets into ints.
+tuple sets, where the package packs its state sets into ints.  So is the
+reference evaluator, ``GenericRoute``: it reads the package's evaluation
+plan and fills its power tables, as the generated kernels do, but applies
+the plan's rule as loops and C-level forms, so it pins the code generation
+while ``eval_terms`` pins the plan.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import is_, mul
+
+from combnull import mpoly
+from combnull.errors import ArityMismatch
 
 
 # --------------------------------------------------------------------- primes
@@ -45,6 +53,67 @@ def eval_terms(terms: dict, point) -> int | Fraction:
             val *= x**e
         total += val
     return total
+
+
+class GenericRoute:
+    """``MultiPoly.evaluate`` by the rule its kernel unrolls, as one loop over
+    the depths: the reference evaluator of ``combnull.gridkernel``.
+
+    It builds f's plan anew (``mpoly._eval_plan``), with tables of its own,
+    and keeps the kernel's memo layout, the kernel's slot holding the plan.
+    ``evaluate`` gives the value, or raises the error, that f's kernel
+    gives, and fills the plan's power tables with the same rows under the
+    same budget.
+    """
+
+    def __init__(self, f):
+        self.n_vars = f.n_vars
+        self.plan = plan = mpoly._eval_plan(f)
+        self._memo = (plan, (mpoly._UNSET,) * (f.n_vars - 1), [plan[4]], plan[4])
+
+    def evaluate(self, point):
+        if len(point) != self.n_vars:
+            raise ArityMismatch(f"point of length {len(point)}, expected {self.n_vars}")
+        plan, head, levels, coeffs = self._memo
+        mod, den, coordinate, depths, _, slots, reduce_sums, last, table, room = plan
+        if not all(map(is_, point, head)):  # in grid order, only when a head coordinate moves
+            first = list(map(is_, point, head)).index(False)
+            head = tuple(point[:self.n_vars - 1])
+            products = levels[first]
+            levels = levels[:first]
+            for (exponents, picks, reduce, powers), x in zip(depths[first:],
+                                                             map(coordinate, head[first:])):
+                row = powers.get(x)
+                if row is None:
+                    row = mpoly._power_row(x, exponents, powers, room, mod)
+                levels.append(products)
+                products = list(map(mul, products, picks(row)))
+                if reduce:
+                    products = list(map(mod.__rmod__, products))
+            if slots:
+                products = list(map(sum, map(products.__getitem__, slots)))
+            if reduce_sums:
+                products = list(map(mod.__rmod__, products))
+            coeffs = products
+            self._memo = (plan, head, levels, coeffs)
+        x = point[-1]
+        if type(x) is not int:
+            x = coordinate(x)
+        elif mod:
+            x %= mod
+        row = table.get(x)
+        if row is None:
+            row = mpoly._power_row(x, last, table, room, mod)
+        if mod:
+            return sum(map(mul, coeffs, row)) % mod
+        value = sum(map(mul, coeffs, row))
+        # a Fraction value is already reduced: dividing it by den takes
+        # gcds against den only, never over the whole value
+        if type(value) is int:
+            value = Fraction(value)
+        if den > 1:
+            value /= den
+        return value
 
 
 def mul_terms(a: dict, b: dict, p: int | None = None) -> dict:

@@ -471,8 +471,8 @@ def test_evaluate_memo_named_cases(field, text, n_vars):
 
 
 def test_evaluate_huge_sparse_exponents():
-    # the last variable's polynomial is kept sparse: Horner steps by the gaps
-    # between exponents, so a degree of 10^9 costs a few steps, not 10^9
+    # a power row holds a variable's powers at its distinct exponents only,
+    # each one modular pow, so a degree of 10^9 costs a few multiplies, not 10^9
     f = parse_poly("x1^1000000000*x2^999999999 + 4*x2^3 + x1", F5, 2)
     started = time.perf_counter()
     for point in [(2, 3), (2, 4), (3, 4), (0, 0), (0, 0)]:
@@ -483,12 +483,17 @@ def test_evaluate_huge_sparse_exponents():
 
 
 def test_evaluate_two_thousand_variables():
-    # the memo is built without recursion, whatever the variable count
+    # 2,000 variables are past gridkernel._MAX_VARS, so this pins the wide
+    # kernel form: the code of the zero polynomial's kernel, with no line per
+    # variable, and a memo built without recursion
     n = 2000
     f = MultiPoly(F5, n, {(1,) * n: 1, (0,) * (n - 1) + (2,): 3})
     for point in [(2,) * n, (2,) * (n - 1) + (3,), (3,) + (2,) * (n - 1), (3,) * n]:
         want = (math.prod(point) + 3 * point[-1] ** 2) % 5
         assert f.evaluate(point) == want
+    zero = MultiPoly.zero(F5, 1)
+    assert zero.evaluate((1,)) == 0
+    assert f._memo[0].__code__ is zero._memo[0].__code__
 
 
 def test_evaluate_shared_polynomial_across_threads():
@@ -524,13 +529,18 @@ def test_evaluate_shared_polynomial_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert f._memo[4] is not None
+
+
+def _plan(f):
+    """The evaluation plan of f's kernel, built while ``_count_kernel_calls``
+    was patched in, or of a reference route."""
+    return f.plan if isinstance(f, oracles.GenericRoute) else f._memo[0].plan
 
 
 def _table_cells(f):
     """Cells of f's power tables, counted as ``mpoly._power_row`` counts them."""
     rows = [row for table in _tables(f) for row in table.values()]
-    if not isinstance(f.field, PrimeField):
+    if _plan(f)[0] is None:
         return sum(len(row) + 1 + sum(v.numerator.bit_length() + v.denominator.bit_length()
                                       for v in row) // 64 for row in rows)
     return sum(len(row) + 1 for row in rows)
@@ -538,7 +548,7 @@ def _table_cells(f):
 
 def _tables(f):
     """f's power tables, the last variable's last."""
-    plan = f._memo[0]
+    plan = _plan(f)
     return [table for *_, table in plan[3]] + [plan[8]]
 
 
@@ -550,17 +560,15 @@ def test_evaluate_power_tables_match_oracle(data):
     # p near 2^31 in 8 to 10 variables (each product passes 60 bits and is
     # reduced at every depth) and p = 65521 (reduced every other depth), Q on
     # ints mixed with Fractions, the zero polynomial and one term, and cell
-    # budgets from none to the default, so that tables fill up.  f takes the
-    # drawn route, the kernel or the generic one, and an equal polynomial
-    # the other; from cold tables both fill the same rows and keep the same
-    # room, as ``_power_row`` counts it
+    # budgets from none to the default, so that tables fill up.  f's kernel
+    # and the reference route, from cold tables of their own, fill the same
+    # rows and keep the same room, as ``_power_row`` counts it
     field = data.draw(st.sampled_from([F5, PrimeField(65521), PrimeField(2**31 - 1), Q]),
                       label="field")
     big = isinstance(field, PrimeField) and field.p > 2**30
     n = data.draw(st.integers(8, 10) if big else st.integers(1, 4), label="n_vars")
     max_terms = data.draw(st.sampled_from([0, 1, 6]), label="max_terms")
     f = data.draw(poly_strategy(field, n, max_exp=5, max_terms=max_terms), label="f")
-    g = MultiPoly(field, n, f.terms)
     pools = []
     for _ in range(n):
         if isinstance(field, PrimeField):
@@ -576,20 +584,19 @@ def test_evaluate_power_tables_match_oracle(data):
     points = list(itertools.islice(itertools.product(*pools), 300))
     points += data.draw(st.lists(st.sampled_from(points), max_size=40), label="revisits")
     budget = data.draw(st.sampled_from([0, 3, 40, mpoly._POWER_TABLE_CELLS]), label="budget")
-    route = data.draw(st.sampled_from(["kernel", "generic"]), label="route")
-    generic, kernel = (f, g) if route == "generic" else (g, f)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mpoly, "_POWER_TABLE_CELLS", budget)
-        _generic_route(generic, points[0])
-        _assert_evaluations_match_oracle(f, points)
-        _assert_evaluations_match_oracle(g, points)
-    assert (kernel._memo[4] is not None) == (isinstance(field, PrimeField) and bool(f.terms))
-    room = f._memo[0][-1][0]
+        calls = _count_kernel_calls(patch)
+        ref = oracles.GenericRoute(f)
+        for point in points:
+            assert f.evaluate(point) == ref.evaluate(point) == _oracle_value(f, point), (f, point)
+    assert len(calls) == len(points)
+    room = _plan(f)[-1][0]
     assert 0 <= room and _table_cells(f) == budget - room
-    assert _tables(f) == _tables(g) and g._memo[0][-1][0] == room
+    assert _tables(f) == _tables(ref) and ref.plan[-1][0] == room
 
 
-def test_power_tables_bound_the_certificate_memo():
+def test_power_tables_bound_the_certificate_memo(monkeypatch):
     # the 120 x 120 Cauchy-Davenport certificate over Z_1009 has 28,680 terms
     # of degree 238 in x and y.  Each variable keeps a table of 120 rows of
     # 239 powers and a key, 2 x 120 x 240 = 57,600 cells in all, under the
@@ -598,7 +605,9 @@ def test_power_tables_bound_the_certificate_memo():
     # recomputed its powers and kept the deepest products).  The last
     # variable's table is full after the first run over y, the first's gains
     # a row per run, and each later run only replaces the products, so three
-    # runs are traced (tracing every allocation of all 120 takes 25 s)
+    # runs are traced (tracing every allocation of all 120 takes 25 s).  Its
+    # kernel takes the wide form
+    _count_kernel_calls(monkeypatch)
     field = PrimeField(1009)
     x_plus_y = MultiPoly.variable(field, 2, 0) + MultiPoly.variable(field, 2, 1)
     f = mpoly._product(field, 2, (x_plus_y - c for c in range(1, 477, 2)))
@@ -610,6 +619,7 @@ def test_power_tables_bound_the_certificate_memo():
     finally:
         tracemalloc.stop()
     assert peak < 7 << 19  # 3.5 MB
+    assert f._memo[0].shape is None
     assert _table_cells(f) == (120 + 3) * 240
     values += map(f.evaluate, grid[360:])
     assert _table_cells(f) == 2 * 120 * 240
@@ -685,36 +695,26 @@ def _odd_points(point):
     return odd
 
 
-def _generic_route(g, point):
-    """g's value at the point, its first call, taken while
-    ``gridkernel._MAX_TERMS`` is 0: the plan built then gets no kernel, so g
-    stays on the generic route."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gridkernel, "_MAX_TERMS", 0)
-        value = g.evaluate(point)
-    assert g._memo[4] is None
-    return value
-
-
 def _count_kernel_calls(patch):
     """Patches ``gridkernel.kernel_for`` so that each kernel it builds is
-    counted.  The list it returns gains an entry per kernel call: the first
-    coordinate that is not the memo's head object for object (None for the
-    same head)."""
-    calls = []
-    kernel_for = gridkernel.kernel_for
+    counted and carries the plan it was built from as ``plan`` and its shape
+    key, None for the wide form, as ``shape``.  The list it returns gains an
+    entry per kernel call: the first coordinate that is not the memo's head
+    object for object (None for the same head)."""
+    calls, keys = [], []
+    kernel_for, compile_shape = gridkernel.kernel_for, gridkernel._compile_shape
 
     def counted_kernel_for(plan):
         kernel = kernel_for(plan)
-        if kernel is None:
-            return None
 
         def counted(self, point, memo):
             calls.append(next((j for j, (a, h) in enumerate(zip(point, memo[1])) if a is not h),
                               None))
             return kernel(self, point, memo)
+        counted.plan, (_, counted.shape) = plan, keys[-1]
         return counted
 
+    patch.setattr(gridkernel, "_compile_shape", lambda *key: keys.append(key) or compile_shape(*key))
     patch.setattr(gridkernel, "kernel_for", counted_kernel_for)
     return calls
 
@@ -730,18 +730,20 @@ def _outcome(f, point):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_kernel_route_matches_generic_route_and_oracle(data):
-    # at every point, evaluate, the generic route (an equal polynomial whose
-    # plan got no kernel) and the term-by-term oracle agree, and within the
-    # bounds the kernel answers every call from the first.  Drawn around
-    # each bound, variables and terms; with products reduced at every depth
-    # (p near 2^31, 8 to 10 variables) and at none (Z_2); with one term per
-    # slot and every term in one slot; in grid order (the deepest head
-    # coordinate moves alone), shuffled (deeper moves) and on list points.
-    # Right after a grid-order walk, True, 1.0, Fraction(1, 2) and a wrong
-    # length get the generic route's outcome
-    field = data.draw(st.sampled_from([F2, F5, PrimeField(101), PrimeField(2**31 - 1)]),
+    # at every point, evaluate, the reference route (oracles.GenericRoute)
+    # and the term-by-term oracle agree, and the kernel answers every call
+    # from the first: unrolled within the bounds, in the wide form past them
+    # or with no terms.  Drawn over Z_p and Q, around each bound, variables
+    # and terms; with products reduced at every depth (p near 2^31, 8 to 10
+    # variables) and at none (Z_2, Q); with one term per slot and every term
+    # in one slot; in grid order (the deepest head coordinate moves alone),
+    # shuffled (deeper moves) and on list points.  Right after a grid-order
+    # walk, True, 1.0, Fraction(1, 2) and a wrong length get the reference
+    # route's outcome
+    field = data.draw(st.sampled_from([F2, F5, PrimeField(101), PrimeField(2**31 - 1), Q]),
                       label="field")
-    big = field.p > 2**30
+    rational = not isinstance(field, PrimeField)
+    big = not rational and field.p > 2**30
     n = data.draw(st.integers(8, 10) if big else st.integers(1, 5), label="n_vars")
     terms = dict(data.draw(poly_strategy(field, n, max_exp=4, max_terms=10), label="f").terms)
     slots = data.draw(st.sampled_from(["drawn", "one term each", "one slot"]), label="slots")
@@ -749,14 +751,21 @@ def test_kernel_route_matches_generic_route_and_oracle(data):
         terms = {exps[:-1] + (k,): c for k, (exps, c) in enumerate(terms.items())}
     elif slots == "one slot":
         terms = {exps[:-1] + (2,): c for exps, c in terms.items()}
-    f, g = MultiPoly(field, n, terms), MultiPoly(field, n, terms)
+    f = MultiPoly(field, n, terms)
     max_vars = data.draw(st.sampled_from([n - 1, n]), label="max_vars")
     max_terms = data.draw(st.sampled_from([len(f.terms) - 1, len(f.terms)]), label="max_terms")
     pools = []
     for i in range(n):
-        values = data.draw(st.lists(st.integers(0, field.p - 1), min_size=2 if i == n - 1 else 1,
-                                    max_size=2 if big else 3, unique=True))
-        pools.append(values + [values[0] + field.p])  # one coordinate, two objects
+        # one coordinate, two objects: x and x + p, or an int and its Fraction
+        if rational:
+            values = data.draw(st.lists(st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+                                        min_size=2 if i == n - 1 else 1, max_size=3, unique=True))
+            pools.append(values + [Fraction(values[0])])
+        else:
+            values = data.draw(st.lists(st.integers(0, field.p - 1),
+                                        min_size=2 if i == n - 1 else 1,
+                                        max_size=2 if big else 3, unique=True))
+            pools.append(values + [values[0] + field.p])
     grid = list(itertools.islice(itertools.product(*pools), 200))
     order = data.draw(st.sampled_from(["grid", "shuffled", "lists"]), label="order")
     if order == "shuffled":
@@ -765,44 +774,42 @@ def test_kernel_route_matches_generic_route_and_oracle(data):
         points = [list(point) for point in grid * 2]
     else:
         points = grid * 2
-    _generic_route(g, grid[0])
+    ref = oracles.GenericRoute(f)
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_kernel_calls(patch)
         patch.setattr(gridkernel, "_MAX_VARS", max_vars)
         patch.setattr(gridkernel, "_MAX_TERMS", max_terms)
         for point in points:
             value = f.evaluate(point)
-            assert value == g.evaluate(point) == _oracle_value(f, point), (f, point)
+            assert value == ref.evaluate(point) == _oracle_value(f, point), (f, point)
+            assert type(value) is (Fraction if rational else int)
     fits = 0 < len(f.terms) <= max_terms and n <= max_vars
-    assert (f._memo[4] is not None) == fits and g._memo[4] is None
-    assert len(calls) == (len(points) if fits else 0)
+    assert (f._memo[0].shape is not None) == fits and len(calls) == len(points)
     if order == "grid":
         point = grid[-1]
         for odd in _odd_points(point):
-            assert f.evaluate(point) == g.evaluate(point)
-            assert _outcome(f, odd) == _outcome(g, odd), (f, odd)
+            assert f.evaluate(point) == ref.evaluate(point)
+            assert _outcome(f, odd) == _outcome(ref, odd), (f, odd)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_kernel_hit_keeps_every_refusal(monkeypatch, n):
     # right after the kernel answered a point, by the same head or after any
     # head move, True, 1.0, Fraction(1, 2) anywhere and a wrong length get
-    # what the generic route gives them, as tuples and as lists, a list point
-    # is read as its own values, and the kernel took every call
+    # what the reference route gives them, as tuples and as lists, a list
+    # point is read as its own values, and the kernel took every call
     calls = _count_kernel_calls(monkeypatch)
-    terms = {(1,) * n: 3, (2,) + (0,) * (n - 1): 1, (0,) * n: 5}
-    f, g = MultiPoly(PrimeField(7), n, terms), MultiPoly(PrimeField(7), n, terms)
+    f = MultiPoly(PrimeField(7), n, {(1,) * n: 3, (2,) + (0,) * (n - 1): 1, (0,) * n: 5})
+    ref = oracles.GenericRoute(f)
     grid = list(itertools.product(*[[1, 2, 3]] * n))
-    _generic_route(g, grid[0])
     for point in grid:
-        assert f.evaluate(point) == g.evaluate(point)
-    assert f._memo[4] is not None
+        assert f.evaluate(point) == ref.evaluate(point)
     evaluated = len(grid)
     for point in grid[-6:]:
         for odd in _odd_points(point):
             for form in (odd, list(odd)):
-                assert f.evaluate(point) == g.evaluate(point) == _oracle_value(f, point)
-                assert _outcome(f, form) == _outcome(g, form), (f, form)
+                assert f.evaluate(point) == ref.evaluate(point) == _oracle_value(f, point)
+                assert _outcome(f, form) == _outcome(ref, form), (f, form)
                 evaluated += 2
     point = list(grid[-1])
     f.evaluate(point)
@@ -841,16 +848,16 @@ def test_kernel_route_at_every_head_depth(data):
     # from its first call the kernel answers a move of any head coordinate,
     # on cold tables, which it fills, and on warm ones.  Walked in grid
     # order, reversed and shuffled, over sets of two to four elements in 2
-    # to _MAX_VARS variables, every value matches the oracle and an equal
-    # polynomial on the generic route.  A head coordinate set to True, 1.0
-    # or a Fraction gets what the generic route gives it: the same refusal,
-    # or the same value
+    # to _MAX_VARS variables, every value matches the oracle and the
+    # reference route.  A head coordinate set to True, 1.0 or a Fraction gets
+    # what the reference route gives it: the same refusal, or the same value
     field = data.draw(st.sampled_from([F2, F5, PrimeField(101), PrimeField(2**31 - 1)]),
                       label="field")
     n = data.draw(st.integers(2, gridkernel._MAX_VARS), label="n_vars")
     terms = dict(data.draw(poly_strategy(field, n, max_exp=3, max_terms=8), label="f").terms)
     terms = terms or {(1,) * n: 1}
-    f, g = MultiPoly(field, n, terms), MultiPoly(field, n, terms)
+    f = MultiPoly(field, n, terms)
+    ref = oracles.GenericRoute(f)
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     sets = [rng.sample(range(min(field.p, 10**6)), min(rng.randint(2, 4), field.p))
             for _ in range(n)]
@@ -861,7 +868,6 @@ def test_kernel_route_at_every_head_depth(data):
     elif order == "shuffled":
         rng.shuffle(walk)
     warm = data.draw(st.booleans(), label="warm tables")
-    _generic_route(g, walk[0])
     with pytest.MonkeyPatch.context() as patch:
         calls = _count_kernel_calls(patch)
         warmed = [tuple(s[i % len(s)] for s in sets) for i in range(4 if warm else 0)]
@@ -870,13 +876,13 @@ def test_kernel_route_at_every_head_depth(data):
     assert calls[0] == 0 and len(calls) == len(warmed) + 1
     for i, point in enumerate(walk):
         value = f.evaluate(point)
-        assert value == g.evaluate(point) == _oracle_value(f, point), (f, point)
+        assert value == ref.evaluate(point) == _oracle_value(f, point), (f, point)
         if i % 5 == 0:
             j = rng.randrange(n - 1)
             bad = rng.choice([True, 1.0, Fraction(point[j]), Fraction(1, 2)])
             bad = point[:j] + (bad,) + point[j + 1:]
             kept = len(calls)
-            assert _outcome(f, bad) == _outcome(g, bad), (f, bad)
+            assert _outcome(f, bad) == _outcome(ref, bad), (f, bad)
             assert calls.pop() == j and len(calls) == kept
     assert len(calls) == len(warmed) + 1 + len(walk)
 
@@ -894,17 +900,18 @@ def test_warm_kernel_answers_every_grid_order_point(monkeypatch, n):
     f = MultiPoly(F2, n, terms)
     for point in [(0,) * n, (1,) * n]:
         f.evaluate(point)
-    room = f._memo[0][-1][0]
+    room = _plan(f)[-1][0]
     if n < 16:
         assert boolean_sum(f) == oracles.boolean_sum(f.terms, n)
         assert len(calls) == 2 + 2**n
     else:
         walk = _grid_walk([(0, 1)] * n, rng, 3000)
+        ref = oracles.GenericRoute(f)
         for point in walk:
-            assert f.evaluate(point) == _oracle_value(f, point)
+            assert f.evaluate(point) == ref.evaluate(point) == _oracle_value(f, point)
         assert len(calls) == 2 + len(walk)
     assert {moved for moved in calls} >= set(range(n - 1))
-    assert f._memo[0][-1][0] == room
+    assert _plan(f)[-1][0] == room
 
     field = PrimeField(101)
     sets = [tuple(rng.sample(range(101), 2)) for _ in range(min(n, 10))]
@@ -920,61 +927,68 @@ def test_warm_kernel_answers_every_grid_order_point(monkeypatch, n):
 
 def test_kernel_source_grows_with_the_variables_not_the_terms(monkeypatch):
     # the kernel runs the depths above the deepest head variable in one
-    # loop, not unrolled per term: for one term set its
-    # source at 32 variables stays within 2.5 times its source at 16, and
-    # the 16 more variables add as much source to 64 terms as to 2
-    shapes = []
+    # loop, not unrolled per term: for one term set its source at 32
+    # variables stays within 2.5 times its source at 16, and the 16 more
+    # variables add as much source to 64 terms as to 2.  Past either bound
+    # every polynomial of a field takes the one wide source
+    keys = []
     monkeypatch.setattr(gridkernel, "_compile_shape",
-                        lambda *shape: shapes.append(shape) or (lambda plan: None))
+                        lambda *key: keys.append(key) or (lambda plan: None))
     rng = random.Random(0)
     size = {}
-    for count in (2, 64):
+    for count in (2, 64, 65):
         terms = {}
         while len(terms) < count:
             terms[tuple(rng.randrange(4) for _ in range(16))] = rng.randrange(1, 101)
-        for n in (16, 32):
+        for n in (16, 32, 33):
             f = MultiPoly(PrimeField(101), n, {(0,) * (n - 16) + e: c for e, c in terms.items()})
             gridkernel.kernel_for(mpoly._eval_plan(f))
-            size[count, n] = len(gridkernel._source(*shapes.pop()))
+            rational, shape = keys.pop()
+            assert not rational and (shape is None) == (count > 64 or n > 32)
+            size[count, n] = len(gridkernel._source(rational, shape))
     assert size[64, 32] <= 2.5 * size[64, 16]
     assert size[64, 32] - size[64, 16] <= 1.1 * (size[2, 32] - size[2, 16])
+    assert size[65, 16] == size[2, 33] == len(gridkernel._source(False, None))
 
 
 def test_kernel_bounds(monkeypatch):
-    # a polynomial over Z_p gets its kernel at its first call, which the
-    # kernel answers, when it has at most gridkernel._MAX_TERMS terms in at
-    # most gridkernel._MAX_VARS variables; past either bound, over Q, or
-    # with no terms, it never does
+    # every polynomial gets its kernel at its first call, which the kernel
+    # answers, over Z_p and over Q: unrolled when it has at most
+    # gridkernel._MAX_TERMS terms in at most gridkernel._MAX_VARS variables,
+    # in the wide form past either bound or with no terms
     calls = _count_kernel_calls(monkeypatch)
-    field = PrimeField(101)
     top, most = gridkernel._MAX_VARS, gridkernel._MAX_TERMS
-    cases = [
-        (MultiPoly(field, top, {(1,) * top: 2, (0,) * (top - 1) + (2,): 3}), True),
-        (MultiPoly(field, top + 1, {(1,) * (top + 1): 2}), False),
-        (MultiPoly(field, 3, {(e, e % 3, e % 5): 1 for e in range(most)}), True),
-        (MultiPoly(field, 3, {(e, e % 3, e % 5): 1 for e in range(most + 1)}), False),
-        (MultiPoly(Q, 2, {(1, 1): Fraction(1, 2)}), False),
-        (MultiPoly.zero(field, 2), False),
-    ]
-    for f, compiles in cases:
+    cases = []
+    for field in (PrimeField(101), Q):
+        cases += [
+            (MultiPoly(field, top, {(1,) * top: 2, (0,) * (top - 1) + (2,): 3}), True),
+            (MultiPoly(field, top + 1, {(1,) * (top + 1): 2}), False),
+            (MultiPoly(field, 3, {(e, e % 3, e % 5): Fraction(e + 1, 2) for e in range(most)}),
+             True),
+            (MultiPoly(field, 3, {(e, e % 3, e % 5): Fraction(e + 1, 2)
+                                  for e in range(most + 1)}), False),
+            (MultiPoly.zero(field, 2), False),
+        ]
+    for f, unrolled in cases:
         del calls[:]
-        point = (3,) * f.n_vars
-        assert f.evaluate(point) == _oracle_value(f, point)
-        assert (f._memo[4] is not None) is compiles, f.n_vars
-        assert len(calls) == compiles and len(f._memo) == 5
-        assert f.evaluate(point) == _oracle_value(f, point)
+        ref = oracles.GenericRoute(f)
+        for point in [(3,) * f.n_vars, (Fraction(1, 2),) * f.n_vars]:
+            assert f.evaluate(point) == ref.evaluate(point) == _oracle_value(f, point)
+        assert (f._memo[0].shape is not None) is unrolled, f
+        assert len(calls) == 2 and len(f._memo) == 4
+        assert type(f.evaluate(point)) is (int if isinstance(f.field, PrimeField) else Fraction)
 
 
 def test_polynomials_of_one_shape_compile_one_kernel(monkeypatch):
     # these two differ in every coefficient and exponent but share the
     # shape: variables, slots, the deepest head variable's picks and the
     # reduce flags.  The source holds none of their numbers: each number in
-    # it is a count, an index, a name's suffix (all at most 3 here) or a
-    # memo slot (0 to 4)
+    # it is a count, an index, a name's suffix or a memo slot (all at most 3
+    # here)
     sources = []
 
-    def recorded(*shape):
-        sources.append(source(*shape))
+    def recorded(*key):
+        sources.append(source(*key))
         return sources[-1]
 
     source = gridkernel._source
@@ -984,33 +998,46 @@ def test_polynomials_of_one_shape_compile_one_kernel(monkeypatch):
     f = MultiPoly(field, 3, {(4321, 2, 7): 98765, (1, 1, 0): 5, (0, 9, 3): 77})
     g = MultiPoly(field, 3, {(4320, 3, 8): 11, (2, 2, 0): 6, (0, 8, 4): 12})
     for h in (f, g):
+        ref = oracles.GenericRoute(h)
         for point in itertools.product([2, 3], [5, 6], [7, 11]):
-            assert h.evaluate(point) == _oracle_value(h, point)
+            assert h.evaluate(point) == ref.evaluate(point) == _oracle_value(h, point)
     info = gridkernel._compile_shape.cache_info()
     assert (info.misses, info.currsize, len(sources)) == (1, 1, 1)
-    assert f._memo[4] is not g._memo[4] and f._memo[4].__code__ is g._memo[4].__code__
-    assert max(map(int, re.findall(r"\d+", sources[0]))) <= 4
+    assert f._memo[0] is not g._memo[0] and f._memo[0].__code__ is g._memo[0].__code__
+    assert max(map(int, re.findall(r"\d+", sources[0]))) <= 3
     gridkernel._compile_shape.cache_clear()
 
 
-def test_kernel_compile_failure_keeps_the_generic_route(monkeypatch):
-    # compiling from a stack near the recursion limit can fail; the
-    # polynomial then stays on the generic route, which gives every value
-    # and every refusal the kernel gives
-    f = parse_poly("x1^2*x2*x3 + 3*x3^2 + 1", F5, 3)
-    h = parse_poly("x1^2*x2*x3 + 3*x3^2 + 1", F5, 3)
-    h.evaluate((0, 0, 0))
-    assert h._memo[4] is not None
+def test_kernel_compiles_near_the_recursion_limit():
+    # a shape compiles in a new thread, whose stack starts empty, so a first
+    # evaluate called 20 frames below the recursion limit builds its kernel.
+    # At the bound shape, 32 variables and 64 terms a slot each, whose dot
+    # product nests 64 deep, a compile in the calling thread at that depth
+    # raised RecursionError (Python 3.11)
+    rng = random.Random(1)
+    terms = {}
+    while len(terms) < gridkernel._MAX_TERMS:
+        terms[tuple(rng.randrange(3) for _ in range(31)) + (len(terms),)] = rng.randrange(1, 101)
+    f = MultiPoly(PrimeField(101), 32, terms)
+    grid = [tuple(rng.randrange(101) for _ in range(32)) for _ in range(5)]
 
-    def deep(*shape):
-        raise RecursionError
+    def headroom(depth=0):
+        try:
+            return headroom(depth + 1)
+        except RecursionError:
+            return depth
 
-    monkeypatch.setattr(gridkernel, "_compile_shape", deep)
-    for point in itertools.product(range(5), repeat=3):
-        assert f.evaluate(point) == h.evaluate(point) == _oracle_value(f, point)
-    assert f._memo[4] is None
-    for odd in _odd_points(point):
-        assert _outcome(f, odd) == _outcome(h, odd), odd
+    def first_call(depth):
+        return first_call(depth - 1) if depth else f.evaluate(grid[0])
+
+    gridkernel._compile_shape.cache_clear()
+    assert first_call(headroom() - 20) == _oracle_value(f, grid[0])
+    assert gridkernel._compile_shape.cache_info().currsize == 1
+    ref = oracles.GenericRoute(f)
+    for point in grid:
+        assert f.evaluate(point) == ref.evaluate(point) == _oracle_value(f, point)
+    for odd in _odd_points(grid[-1]):
+        assert _outcome(f, odd) == _outcome(ref, odd), odd
 
 
 @given(data=st.data())

@@ -655,6 +655,26 @@ def test_second_nonvanish_dropped_hit_trips_alon_furedi(monkeypatch, field):
     assert dropped == [(0, 0)]
 
 
+@pytest.mark.parametrize("field", [F7, Q], ids=["Z7", "Q"])
+def test_second_nonvanish_answer_cap(monkeypatch, field):
+    # the four hits of (x1 - 1)(x1 - 2) are the grid's first four points.
+    # At a cap of four they are the answer; at three the fourth hit raises
+    # ResourceLimit, not the Alon-Furedi TheoremViolation that three hits
+    # would, and the scan stops there
+    f = parse_poly("x1^2 - 3*x1 + 2", field, 2)
+    grid = Grid(field, [[0, 1, 2], [0, 1, 2, 3]])
+    monkeypatch.setattr(nullstellensatz, "_WITNESS_ANSWER_CAP", 4)
+    assert [h.value for h in second_nonvanish(f, grid)] == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    monkeypatch.setattr(nullstellensatz, "_WITNESS_ANSWER_CAP", 3)
+    evaluate = MultiPoly.evaluate
+    calls = []
+    monkeypatch.setattr(MultiPoly, "evaluate",
+                        lambda self, point: calls.append(point) or evaluate(self, point))
+    with pytest.raises(ResourceLimit, match="more than 3 nonvanishing points"):
+        second_nonvanish(f, grid)
+    assert len(calls) == 4
+
+
 # -------------------------------------------------------------- fault injection
 
 
