@@ -388,7 +388,7 @@ def _cmd_sumset(req: Request) -> tuple[dict, int]:
             raise SchemaError("cauchy-davenport needs both --a and --b")
         from .combinatorics import cauchy_davenport_check
 
-        report = cauchy_davenport_check(field, a, b)
+        report = cauchy_davenport_check(field, a, b, req.max_points)
     elif check == "erdos-heilbronn":
         report = erdos_heilbronn_check(field, a, b)
     else:
@@ -486,7 +486,7 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
     if n % 2 == 0 and n <= _CERTIFICATE_VERTEX_CAP:
         from .combinatorics import cycle_selection_certificate
 
-        out["certificate"] = cycle_selection_certificate(labels)
+        out["certificate"] = cycle_selection_certificate(labels, req.max_points)
     return out, EXIT_OK
 
 
@@ -534,9 +534,9 @@ def _cmd_snevily(req: Request) -> tuple[dict, int]:
 def _cmd_vandermonde(req: Request) -> tuple[dict, int]:
     from .combinatorics import vandermonde_sq_coefficient
 
-    k = req.require("k")
-    verify = not req.get("closed-only")
-    return {"k": k, "coefficient": vandermonde_sq_coefficient(k, verify=verify), "verified": verify}, EXIT_OK
+    k, verify = req.require("k"), not req.get("closed-only")
+    coefficient = vandermonde_sq_coefficient(k, verify, req.max_points)
+    return {"k": k, "coefficient": coefficient, "verified": verify}, EXIT_OK
 
 
 def _cmd_symdiff(req: Request) -> tuple[dict, int]:
@@ -572,7 +572,7 @@ def _cmd_lagrange(req: Request) -> tuple[dict, int]:
     m = req.get("power-sum")
     if m is not None:
         out["power_sum_m"] = m
-        out["power_sum"] = weighted_power_sum(field, points, m)
+        out["power_sum"] = weighted_power_sum(field, points, m, req.max_points)
     return out, EXIT_OK
 
 

@@ -230,7 +230,7 @@ def common_roots(
 
 
 def cauchy_davenport_check(
-    field: PrimeField, a_set: Sequence[int], b_set: Sequence[int]
+    field: PrimeField, a_set: Sequence[int], b_set: Sequence[int], max_points: int | None = None
 ) -> search.sumsets.SumsetReport:
     """|A + B| >= min(|A| + |B| - 1, p), with a coefficient certificate.
 
@@ -240,6 +240,7 @@ def cauchy_davenport_check(
     x^(|A|-1) y^(|B|-1) via the weighted sum over A x B.  It must equal the
     binomial C(|A|+|B|-2, |A|-1), which has no factor p.  Were A + B contained
     in such a C', f would vanish on the whole grid and the sum would be 0.
+    The grid A x B counts against the grid cap before f is built.
     """
     from .search.sumsets import SumsetReport, _as_residue_set, _binom_mod, _sumset
 
@@ -256,11 +257,12 @@ def cauchy_davenport_check(
         )
     certificate = None
     if len(a) + len(b) - 1 <= p:
+        _points([a, b], max_points)  # the cap, before the product is built
         m = len(a) + len(b) - 2
         expected = _binom_mod(m, len(a) - 1, p)
         x_plus_y = MultiPoly.variable(field, 2, 0) + MultiPoly.variable(field, 2, 1)
         f = _product(field, 2, (x_plus_y - c for c in result[:m]))
-        actual = grid_weighted_sum(f, Grid(field, [a, b]))
+        actual = grid_weighted_sum(f, Grid(field, [a, b]), max_points)
         if actual != expected or actual == 0:
             raise TheoremViolation(
                 "Cauchy-Davenport certificate mismatch: weighted sum gave "
@@ -273,7 +275,9 @@ def cauchy_davenport_check(
 # ----------------------------------------------------- even-cycle certificate
 
 
-def cycle_selection_certificate(labels: search.cycles.CycleLabels) -> Fraction:
+def cycle_selection_certificate(
+    labels: search.cycles.CycleLabels, max_points: int | None = None
+) -> Fraction:
     """Recompute the coefficient of x_1*...*x_n in prod(x_i - x_{i+1}) as the
     weighted sum of the factored product over the grid of label pairs; direct
     expansion is the independent second route.
@@ -299,7 +303,7 @@ def cycle_selection_certificate(labels: search.cycles.CycleLabels) -> Fraction:
         return value
 
     fld = RationalField()
-    via_sum = _weighted_sum_of_values(product_at, Grid(fld, labels.pairs))
+    via_sum = _weighted_sum_of_values(product_at, Grid(fld, labels.pairs), max_points)
     xs = [MultiPoly.variable(fld, n, i) for i in range(n)]
     f = _product(fld, n, (xs[i] - xs[(i + 1) % n] for i in range(n)))
     via_expansion = f.coefficient_of((1,) * n)
@@ -314,16 +318,17 @@ def cycle_selection_certificate(labels: search.cycles.CycleLabels) -> Fraction:
 # --------------------------------------------------- Vandermonde-squared check
 
 
-def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
+def vandermonde_sq_coefficient(k: int, verify: bool = True, max_points: int | None = None) -> int:
     """Coefficient of (x_1*...*x_k)^(k-1) in the squared Vandermonde product
     prod_{i<j}(x_j - x_i)^2, namely k! * (-1)^C(k,2).
 
     With verify (capped at k <= 6), the closed form is checked against direct
     expansion and against the weighted sum over the rational grid {0..k-1}^k,
     where the factored form is evaluated pointwise so the two routes share
-    nothing but the arithmetic core.  Without verify, a k! of more digits
-    than Python converts to text (sys.get_int_max_str_digits, when nonzero)
-    raises ResourceLimit before it is computed.
+    nothing but the arithmetic core.  The grid is summed first, so a grid
+    past the grid cap is refused before the expansion.  Without verify, a k!
+    of more digits than Python converts to text (sys.get_int_max_str_digits,
+    when nonzero) raises ResourceLimit before it is computed.
     """
     _check_positive_int(k, "k", BadInput)
     if verify and k > 6:
@@ -335,11 +340,6 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
     if not verify:
         return closed
     fld = RationalField()
-    xs = [MultiPoly.variable(fld, k, i) for i in range(k)]
-    vandermonde = _product(fld, k, (xs[j] - xs[i] for i in range(k) for j in range(i + 1, k)))
-    squared = vandermonde * vandermonde
-    via_expansion = squared.coefficient_of((k - 1,) * k)
-
     zero = fld.zero
 
     def squared_at(point: tuple[Scalar, ...]) -> Fraction:
@@ -355,7 +355,11 @@ def vandermonde_sq_coefficient(k: int, verify: bool = True) -> int:
         return Fraction(out)
 
     grid = Grid(fld, [list(range(k))] * k)
-    via_grid = _weighted_sum_of_values(squared_at, grid)
+    via_grid = _weighted_sum_of_values(squared_at, grid, max_points)
+    xs = [MultiPoly.variable(fld, k, i) for i in range(k)]
+    vandermonde = _product(fld, k, (xs[j] - xs[i] for i in range(k) for j in range(i + 1, k)))
+    squared = vandermonde * vandermonde
+    via_expansion = squared.coefficient_of((k - 1,) * k)
     if not (via_expansion == closed and via_grid == closed):
         raise TheoremViolation(
             f"Vandermonde-squared coefficient disagreement at k = {k}: closed form "

@@ -6,37 +6,10 @@ the invariant "every stored coefficient is nonzero" holds after every
 operation.  ``terms`` must not be changed once a polynomial is built:
 ``__hash__`` and the evaluation memo both assume it never changes.
 
-Evaluation is partial.  Each polynomial keeps a memo of its last evaluation
-in four slots: the kernel, the coordinates before the last as passed (the
-raw head), the levels, and the deepest depth's products summed per distinct
-last exponent (the slot sums).  Level k holds the products that head depth
-k takes: level 0 is the coefficients, and level k the per-term products
-c * x_0^e_0 * ... * x_(k-1)^e_(k-1).  The static plan (``_eval_plan``),
-bound into the kernel, holds a power table for every variable, from a
-coerced coordinate to its powers at that variable's distinct exponents.
-The tables only gain entries, each complete before it is inserted, and one
-polynomial's tables hold at most ``_POWER_TABLE_CELLS`` cells; past that,
-powers are computed and not kept.  When a point's head is the raw head
-object for object, as ``itertools.product`` yields it, only the last
-coordinate is coerced, and the value is the slot sums times its power row,
-one dot product.  Otherwise, with k the first head coordinate object that
-differs, the head is coerced from k on and each depth from k on is redone
-from its level, one C-level multiply by the picked powers: one rule at
-every depth.  Matching by identity rather than ``==``, and looking a table
-up only by a coerced coordinate, keeps every refusal of ``field.element``:
-``True`` or ``1.0`` never stands in for ``1``.  Over Q the coefficients are
-integer numerators over their least common denominator, so integral
-coordinates cost int arithmetic and each value is divided once.
-
-Every polynomial, over either field, gets its kernel (``gridkernel``) when
-its plan is built, at its first call: code generated for its shape that
-answers every call by the rule above, unrolled within
-``gridkernel._MAX_TERMS`` terms and ``gridkernel._MAX_VARS`` variables and
-in C-level forms past them.  On the benchmark's seed-0 instances (2-CPU
-x86_64 VM, Python 3.11) the unrolled kernel made the full Z_p^n sums 2.5
-times faster than the C-level forms, the Boolean sums 2.4, the signed
-two-element sums 2.0, the Z_101 weighted sums 1.9 and ``second_nonvanish``
-1.7.
+Evaluation is partial and generated code: each polynomial keeps a memo of
+its last evaluation, which ``evaluate`` seeds at the first call and whose
+kernel answers every call.  The plan, the memo, the power tables and the
+kernels are built and described in ``gridkernel``.
 
 Multiplication is one Kronecker substitution for both fields: in the mixed
 radix D_i = deg_i(a) + deg_i(b) + 1 each exponent vector is one int key, and
@@ -63,7 +36,7 @@ import math
 import re
 import sys
 from array import array
-from operator import itemgetter, mul
+from operator import mul
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -72,13 +45,6 @@ from .errors import (ArityMismatch, BadInput, FieldMismatch, ResourceLimit, Sche
 from .field import FieldSpec, PrimeField, Scalar
 
 NEG_INF = float("-inf")
-_UNSET = object()
-# Cells the power tables of one polynomial may hold (``_power_row``), every
-# variable's rows counted alike.  The 120 x 120 Cauchy-Davenport certificate
-# over Z_1009 takes 28,800 for each of its two variables, 57,600 in all; as a
-# process, its peak RSS went from 23.1 to 24.1 MB when its first variable got
-# a table, at 0.65-0.74 s either way (2-CPU x86_64, Python 3.11).
-_POWER_TABLE_CELLS = 1 << 16
 
 _TermsLike = Union[Mapping[tuple, Scalar], Iterable[tuple]]
 
@@ -230,32 +196,19 @@ class MultiPoly:
         return self.terms.get(exps, self.field.zero)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        """Value at a point, using the 0**0 = 1 convention.
+        """Value at a point, using the 0**0 = 1 convention: a residue over Z_p
+        and a ``Fraction`` over Q.
 
-        Partial evaluation against the previous call's memo (see the module
-        docstring), by the polynomial's kernel (``gridkernel``), built with
-        the plan at the first call: a head that is the previous raw head
-        object for object costs one lookup of the last coordinate's power
-        row and one dot product with the slot sums; otherwise, with k the
-        first coordinate object that differs, the head is coerced from k on
-        and each depth from k on is redone from its level, by one rule at
-        every depth.  The value is a residue over Z_p and a ``Fraction``
-        over Q.  The memo is O(terms * n_vars) plus power tables of at most
-        ``_POWER_TABLE_CELLS`` cells.  It is replaced by one attribute
-        store, and the tables only gain complete entries, so a concurrent
-        call on a shared polynomial at worst recomputes.  ``terms`` must not
+        The first call seeds the memo (``gridkernel.first_memo``), and the
+        memo's kernel answers every call by partial evaluation against the
+        previous one (see the ``gridkernel`` docstring).  ``terms`` must not
         be mutated in place.
         """
         memo = self._memo
         if memo is None:
-            from .gridkernel import kernel_for
+            from .gridkernel import first_memo
 
-            # a head of placeholders, which no point matches, and the
-            # coefficients as level 0 and as the slot sums, which they are
-            # with one variable; with more, the first call replaces them
-            plan = _eval_plan(self)
-            memo = self._memo = (kernel_for(plan), (_UNSET,) * (self.n_vars - 1), [plan[4]],
-                                 plan[4])
+            memo = self._memo = first_memo(self)
         return memo[0](self, point, memo)
 
     def is_restricted(self, d: Sequence[int]) -> bool:
@@ -297,93 +250,6 @@ def sorted_terms(f: MultiPoly) -> list[tuple[tuple[int, ...], Scalar]]:
     return [
         (e, f.terms[e]) for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True)
     ]
-
-
-def _eval_plan(f: MultiPoly) -> tuple:
-    """The static half of the evaluation memo, built once per polynomial,
-    with the power tables it fills.
-
-    The terms are taken in the order of their slot, the place of the term's
-    last exponent among the distinct last exponents in descending order, so
-    each slot is one ``slice`` of the per-term products (``slots`` is None
-    when every slot holds one term).  Each leading variable is stored as its
-    distinct exponents in descending order and ``picks``, an
-    ``operator.itemgetter`` that maps a row of its powers at those exponents
-    to one power per term, so each term's prefix product takes one multiply.
-    The coefficients are level 0 of the memo, the products the first depth
-    takes; over Q they are integer numerators over their least common
-    denominator (``_numerators``).  Over Z_p a depth's products, and the
-    slot sums, are reduced only where one more multiply could pass 60 bits.
-    ``coordinate`` coerces one coordinate: a residue over Z_p, and over Q an
-    int when it is integral.  Every variable has a power table, a dict from
-    a coerced coordinate to its power row, and ``room`` holds the cells the
-    tables may still take (``_power_row``).  Returns (modulus or None,
-    denominator, coordinate, depths as (exponents, picks, reduce, table),
-    coefficients, slots, reduce the slot sums, last exponents, last table,
-    room).
-    """
-    order = sorted(f.terms, key=lambda exps: -exps[-1])
-    rows = []
-    for column in list(zip(*order)) or [()] * f.n_vars:
-        exponents = sorted(set(column), reverse=True)
-        pick = {e: j for j, e in enumerate(exponents)}
-        rows.append((exponents, [pick[e] for e in column]))
-    last, slot_of = rows.pop()
-    bounds = [0] + [j for j in range(1, len(slot_of)) if slot_of[j] != slot_of[j - 1]]
-    bounds.append(len(slot_of))
-    slots = None if len(bounds) > len(slot_of) else [slice(*ab) for ab in zip(bounds, bounds[1:])]
-    element = f.field.element
-    reduce = [False] * (len(rows) + 1)
-    if isinstance(f.field, PrimeField):
-        mod, den = f.field.p, 1
-        coefficients = list(map(f.terms.__getitem__, order))
-        # a bound on each depth's products, then on the slot sums
-        bound = mod - 1
-        widest = max(b - a for a, b in zip(bounds, bounds[1:]))
-        for k, factor in enumerate([mod - 1] * len(rows) + [widest]):
-            bound *= factor
-            reduce[k] = (bound * (mod - 1)).bit_length() > 60
-            if reduce[k]:
-                bound = mod - 1
-
-        def coordinate(x):
-            return x % mod if type(x) is int else element(x)
-    else:
-        mod, (numerators, den) = None, _numerators(f.terms)
-        coefficients = list(map(numerators.__getitem__, order))
-
-        def coordinate(x):
-            if type(x) is int:
-                return x
-            if type(x) is not Fraction:
-                x = element(x)
-            return x.numerator if x.denominator == 1 else x
-    depths = [(exponents, _picks(indices), reduce[k], {})
-              for k, (exponents, indices) in enumerate(rows)]
-    return (mod, den, coordinate, depths, coefficients, slots, reduce[-1], last, {},
-            [_POWER_TABLE_CELLS])
-
-
-def _picks(indices: list[int]):
-    """``operator.itemgetter`` over the indices, returning a sequence also for
-    one index or none."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda row: [row[j] for j in indices]
-
-
-def _power_row(x: Scalar, exponents: list[int], table: dict, room: list, mod: int | None) -> tuple:
-    """x's powers at the exponents, inserted whole into the power table while
-    its polynomial's budget has room: a cell per power and one for the key,
-    and over Q a cell per 64 bits of each power's numerator and denominator."""
-    row = tuple([pow(x, e, mod) for e in exponents])
-    cells = len(row) + 1
-    if not mod:
-        cells += sum(v.numerator.bit_length() + v.denominator.bit_length() for v in row) // 64
-    if cells <= room[0]:
-        room[0] -= cells
-        table[x] = row
-    return row
 
 
 def _suffix_slices(f: MultiPoly, s: int) -> dict:

@@ -152,7 +152,9 @@ def lagrange_denominator(field: FieldSpec, elements: Sequence[Scalar], a: Scalar
     return out
 
 
-def weighted_power_sum(field: FieldSpec, elements: Sequence[Scalar], m: int) -> Scalar:
+def weighted_power_sum(
+    field: FieldSpec, elements: Sequence[Scalar], m: int, max_points: int | None = None
+) -> Scalar:
     """Sum of a**m / denom(A, a) over a in A, for 0 <= m <= |A| - 1.
 
     Equals 0 for m < |A| - 1 and 1 for m = |A| - 1; this is the univariate
@@ -162,7 +164,7 @@ def weighted_power_sum(field: FieldSpec, elements: Sequence[Scalar], m: int) -> 
     top = len(grid.sets[0]) - 1
     if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= top:
         raise OutOfRange(f"exponent must lie in [0, {top}], got {m!r}")
-    return _weighted_sum_of_values(lambda point: field.power(point[0], m), grid)
+    return _weighted_sum_of_values(lambda point: field.power(point[0], m), grid, max_points)
 
 
 def lagrange_interpolate(

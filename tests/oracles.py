@@ -8,10 +8,10 @@ Euclid), primes come from trial division (the package uses Miller-Rabin),
 and searches are flat scans in lexicographic order.  The mid-size zero-sum
 oracles are the exception: greedy passes over suffix tables of lists or
 tuple sets, where the package packs its state sets into ints.  So is the
-reference evaluator, ``GenericRoute``: it reads the package's evaluation
-plan and fills its power tables, as the generated kernels do, but applies
-the plan's rule as loops and C-level forms, so it pins the code generation
-while ``eval_terms`` pins the plan.
+reference evaluator, ``GenericRoute``: it reads the evaluation plan of
+``combnull.gridkernel`` and fills its power tables, as the generated kernels
+do, but applies the plan's rule as loops and C-level forms, so it pins the
+code generation while ``eval_terms`` pins the plan.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from operator import is_, mul
 
-from combnull import mpoly
+from combnull import gridkernel
 from combnull.errors import ArityMismatch
 
 
@@ -59,17 +59,17 @@ class GenericRoute:
     """``MultiPoly.evaluate`` by the rule its kernel unrolls, as one loop over
     the depths: the reference evaluator of ``combnull.gridkernel``.
 
-    It builds f's plan anew (``mpoly._eval_plan``), with tables of its own,
-    and keeps the kernel's memo layout, the kernel's slot holding the plan.
-    ``evaluate`` gives the value, or raises the error, that f's kernel
-    gives, and fills the plan's power tables with the same rows under the
-    same budget.
+    It builds f's plan anew (``gridkernel._eval_plan``), with tables of its
+    own, and keeps the kernel's memo layout, the kernel's slot holding the
+    plan.  ``evaluate`` gives the value, or raises the error, that f's
+    kernel gives, and fills the plan's power tables with the same rows
+    under the same budget.
     """
 
     def __init__(self, f):
         self.n_vars = f.n_vars
-        self.plan = plan = mpoly._eval_plan(f)
-        self._memo = (plan, (mpoly._UNSET,) * (f.n_vars - 1), [plan[4]], plan[4])
+        self.plan = plan = gridkernel._eval_plan(f)[0]
+        self._memo = (plan, (gridkernel._UNSET,) * (f.n_vars - 1), [plan[4]], plan[4])
 
     def evaluate(self, point):
         if len(point) != self.n_vars:
@@ -85,7 +85,7 @@ class GenericRoute:
                                                              map(coordinate, head[first:])):
                 row = powers.get(x)
                 if row is None:
-                    row = mpoly._power_row(x, exponents, powers, room, mod)
+                    row = gridkernel._power_row(x, exponents, powers, room, mod)
                 levels.append(products)
                 products = list(map(mul, products, picks(row)))
                 if reduce:
@@ -103,7 +103,7 @@ class GenericRoute:
             x %= mod
         row = table.get(x)
         if row is None:
-            row = mpoly._power_row(x, last, table, room, mod)
+            row = gridkernel._power_row(x, last, table, room, mod)
         if mod:
             return sum(map(mul, coeffs, row)) % mod
         value = sum(map(mul, coeffs, row))

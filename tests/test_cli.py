@@ -647,6 +647,24 @@ def test_flag_overrides_env_cap(cli, monkeypatch):
     assert doc["weighted_sum"] == "0"
 
 
+@pytest.mark.parametrize("args, points", [
+    (("sumset", "--p", "101", "--a", ",".join(map(str, range(20))),
+      "--b", ",".join(map(str, range(30, 50))), "--check", "cauchy-davenport"), 400),
+    (("vandermonde", "--k", "3"), 27),
+    (("lagrange", "--p", "101", "--points", ",".join(map(str, range(20))),
+      "--values", ",".join(map(str, range(20))), "--power-sum", "19"), 20),
+    (("cycle-labels", "--pairs", "1,2;3,4;1,2;3,4"), 16),
+], ids=["cauchy-davenport", "vandermonde", "power-sum", "cycle-certificate"])
+def test_flag_cap_reaches_every_certificate_grid(cli, args, points):
+    # the Cauchy-Davenport certificate, the Vandermonde verification grid,
+    # the power sum and the even-cycle certificate count against the flag as
+    # coeff's grid does
+    code, doc, _ = cli(*args, "--max-grid-points", str(points - 1))
+    assert (code, doc["status"]) == (3, "resource-limit")
+    assert doc["error"] == f"GridTooLarge: grid has {points} points, cap is {points - 1}"
+    assert cli(*args, "--max-grid-points", str(points))[0] == 0
+
+
 def test_division_by_zero_exit_two(cli):
     # Fraction coerced into Z_7 with a denominator divisible by 7
     code, doc, _ = cli("coeff", "--p", "7", "--poly", "1/7*x1", "--sets", "0,1")
@@ -685,7 +703,7 @@ def test_stdin_document_implicit(cli):
     assert code == 0
     assert doc["coefficient"] == "-2"
     # --format and --max-grid-points are not flags of the command itself
-    code, doc, _ = cli("vandermonde", "--max-grid-points", "10", stdin_text="k 3\n")
+    code, doc, _ = cli("vandermonde", "--max-grid-points", "27", stdin_text="k 3\n")
     assert code == 0
     assert doc["coefficient"] == "-6"
 

@@ -538,7 +538,7 @@ def _plan(f):
 
 
 def _table_cells(f):
-    """Cells of f's power tables, counted as ``mpoly._power_row`` counts them."""
+    """Cells of f's power tables, counted as ``gridkernel._power_row`` counts them."""
     rows = [row for table in _tables(f) for row in table.values()]
     if _plan(f)[0] is None:
         return sum(len(row) + 1 + sum(v.numerator.bit_length() + v.denominator.bit_length()
@@ -548,8 +548,8 @@ def _table_cells(f):
 
 def _tables(f):
     """f's power tables, the last variable's last."""
-    plan = _plan(f)
-    return [table for *_, table in plan[3]] + [plan[8]]
+    _, _, _, depths, *_, last_table, _ = _plan(f)
+    return [table for *_, table in depths] + [last_table]
 
 
 @settings(derandomize=True, max_examples=200)
@@ -583,9 +583,9 @@ def test_evaluate_power_tables_match_oracle(data):
             pools.append(values)
     points = list(itertools.islice(itertools.product(*pools), 300))
     points += data.draw(st.lists(st.sampled_from(points), max_size=40), label="revisits")
-    budget = data.draw(st.sampled_from([0, 3, 40, mpoly._POWER_TABLE_CELLS]), label="budget")
+    budget = data.draw(st.sampled_from([0, 3, 40, gridkernel._POWER_TABLE_CELLS]), label="budget")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mpoly, "_POWER_TABLE_CELLS", budget)
+        patch.setattr(gridkernel, "_POWER_TABLE_CELLS", budget)
         calls = _count_kernel_calls(patch)
         ref = oracles.GenericRoute(f)
         for point in points:
@@ -696,26 +696,29 @@ def _odd_points(point):
 
 
 def _count_kernel_calls(patch):
-    """Patches ``gridkernel.kernel_for`` so that each kernel it builds is
-    counted and carries the plan it was built from as ``plan`` and its shape
-    key, None for the wide form, as ``shape``.  The list it returns gains an
+    """Patches ``gridkernel._compile_shape`` so that each kernel bound to a
+    plan is counted and carries that plan as ``plan`` and its shape key,
+    None for the wide form, as ``shape``.  The list it returns gains an
     entry per kernel call: the first coordinate that is not the memo's head
     object for object (None for the same head)."""
-    calls, keys = [], []
-    kernel_for, compile_shape = gridkernel.kernel_for, gridkernel._compile_shape
+    calls = []
+    compile_shape = gridkernel._compile_shape
 
-    def counted_kernel_for(plan):
-        kernel = kernel_for(plan)
+    def counted_compile_shape(rational, shape):
+        build = compile_shape(rational, shape)
 
-        def counted(self, point, memo):
-            calls.append(next((j for j, (a, h) in enumerate(zip(point, memo[1])) if a is not h),
-                              None))
-            return kernel(self, point, memo)
-        counted.plan, (_, counted.shape) = plan, keys[-1]
-        return counted
+        def counted_build(plan):
+            kernel = build(plan)
 
-    patch.setattr(gridkernel, "_compile_shape", lambda *key: keys.append(key) or compile_shape(*key))
-    patch.setattr(gridkernel, "kernel_for", counted_kernel_for)
+            def counted(self, point, memo):
+                calls.append(next((j for j, (a, h) in enumerate(zip(point, memo[1]))
+                                   if a is not h), None))
+                return kernel(self, point, memo)
+            counted.plan, counted.shape = plan, shape
+            return counted
+        return counted_build
+
+    patch.setattr(gridkernel, "_compile_shape", counted_compile_shape)
     return calls
 
 
@@ -925,15 +928,12 @@ def test_warm_kernel_answers_every_grid_order_point(monkeypatch, n):
     assert len(calls) == 2 + 2 ** len(sets)
 
 
-def test_kernel_source_grows_with_the_variables_not_the_terms(monkeypatch):
+def test_kernel_source_grows_with_the_variables_not_the_terms():
     # the kernel runs the depths above the deepest head variable in one
     # loop, not unrolled per term: for one term set its source at 32
     # variables stays within 2.5 times its source at 16, and the 16 more
     # variables add as much source to 64 terms as to 2.  Past either bound
     # every polynomial of a field takes the one wide source
-    keys = []
-    monkeypatch.setattr(gridkernel, "_compile_shape",
-                        lambda *key: keys.append(key) or (lambda plan: None))
     rng = random.Random(0)
     size = {}
     for count in (2, 64, 65):
@@ -942,13 +942,57 @@ def test_kernel_source_grows_with_the_variables_not_the_terms(monkeypatch):
             terms[tuple(rng.randrange(4) for _ in range(16))] = rng.randrange(1, 101)
         for n in (16, 32, 33):
             f = MultiPoly(PrimeField(101), n, {(0,) * (n - 16) + e: c for e, c in terms.items()})
-            gridkernel.kernel_for(mpoly._eval_plan(f))
-            rational, shape = keys.pop()
-            assert not rational and (shape is None) == (count > 64 or n > 32)
-            size[count, n] = len(gridkernel._source(rational, shape))
+            _, shape = gridkernel._eval_plan(f)
+            assert (shape is None) == (count > 64 or n > 32)
+            size[count, n] = len(gridkernel._source(False, shape))
     assert size[64, 32] <= 2.5 * size[64, 16]
     assert size[64, 32] - size[64, 16] <= 1.1 * (size[2, 32] - size[2, 16])
     assert size[65, 16] == size[2, 33] == len(gridkernel._source(False, None))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shape_key_is_the_key_the_plan_gives(data):
+    # the shape key that _eval_plan builds with the plan equals the key read
+    # back from the plan alone: the deepest variable's picks applied to its
+    # row of indices, the spans of the slot slices and the two reduce flags.
+    # Drawn over Z_p and Q, on both sides of _MAX_VARS and _MAX_TERMS, with
+    # the zero polynomial; Z_16381 with 17 or more terms in one slot reduces
+    # the slot sums and not the deepest products, Z_65521 and Z_1000003 the
+    # deepest products and not the slot sums
+    field = data.draw(st.sampled_from([F2, PrimeField(16381), PrimeField(65521),
+                                       PrimeField(1000003), PrimeField(2**31 - 1), Q]),
+                      label="field")
+    top, most = gridkernel._MAX_VARS, gridkernel._MAX_TERMS
+    n = data.draw(st.sampled_from([1, 2, 3, 4, top, top + 1]), label="n_vars")
+    count = data.draw(st.sampled_from([0, 1, 2, 17, most, most + 1]), label="terms")
+    slots = data.draw(st.sampled_from(["drawn", "one term each", "one slot"]), label="slots")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    terms = {}
+    for k in range(count):
+        exps = [rng.randrange(4) for _ in range(n)]
+        if slots != "drawn":
+            # distinct head exponents, or one distinct last exponent per term
+            exps[0 if slots == "one slot" else -1] = k
+        if slots == "one slot" and n > 1:
+            exps[-1] = 2
+        coefficient = (Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) if field is Q
+                       else rng.randrange(1, field.p))
+        terms[tuple(exps)] = coefficient
+    f = MultiPoly(field, n, terms)
+    plan, shape = gridkernel._eval_plan(f)
+    _, _, _, depths, coefficients, slot_slices, reduce_sums, last, _, _ = plan
+    recovered = None
+    if coefficients and len(depths) + 1 <= top and len(coefficients) <= most:
+        deep = None
+        if depths:
+            exponents, picks, reduce, _ = depths[-1]
+            spans = None if slot_slices is None else tuple((s.start, s.stop) for s in slot_slices)
+            deep = (tuple(picks(range(len(exponents)))), len(exponents), reduce, spans,
+                    reduce_sums)
+        recovered = (len(depths) + 1, len(last), deep)
+    assert shape == recovered
+    assert (shape is None) == (not f.terms or n > top or len(f.terms) > most)
 
 
 def test_kernel_bounds(monkeypatch):
