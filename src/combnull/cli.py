@@ -120,15 +120,30 @@ def _list(sep: str, item, nonempty: bool = False, lazy: bool = False):
     parsed by item(piece, what, *context).  A nonempty list refuses blank
     text.  A lazy list parses each piece as it is consumed, so that a
     consumer checking row by row (PlaneSet, CycleLabels) reports the first
-    bad row."""
+    bad row; a piece it has parsed before gives back the same value, so its
+    items must be immutable."""
 
     def parse(text: str, what: str, *context):
         if nonempty and not text.strip():
             raise SchemaError(f"{what}: empty list")
-        pieces = (item(piece.strip(), what, *context) for piece in text.split(sep))
-        return pieces if lazy else list(pieces)
+        pieces = text.split(sep)
+        if lazy:
+            return map(_Parsed(item, what, context).__getitem__, pieces)
+        return [item(piece.strip(), what, *context) for piece in pieces]
 
     return parse
+
+
+class _Parsed(dict):
+    """piece -> its parse, each distinct piece parsed when first looked up; a
+    parse that raises stores nothing."""
+
+    def __init__(self, item, what: str, context: tuple):
+        self.item, self.what, self.context = item, what, context
+
+    def __missing__(self, piece: str):
+        value = self[piece] = self.item(piece.strip(), self.what, *self.context)
+        return value
 
 
 def _rows(row):
@@ -179,6 +194,14 @@ def _fmt_sets(sets) -> str:
 
 def _fmt_edges(edges) -> str:
     return ",".join(f"{u}-{v}" for u, v in edges)
+
+
+def _fmt_interned(values, fmt, sep: str) -> str:
+    """sep.join(map(fmt, values)), with fmt called once per distinct object:
+    equal interned values (CycleLabels) are one object."""
+    ids = list(map(id, values))
+    text = {key: fmt(value) for key, value in dict(zip(ids, values)).items()}
+    return sep.join(map(text.__getitem__, ids))
 
 
 # ------------------------------------------------------------------- plumbing
@@ -475,12 +498,12 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
 
     labels = CycleLabels(req.require("pairs"))
     n = len(labels)
-    out: dict = {"n": n, "pairs": ";".join(map(_fmt_list, labels.pairs))}  # each pair sorted
+    out: dict = {"n": n, "pairs": _fmt_interned(labels.pairs, _fmt_list, ";")}  # each pair sorted
     check = req.get("check")
     if check is not None:
         return _checked(out, cycle_selection_valid(labels, check))
     selection = cycle_selection(labels, force_search=req.get("force-search"))
-    out["selection"] = None if selection is None else _fmt_list(selection)
+    out["selection"] = None if selection is None else _fmt_interned(selection, _fmt, ",")
     if selection is None:
         return out, EXIT_NO_WITNESS
     if n % 2 == 0 and n <= _CERTIFICATE_VERTEX_CAP:

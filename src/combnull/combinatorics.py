@@ -228,6 +228,19 @@ def common_roots(
 
 # ------------------------------------------------------ sumset certificates
 
+# The Cauchy-Davenport certificate's work, counted before its product is
+# built.  The product of m factors x + y - c has (m + 1)(m + 2)/2 terms; the
+# grid sum over A x B costs about one step per term and point, the balanced
+# product about 32 per term and factor (_CD_PRODUCT_STEPS).  A step is about
+# a nanosecond (2-CPU x86_64 VM, Python 3.11).
+_CD_PRODUCT_STEPS = 32
+_CD_WORK_CAP = 1 << 31
+
+
+def _cd_certificate_work(a_size: int, b_size: int) -> int:
+    m = a_size + b_size - 2
+    return (m + 1) * (m + 2) // 2 * (a_size * b_size + _CD_PRODUCT_STEPS * m)
+
 
 def cauchy_davenport_check(
     field: PrimeField, a_set: Sequence[int], b_set: Sequence[int], max_points: int | None = None
@@ -240,7 +253,8 @@ def cauchy_davenport_check(
     x^(|A|-1) y^(|B|-1) via the weighted sum over A x B.  It must equal the
     binomial C(|A|+|B|-2, |A|-1), which has no factor p.  Were A + B contained
     in such a C', f would vanish on the whole grid and the sum would be 0.
-    The grid A x B counts against the grid cap before f is built.
+    The grid A x B counts against the grid cap, and the work of building f
+    and summing it against ``_CD_WORK_CAP``, before f is built.
     """
     from .search.sumsets import SumsetReport, _as_residue_set, _binom_mod, _sumset
 
@@ -257,7 +271,13 @@ def cauchy_davenport_check(
         )
     certificate = None
     if len(a) + len(b) - 1 <= p:
-        _points([a, b], max_points)  # the cap, before the product is built
+        _points([a, b], max_points)  # the caps, before the product is built
+        work = _cd_certificate_work(len(a), len(b))
+        if work > _CD_WORK_CAP:
+            raise ResourceLimit(
+                f"Cauchy-Davenport certificate capped at {_CD_WORK_CAP} steps, "
+                f"got {work} for |A| = {len(a)}, |B| = {len(b)}"
+            )
         m = len(a) + len(b) - 2
         expected = _binom_mod(m, len(a) - 1, p)
         x_plus_y = MultiPoly.variable(field, 2, 0) + MultiPoly.variable(field, 2, 1)

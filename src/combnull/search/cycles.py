@@ -19,30 +19,47 @@ _CERTIFICATE_VERTEX_CAP = 10
 
 class CycleLabels(_Value):
     """A two-element label set per vertex of a cycle, each pair sorted: a
-    tuple of (Fraction, Fraction) in ``pairs``."""
+    tuple of (Fraction, Fraction) in ``pairs``.
+
+    The labels are interned: equal labels are one Fraction object, so for
+    two labels x and y of ``pairs``, ``x is y`` exactly when ``x == y``.  A
+    row equal to one seen before (as a tuple, so 1, 1.0 and Fraction(1)
+    alike) gives back that row's pair without being read again."""
 
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: Iterable[Sequence]):
         canon = []
+        rows: dict = {}  # a row seen -> its canonical pair
+        labels: dict = {}  # a label -> its one Fraction
         for i, raw in enumerate(pairs):
-            t = tuple(x if type(x) is Fraction else Fraction(x) for x in raw)
-            if len(t) != 2:
-                shown = ", ".join(map(str, t))
-                raise BadGridShape(f"vertex {i} needs exactly 2 labels, got ({shown})")
-            lo, hi = t
-            if lo < hi:
-                canon.append(t)
-            elif hi < lo:
-                canon.append((hi, lo))
-            else:
-                raise BadInput(f"vertex {i} has equal labels {lo}")
+            row = raw if type(raw) is tuple else tuple(raw)
+            try:
+                pair = rows.get(row)
+            except TypeError:  # an unhashable label, which Fraction() refuses by name
+                pair = None
+            if pair is None:
+                pair = rows[row] = _canonical_pair(i, row, labels)
+            canon.append(pair)
         if not canon:
             raise EmptyInput("a cycle needs at least one vertex")
         super().__init__(tuple(canon))
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+def _canonical_pair(i: int, row: tuple, labels: dict) -> tuple[Fraction, Fraction]:
+    """Vertex i's row as its sorted pair of interned labels, or the error
+    that names it."""
+    t = tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+    if len(t) != 2:
+        shown = ", ".join(map(str, t))
+        raise BadGridShape(f"vertex {i} needs exactly 2 labels, got ({shown})")
+    lo, hi = labels.setdefault(t[0], t[0]), labels.setdefault(t[1], t[1])
+    if lo is hi:
+        raise BadInput(f"vertex {i} has equal labels {lo}")
+    return (lo, hi) if lo < hi else (hi, lo)
 
 
 def cycle_selection_valid(labels: CycleLabels, selection: Sequence) -> bool:
@@ -73,6 +90,10 @@ def cycle_selection(
     vertex 0, can reject both of its labels; then ``_closing_selection``
     decides, for each label of vertex 0 in turn, which labels can still close
     the cycle.
+
+    The passes compare labels by identity, which CycleLabels makes the same
+    as equality; the re-check of the answer, ``cycle_selection_valid``,
+    compares by value.
     """
     n = len(labels)
     if n % 2 == 1 and not force_search:
@@ -84,9 +105,9 @@ def cycle_selection(
         chosen = _forward(start, itertools.islice(pairs, 1, n - 1))
         prev = chosen[-1]
         lo, hi = pairs[-1]
-        if lo != prev and lo != start:
+        if lo is not prev and lo is not start:
             chosen.append(lo)
-        elif hi != prev and hi != start:
+        elif hi is not prev and hi is not start:
             chosen.append(hi)
         else:
             chosen = _closing_selection(pairs, start) or _closing_selection(pairs, pairs[0][1])
@@ -116,13 +137,13 @@ def _closing_selection(
     """
     n = len(pairs)
     kept: list[Sequence[Fraction]] = list(pairs)
-    ahead = kept[-1] = [v for v in pairs[-1] if v != start]
+    ahead = kept[-1] = [v for v in pairs[-1] if v is not start]
     for i in range(n - 2, 0, -1):
         if len(ahead) == 1:
-            ahead = kept[i] = [v for v in pairs[i] if v != ahead[0]]
+            ahead = kept[i] = [v for v in pairs[i] if v is not ahead[0]]
         else:
             ahead = pairs[i]
-    if len(ahead) == 1 and ahead[0] == start:
+    if len(ahead) == 1 and ahead[0] is start:
         return None
     # each kept label has one unlike it kept at the next vertex, so no row runs out
     return _forward(start, itertools.islice(kept, 1, None))
@@ -134,6 +155,6 @@ def _forward(start: Fraction, rows: Iterable[Sequence[Fraction]]) -> list[Fracti
     prev = start
     chosen = [start]
     for row in rows:
-        prev = row[1] if row[0] == prev else row[0]
+        prev = row[1] if row[0] is prev else row[0]
         chosen.append(prev)
     return chosen

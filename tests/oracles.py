@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import is_, mul
 
 from combnull import gridkernel
-from combnull.errors import ArityMismatch
+from combnull.errors import ArityMismatch, BadGridShape, BadInput, EmptyInput
 
 
 # --------------------------------------------------------------------- primes
@@ -376,6 +376,27 @@ def common_roots(terms_list, p: int, n: int):
 
 
 # ----------------------------------------------------------- graphs and cycles
+
+
+def cycle_label_pairs(pairs) -> tuple:
+    """Each row of labels as its sorted pair of Fractions, one Fraction per
+    occurrence, with the error CycleLabels raises for the first bad row."""
+    canon = []
+    for i, raw in enumerate(pairs):
+        t = tuple(x if type(x) is Fraction else Fraction(x) for x in raw)
+        if len(t) != 2:
+            shown = ", ".join(map(str, t))
+            raise BadGridShape(f"vertex {i} needs exactly 2 labels, got ({shown})")
+        lo, hi = t
+        if lo < hi:
+            canon.append(t)
+        elif hi < lo:
+            canon.append((hi, lo))
+        else:
+            raise BadInput(f"vertex {i} has equal labels {lo}")
+    if not canon:
+        raise EmptyInput("a cycle needs at least one vertex")
+    return tuple(canon)
 
 
 def first_cycle_selection(pairs):

@@ -1424,6 +1424,12 @@ _LIST_ERRORS = [
      "BadInput: a plane is 4 integers (a, b, c, d), got (1, 0, 0)"),
     ("regular-subgraph", {"p": "2", "vertices": "3", "edges": "0 - x"},
      "SchemaError: edges: expected an integer, got 'x'"),
+    # a row text seen before is not parsed again: a valid row repeated before
+    # a bad one, and a bad row that repeats, each reported at its first place
+    ("planes", {"n": "2", "planes": "1,0,0,-1;1,0,0,-1;0,0,0,1"},
+     "BadInput: degenerate plane (0, 0, 0, 1): a, b, c all zero"),
+    ("planes", {"n": "2", "planes": "1,0,0,-1;0,1;1,0,0,-1;0,1;x"},
+     "BadInput: a plane is 4 integers (a, b, c, d), got (0, 1)"),
 ]
 
 
@@ -1450,6 +1456,11 @@ def test_list_syntax_errors_are_pinned(command, values, error, as_document, fmt)
     ("1,2;1/2,2,3", "BadGridShape: vertex 1 needs exactly 2 labels, got (1/2, 2, 3)"),
     ("1,1;1,2", "BadInput: vertex 0 has equal labels 1"),
     ("3/4,0.75;1,2", "BadInput: vertex 0 has equal labels 3/4"),
+    # a row text seen before is not parsed again, yet each row is checked in
+    # turn: a valid row repeated before a bad one, and a bad row that repeats
+    ("1,2;2,1;1,2;2,1;3/4,0.75", "BadInput: vertex 4 has equal labels 3/4"),
+    ("1,2;2,2;1,2;2,2", "BadInput: vertex 1 has equal labels 2"),
+    ("1,2;1;1,2;1", "BadGridShape: vertex 1 needs exactly 2 labels, got (1)"),
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_cycle_labels_errors_quote_labels_as_text(pairs, error, fmt):

@@ -726,6 +726,31 @@ def test_cauchy_davenport_random_larger_fields(seed):
     assert report.satisfied
 
 
+def test_cauchy_davenport_work_cap_boundary(monkeypatch):
+    # |A| = 6 and |B| = 7: a product of 11 factors with 78 terms, over 42 points
+    a, b, field = range(6), range(0, 14, 2), PrimeField(101)
+    work = combinatorics._cd_certificate_work(6, 7)
+    assert work == 78 * (42 + combinatorics._CD_PRODUCT_STEPS * 11)
+    monkeypatch.setattr(combinatorics, "_CD_WORK_CAP", work)
+    assert cauchy_davenport_check(field, a, b).certificate == math.comb(11, 5) % 101
+    monkeypatch.setattr(combinatorics, "_CD_WORK_CAP", work - 1)
+    with pytest.raises(ResourceLimit, match=f"got {work} for [|]A[|] = 6, [|]B[|] = 7"):
+        cauchy_davenport_check(field, a, b)
+
+
+def test_cauchy_davenport_work_cap_placement():
+    # 120 x 120 over Z_1009 (the CI's certificate) is within the cap, a
+    # square of side 168 is past it and refused before its product is built
+    work, cap = combinatorics._cd_certificate_work, combinatorics._CD_WORK_CAP
+    assert work(120, 120) <= work(167, 167) <= cap < work(168, 168)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        cauchy_davenport_check(PrimeField(1009), range(168), range(168))
+    assert time.perf_counter() - started < 0.5
+    # the benchmark's sides are at most 20
+    assert work(20, 20) * 1000 < cap
+
+
 def test_erdos_heilbronn_known_reports():
     self_report = erdos_heilbronn_check(F5, [0, 1, 2])
     assert self_report.kind == "erdos-heilbronn-self"
@@ -1090,6 +1115,63 @@ def test_cycle_labels_canonicalize_and_validate():
         CycleLabels([])
     with pytest.raises(Exception):
         CycleLabels([(1, 2, 3)])
+
+
+def _label_spellings(value: Fraction) -> list:
+    """The raw forms a label of this value can take: the Fraction, its text,
+    and an int, a bool, a float or a decimal text where one is exact."""
+    out = [value, str(value)]
+    if value.denominator == 1:
+        out.append(int(value))
+    if value in (0, 1):
+        out.append(bool(value))
+    if float(value) == value:
+        out += [float(value), repr(float(value))]
+    return out
+
+
+# a small pool of values, so that labels and whole rows repeat
+_LABEL_VALUES = [Fraction(v) for v in (0, 1, 2, -3, "3/4", "-1/2", "1/3")]
+_raw_label = st.sampled_from(_LABEL_VALUES).flatmap(lambda v: st.sampled_from(_label_spellings(v)))
+# two labels as a tuple or a list, or a bad row: one or three labels, or a
+# label that is not a number
+_raw_row = st.one_of(
+    st.tuples(_raw_label, _raw_label),
+    st.lists(_raw_label, min_size=2, max_size=2),
+    st.lists(_raw_label, min_size=1, max_size=3),
+    st.tuples(_raw_label, st.sampled_from(["x", None, [1]])),
+)
+
+
+@st.composite
+def _raw_rows(draw):
+    """A cycle's rows drawn from a few distinct ones, with repeats and swapped
+    orders; maybe none."""
+    rows = draw(st.lists(_raw_row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.booleans()), max_size=12))
+    return [rows[i][::-1] if swap else rows[i] for i, swap in picks]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_raw_rows())
+@example([(2 * i, 2 * i + 1) for i in range(30)])  # every label distinct
+@example([(1, 2), ("3/4", 0.75), (1, 2)])
+@example([])
+def test_cycle_labels_match_the_per_pair_oracle(rows):
+    try:
+        expected = oracles.cycle_label_pairs(rows)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            CycleLabels(rows)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    labels = CycleLabels(rows)
+    assert labels.pairs == expected
+    # interned: a label equal to one seen before is that same object
+    one_of_each: dict = {}
+    for x in itertools.chain.from_iterable(labels.pairs):
+        assert type(x) is Fraction
+        assert one_of_each.setdefault(x, x) is x
 
 
 def test_cycle_selection_odd_handling():
