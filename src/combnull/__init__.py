@@ -43,7 +43,9 @@ _EXPORTS = {
     ),
     "search.planes": ("PlaneCoverReport", "PlaneSet", "plane_cover_construct", "plane_cover_verify"),
     "search.cycles": ("CycleLabels", "cycle_selection", "cycle_selection_valid"),
-    "search.graphs": ("Graph", "regular_subgraph_find", "regular_subgraph_valid"),
+    "search.graphs": (
+        "Graph", "regular_subgraph_find", "regular_subgraph_inputs", "regular_subgraph_valid",
+    ),
     "search.shuffles": ("snevily_mod_n", "snevily_solve"),
     "search.symdiff": ("symdiff_check",),
     "combinatorics": (
@@ -55,7 +57,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # the input checks the CLI makes before a --check: combinatorics re-exports
 # them with every other search name, the package does not list them
-__all__ = [name for name in _HOME if name not in ("egz_inputs", "olson_inputs")]
+__all__ = [name for name in _HOME if not name.endswith("_inputs")]
 
 
 def __getattr__(name: str):

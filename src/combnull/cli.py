@@ -70,10 +70,13 @@ def _parse_int(text: str, what: str) -> int:
         raise SchemaError(f"{what}: expected an integer, got {text!r}") from exc
 
 
-def _parse_fraction(text: str, what: str) -> Fraction:
+def _parse_fraction(text: str, what: str) -> int | Fraction:
     try:
-        if text.isascii() and text.isdigit():  # a third of the time of Fraction's text parser
-            return Fraction(int(text))
+        # a plain non-negative integer stays an int, which every consumer
+        # takes as the equal Fraction: a third of the time of Fraction's text
+        # parser, and rows of ints hash at C speed
+        if text.isascii() and text.isdigit():
+            return int(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: expected a rational like 3 or 3/4, got {text!r}") from exc
@@ -514,7 +517,12 @@ def _cmd_cycle_labels(req: Request) -> tuple[dict, int]:
 
 
 def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
-    from .search.graphs import Graph, regular_subgraph_find, regular_subgraph_valid
+    from .search.graphs import (
+        Graph,
+        regular_subgraph_find,
+        regular_subgraph_inputs,
+        regular_subgraph_valid,
+    )
 
     p = req.require("p")
     n_vertices = req.require("vertices")
@@ -522,6 +530,9 @@ def _cmd_regular_subgraph(req: Request) -> tuple[dict, int]:
     out: dict = {"p": p, "vertices": n_vertices, "edges": _fmt_edges(graph.edges)}
     check = req.get("check")
     if check is not None:
+        # decided by the predicate alone, after the solver's prime check; the
+        # search cap does not apply
+        regular_subgraph_inputs(p)
         return _checked(out, regular_subgraph_valid(graph, p, check))
     subset = regular_subgraph_find(graph, p, force_search=req.get("force-search"))
     out["witness"] = None if subset is None else _fmt_edges(subset)
@@ -663,14 +674,14 @@ COMMANDS = {
     }),
     "cycle-labels": (_cmd_cycle_labels, "pick one of two labels per cycle vertex with neighbors distinct", {
         "pairs": (_rows(_parse_fraction_list), "label pairs, e.g. 1,2;3,4;1,2;3,4"),
-        "force-search": (_switch, None),
+        "force-search": (_switch, "search an odd cycle too; exit 1 when it has no selection"),
         "check": (_parse_fraction_list, "verify this selection instead, e.g. 1,3,1,4"),
     }),
     "regular-subgraph": (_cmd_regular_subgraph, "nonempty p-regular edge subset of a graph", {
         "p": (_parse_int, "prime modulus"),
         "vertices": (_parse_int, "vertex count"),
         "edges": (_parse_edges, "edges, e.g. 0-1,1-2,0-2"),
-        "force-search": (_switch, None),
+        "force-search": (_switch, "search without the degree hypotheses; exit 1 when no subset exists"),
         "check": (_parse_edges, "verify this edge subset instead"),
     }),
     "snevily": (_cmd_snevily, "permutation making pairwise sums distinct", {
@@ -678,7 +689,7 @@ COMMANDS = {
         "n": (_parse_int, "modulus (adds 1..k form)"),
         "a": (_parse_int_list, "left sequence"),
         "b": (_parse_int_list, "right sequence (with --p)"),
-        "force-search": (_switch, None),
+        "force-search": (_switch, "with --n, search past 2k <= n + 1; exit 1 when no permutation exists"),
     }),
     "vandermonde": (_cmd_vandermonde, "coefficient of the balanced monomial in the squared Vandermonde product", {
         "k": (_parse_int, "number of variables"),

@@ -83,13 +83,8 @@ def cycle_selection(
     prod(x_i - x_{i+1}) is 2, which is nonzero).  Odd cycles are rejected
     unless force_search is set, in which case None reports a fruitless search.
     Returns the lexicographically smallest selection, vertex by vertex; its
-    labels are the objects of labels.pairs.
-
-    One forward pass gives each vertex its first label that differs from its
-    predecessor's.  Only the closing vertex, which must also differ from
-    vertex 0, can reject both of its labels; then ``_closing_selection``
-    decides, for each label of vertex 0 in turn, which labels can still close
-    the cycle.
+    labels are the objects of labels.pairs.  ``_closing_selection`` finds it
+    from vertex 0's smaller label, else from its larger one.
 
     The passes compare labels by identity, which CycleLabels makes the same
     as equality; the re-check of the answer, ``cycle_selection_valid``,
@@ -101,16 +96,7 @@ def cycle_selection(
     pairs = labels.pairs
     chosen: Optional[list[Fraction]] = None
     if n > 1:  # a 1-cycle vertex is its own neighbor
-        start = pairs[0][0]
-        chosen = _forward(start, itertools.islice(pairs, 1, n - 1))
-        prev = chosen[-1]
-        lo, hi = pairs[-1]
-        if lo is not prev and lo is not start:
-            chosen.append(lo)
-        elif hi is not prev and hi is not start:
-            chosen.append(hi)
-        else:
-            chosen = _closing_selection(pairs, start) or _closing_selection(pairs, pairs[0][1])
+        chosen = _closing_selection(pairs, pairs[0][0]) or _closing_selection(pairs, pairs[0][1])
     if chosen is not None:
         if not cycle_selection_valid(labels, chosen):
             raise TheoremViolation(f"cycle selection {chosen} failed re-validation")
@@ -132,29 +118,23 @@ def _closing_selection(
     the path can still reach a closing label other than start; the forward
     pass then takes the first kept label that differs from its predecessor's.
     Two labels kept ahead let a vertex keep both of its own, since each of
-    them differs from one of the two; a single label w kept ahead rules out
-    w only.
+    them differs from one of the two, and so every vertex before it keeps
+    both as well: the backward pass stops there.  A single label w kept
+    ahead rules out w only.
     """
     n = len(pairs)
     kept: list[Sequence[Fraction]] = list(pairs)
     ahead = kept[-1] = [v for v in pairs[-1] if v is not start]
     for i in range(n - 2, 0, -1):
-        if len(ahead) == 1:
-            ahead = kept[i] = [v for v in pairs[i] if v is not ahead[0]]
-        else:
-            ahead = pairs[i]
+        if len(ahead) == 2:
+            break
+        ahead = kept[i] = [v for v in pairs[i] if v is not ahead[0]]
     if len(ahead) == 1 and ahead[0] is start:
         return None
     # each kept label has one unlike it kept at the next vertex, so no row runs out
-    return _forward(start, itertools.islice(kept, 1, None))
-
-
-def _forward(start: Fraction, rows: Iterable[Sequence[Fraction]]) -> list[Fraction]:
-    """start, then from each row its first label unlike the label before; a
-    row of one label must differ from it."""
     prev = start
     chosen = [start]
-    for row in rows:
+    for row in itertools.islice(kept, 1, None):
         prev = row[1] if row[0] is prev else row[0]
         chosen.append(prev)
     return chosen

@@ -63,6 +63,13 @@ def regular_subgraph_valid(graph: Graph, p: int, edges: Iterable[Sequence[int]])
     return all(d in (0, p) for d in Graph(graph.n_vertices, claimed).degrees())
 
 
+def regular_subgraph_inputs(p: int) -> None:
+    """The input check of regular_subgraph_find that a claim also takes: a
+    prime p."""
+    if not is_prime(p):
+        raise NotPrime(f"need a prime p, got {p!r}")
+
+
 _REGULAR_EDGE_CAP = 24  # the one work bound of the regular-subgraph search
 
 
@@ -79,8 +86,7 @@ def regular_subgraph_find(
     The search (_min_regular_mask) runs on the p-core and takes at most 24
     edges, so at most 3^16 packed degree states (16 cubic vertices, p = 3).
     """
-    if not is_prime(p):
-        raise NotPrime(f"need a prime p, got {p!r}")
+    regular_subgraph_inputs(p)
     m = len(graph.edges)
     if m > _REGULAR_EDGE_CAP:
         raise GridTooLarge(f"{m} edges exceeds the search cap of {_REGULAR_EDGE_CAP}")

@@ -296,7 +296,7 @@ def test_combinatorics_reexports_every_search_name():
     families = [importlib.import_module(f"combnull.search.{family}") for family in _FAMILIES]
     defined = [(name, family) for family in families for name, value in vars(family).items()
                if not name.startswith("_") and getattr(value, "__module__", None) == family.__name__]
-    assert len(defined) == 24  # 22 package names, egz_inputs and olson_inputs
+    assert len(defined) == 25  # 22 package names and the three *_inputs checks
     for name, family in defined:
         assert getattr(combinatorics, name) is getattr(family, name), name
         if name in combnull.__all__:
@@ -500,6 +500,43 @@ def test_regular_subgraph_check_round_trip(cli):
     assert good[0] == 0 and good[1]["check_valid"] == "true"
     bad = cli(*args, "--check", "0-1")
     assert bad[0] == 2 and bad[1]["check_valid"] == "false"
+
+
+_K5 = ",".join(f"{u}-{v}" for u in range(5) for v in range(u + 1, 5))
+
+
+@pytest.mark.parametrize("p, vertices, edges, claim", [
+    ("0", "2", "0-1", "0-1"),
+    ("1", "2", "0-1", "0-1"),
+    ("4", "5", _K5, _K5),  # every degree is 4, so the claim holds but for the prime check
+])
+def test_regular_subgraph_check_takes_the_solver_prime_check(cli, p, vertices, edges, claim):
+    args = ("regular-subgraph", "--p", p, "--vertices", vertices, "--edges", edges)
+    for extra in ((), ("--check", claim)):
+        code, doc, _ = cli(*args, *extra)
+        assert code == 2
+        assert doc["status"] == "input-error"
+        assert doc["error"] == f"NotPrime: need a prime p, got {p}"
+        assert "check_valid" not in doc
+
+
+def test_regular_subgraph_check_past_the_search_cap(cli):
+    # a 26-cycle has 26 edges, past the search's cap of 24, yet a claim on it
+    # is decided by the predicate
+    cycle = ",".join(f"{i}-{(i + 1) % 26}" for i in range(26))
+    args = ("regular-subgraph", "--p", "2", "--vertices", "26", "--edges", cycle)
+    assert cli(*args)[0] == 3
+    code, doc, _ = cli(*args, "--check", cycle)
+    assert code == 0 and doc["check_valid"] == "true"
+
+
+@pytest.mark.parametrize("command", ["cycle-labels", "regular-subgraph", "snevily"])
+def test_force_search_has_a_help_line(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    text = cli_mod.COMMANDS[command][2]["force-search"][1]
+    assert text and text in " ".join(capsys.readouterr().out.split())
 
 
 # ------------------------------------------------------------------- exit codes

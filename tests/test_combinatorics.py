@@ -1269,6 +1269,27 @@ def test_cycle_forward_pass_backs_up_past_vertex_zero():
     assert cycle_selection(CycleLabels([(0, 1), (0, 1), (0, 1)]), force_search=True) is None
 
 
+def test_cycle_selection_matches_oracle_on_every_small_cycle():
+    # every sequence of pairs from {0, 1, 2} up to 8 vertices and from
+    # {0, 1, 2, 3} up to 5 vertices: 19,170 cycles, each closing conflict and
+    # each odd cycle without a proper selection among them
+    checked = 0
+    for pool, most in ((range(3), 8), (range(4), 5)):
+        rows = list(itertools.combinations(pool, 2))
+        for n in range(1, most + 1):
+            for pairs in itertools.product(rows, repeat=n):
+                labels = CycleLabels(pairs)
+                expected = oracles.first_cycle_selection(labels.pairs)
+                if n % 2:
+                    with pytest.raises(OddCycle):
+                        cycle_selection(labels)
+                    assert cycle_selection(labels, force_search=True) == expected
+                else:
+                    assert cycle_selection(labels) == expected is not None
+                checked += 1
+    assert checked == 19_170
+
+
 def test_cycle_selection_two_hundred_thousand_vertices():
     n = 200_000
     rng = random.Random(7)
